@@ -8,6 +8,13 @@ Exit codes: 0 success / APN / verified; 1 audit or consistency failure;
 2 usage error (including bad parameters and oversize requests);
 3 negative verdict (not APN, not equivalent).
 
+witness prints a verified witness when it can construct one.  Two alpha = 0
+members whose betas lie in different Frobenius orbits (or whose k differ)
+can be CCZ-equivalent without a constructive witness here; for those the
+verdict comes from the canonical triples: {"equivalent": true,
+"witness": null} (pretty: "equivalent; no constructive witness
+available") with exit 0.
+
 Field elements are read and printed as hex bit-patterns relative to the
 modulus in use; with a --modulus override, cross-run comparisons require
 matching moduli (a warning is printed).  All output is deterministic for
@@ -47,22 +54,23 @@ EXIT_NEGATIVE = 3
 class RunConfig:
     fmt: str = "pretty"
     workers: int | None = None          # None = auto
-    modulus_overrides: dict[int, int] = field(default_factory=dict)
+    modulus_overrides: dict[int, FieldCtx] = field(default_factory=dict)
     seed: int | None = None
     _warned: set = field(default_factory=set)
 
     def ctx(self, m: int) -> FieldCtx:
-        if m in self.modulus_overrides:
-            if m not in self._warned:
-                print(
-                    f"warning: non-default modulus 0x{self.modulus_overrides[m]:X} "
-                    f"for m={m}; element values are comparable only across runs "
-                    f"with the same modulus",
-                    file=sys.stderr,
-                )
-                self._warned.add(m)
-            return FieldCtx(m, self.modulus_overrides[m])
-        return default_ctx(m)
+        if m not in self.modulus_overrides:
+            return default_ctx(m)
+        ctx = self.modulus_overrides[m]
+        if m not in self._warned:
+            print(
+                f"warning: non-default modulus 0x{ctx.modulus:X} "
+                f"for m={m}; element values are comparable only across runs "
+                f"with the same modulus",
+                file=sys.stderr,
+            )
+            self._warned.add(m)
+        return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +95,7 @@ def _parse_element(s: str) -> int:
     return int(s, 16)
 
 
-def _parse_modulus_override(pairs: list[str]) -> dict[int, int]:
+def _parse_modulus_override(pairs: list[str]) -> dict[int, FieldCtx]:
     out = {}
     for pair in pairs:
         if "=" not in pair:
@@ -95,9 +103,7 @@ def _parse_modulus_override(pairs: list[str]) -> dict[int, int]:
                 f"--modulus expects m=HEX, got {pair!r}")
         m_str, hex_str = pair.split("=", 1)
         m = int(m_str)
-        modulus = int(hex_str, 16)
-        FieldCtx(m, modulus)  # validates degree + irreducibility
-        out[m] = modulus
+        out[m] = FieldCtx(m, int(hex_str, 16))  # validates degree + irreducibility
     return out
 
 
@@ -317,11 +323,10 @@ def cmd_enumerate_beta(args, cfg: RunConfig) -> int:
     if cfg.fmt == "json":
         _emit_json({"phi": phi.to_json(), "orbits": dec.to_json()})
     elif cfg.fmt == "csv":
-        rows = []
-        for beta in phi:
-            rep = poly_roots.orbit_min(beta, ctx)
-            rows.append((f"0x{beta:X}", f"0x{rep:X}",
-                         poly_roots.orbit_length(beta, ctx)))
+        length = dict(dec.orbits)
+        reps = poly_roots.orbit_minima(phi.elements, ctx)
+        rows = [(f"0x{beta:X}", f"0x{rep:X}", length[rep])
+                for beta, rep in zip(phi.elements.tolist(), reps.tolist())]
         _emit_csv(("beta", "orbit_representative", "orbit_length"), rows)
     else:
         print(f"m={args.m} k={args.k} |Phi|={len(phi)} orbits={len(dec)}")
@@ -387,12 +392,16 @@ def cmd_witness(args, cfg: RunConfig) -> int:
     ctx = cfg.ctx(p1.m)
     w = equivalence.equivalence_witness(p1, p2, ctx)
     if w is None:
+        # None also covers equivalent alpha = 0 members with no constructive
+        # path, so the verdict comes from the canonical triples.
+        equivalent = equivalence.are_ccz_equivalent(p1, p2, ctx)
         if cfg.fmt == "json":
-            _emit_json({"witness": None, "equivalent": False})
+            _emit_json({"witness": None, "equivalent": equivalent})
+        elif equivalent:
+            print("equivalent; no constructive witness available")
         else:
-            print("no witness: members are CCZ-inequivalent "
-                  "or no constructive path exists")
-        return EXIT_NEGATIVE
+            print("no witness: members are CCZ-inequivalent")
+        return EXIT_OK if equivalent else EXIT_NEGATIVE
     ok = equivalence.verify_witness(
         w, taniguchi(p1, ctx), taniguchi(p2, ctx))
     if cfg.fmt == "json":
@@ -466,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-apn", help="criterion and optional exhaustive verdict")
     add_family_args(p)
     p.add_argument("--exhaustive", action="store_true",
-                   help="run the 2^(2n) differential scan (2m <= 16)")
+                   help="run the exhaustive differential scan (n <= 16)")
     p.add_argument("--spectrum", action="store_true",
                    help="also print the differential spectrum")
     p.add_argument("--save-table", default=None, metavar="PATH",

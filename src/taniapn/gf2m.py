@@ -7,7 +7,7 @@ Addition is XOR; multiplication is shift-and-XOR with on-the-fly reduction.
 Every operation flows through a FieldCtx, which is immutable after
 construction and safe to share.  Scalar operations use the raw
 shift-and-XOR path; bulk (numpy) operations additionally use a lazily
-built log/antilog table pair for m <= 16, so the two paths stay
+built log/antilog table pair for m <= 24, so the two paths stay
 independently testable against each other.
 
 The default modulus for each degree is the lexicographically smallest

@@ -149,14 +149,19 @@ def frobenius_orbits(s, ctx: FieldCtx) -> OrbitDecomposition:
     if not bool(np.all(arr[pos_clipped] == sq)):
         missing = int(sq[arr[pos_clipped] != sq][0])
         raise NotFrobeniusClosed(f"square 0x{missing:X} escapes the set")
+    uniq, counts = np.unique(orbit_minima(arr, ctx), return_counts=True)
+    orbits = [(int(r), int(c)) for r, c in zip(uniq, counts)]
+    return OrbitDecomposition(orbits=orbits, total=int(arr.size))
+
+
+def orbit_minima(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Per element of arr, the smallest member of its Frobenius orbit."""
     reps = arr.copy()
     cur = arr
     for _ in range(ctx.m - 1):
         cur = ctx.square_vec(cur)
         reps = np.minimum(reps, cur)
-    uniq, counts = np.unique(reps, return_counts=True)
-    orbits = [(int(r), int(c)) for r, c in zip(uniq, counts)]
-    return OrbitDecomposition(orbits=orbits, total=int(arr.size))
+    return reps
 
 
 def transform_beta(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:

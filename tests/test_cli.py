@@ -1,6 +1,7 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
 import json
+from math import gcd
 
 import pytest
 
@@ -170,6 +171,23 @@ def test_witness_negative(capsys):
     assert code == EXIT_NEGATIVE
 
 
+@pytest.mark.parametrize("to", ["4,3,0,2", "4,1,0,7"])
+def test_witness_alpha0_equivalent_without_witness(capsys, to):
+    # equivalent alpha = 0 members with no constructive path: a positive verdict
+    from taniapn.equivalence import are_ccz_equivalent
+    from taniapn.families import TaniguchiParams
+    m, k, alpha, beta = (int(v, 16) for v in to.split(","))
+    assert are_ccz_equivalent(TaniguchiParams(m=4, k=1, alpha=0, beta=2),
+                              TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta))
+    code, out, _ = run(capsys, "--format", "json", "witness",
+                       "--from", "4,1,0,2", "--to", to)
+    assert code == EXIT_OK
+    assert json.loads(out) == {"equivalent": True, "witness": None}
+    code, out, _ = run(capsys, "witness", "--from", "4,1,0,2", "--to", to)
+    assert code == EXIT_OK
+    assert out == "equivalent; no constructive witness available\n"
+
+
 def test_witness_degree_mismatch(capsys):
     code, _, err = run(capsys, "witness", "--from", "4,1,1,9", "--to", "5,1,1,6")
     assert code == EXIT_USAGE
@@ -205,6 +223,16 @@ def test_modulus_override(capsys):
     assert "reducible" in err
 
 
+def test_modulus_override_context_built_once(capsys):
+    from taniapn.cli import RunConfig, _parse_modulus_override
+    cfg = RunConfig(modulus_overrides=_parse_modulus_override(["5=0x25", "3=0xD"]))
+    first = cfg.ctx(3)
+    assert cfg.ctx(3) is first and first.modulus == 0xD
+    assert cfg.ctx(5) is cfg.ctx(5)
+    err = capsys.readouterr().err
+    assert err.count("warning") == 2 and err.count("for m=3;") == 1
+
+
 def test_workers_flag_validated_and_inert(capsys):
     code, out1, _ = run(capsys, "--workers", "1", "--format", "json",
                         "table", "--m", "2..8")
@@ -229,6 +257,21 @@ def test_enumerate_beta_csv(capsys):
     assert lines[0] == "beta,orbit_representative,orbit_length"
     assert lines[1] == "0x1,0x1,1"
     assert lines[2] == "0x9,0x9,4"
+
+
+def test_enumerate_beta_csv_matches_scalar_orbit_walk(capsys):
+    from taniapn.gf2m import default_ctx
+    from taniapn.poly_roots import orbit_length, orbit_min, phi_set
+    for m in range(2, 13):
+        ctx = default_ctx(m)
+        k = max(k for k in range(1, m) if gcd(k, m) == 1)
+        code, out, _ = run(capsys, "--format", "csv", "enumerate-beta",
+                           "--m", str(m), "--k", str(k))
+        assert code == EXIT_OK
+        want = ["beta,orbit_representative,orbit_length"]
+        want += [f"0x{b:X},0x{orbit_min(b, ctx):X},{orbit_length(b, ctx)}"
+                 for b in phi_set(k, ctx)]
+        assert out == "\n".join(want) + "\n"
 
 
 def test_classes_csv(capsys):

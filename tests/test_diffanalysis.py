@@ -1,9 +1,19 @@
 """Differential spectrum and the APN verdict against known functions."""
 
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taniapn.diffanalysis import DifferentialSpectrum, differential_spectrum, is_apn
+from taniapn.diffanalysis import (
+    DifferentialSpectrum,
+    _generic_histograms,
+    _is_quadratic,
+    differential_spectrum,
+    is_apn,
+)
 from taniapn.errors import TooLarge
 from taniapn.families import (
     PottZhouParams,
@@ -100,3 +110,89 @@ def test_spectrum_json_round_trip():
     data = spec.to_json()
     assert data == {"n": 5, "uniformity": 2, "histogram": {"0": 496, "2": 496}}
     assert DifferentialSpectrum.from_json(data) == spec
+
+
+# ---------------------------------------------------------------------------
+# kernel-rank path against the generic scan (the oracle)
+# ---------------------------------------------------------------------------
+
+def generic_histogram(f) -> dict[int, int]:
+    hist: dict[int, int] = {}
+    for part in _generic_histograms(f.packed_table(), f.dimension):
+        for c, fr in part.items():
+            hist[c] = hist.get(c, 0) + fr
+    return hist
+
+
+def assert_matches_oracle(f):
+    want = generic_histogram(f)
+    assert differential_spectrum(f).histogram == want
+    assert is_apn(f) == (max(want) == 2)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_fast_path_matches_oracle_taniguchi(m):
+    # the whole range of acceptance criterion 3
+    ctx = default_ctx(m)
+    for k in range(1, m):
+        if gcd(k, m) != 1:
+            continue
+        for alpha in (0, 1):
+            for beta in range(1, ctx.order):
+                f = taniguchi(TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta), ctx)
+                assert _is_quadratic(f.packed_table(), f.dimension)
+                assert_matches_oracle(f)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_fast_path_matches_oracle_pott_zhou(m):
+    ctx = default_ctx(m)
+    cube = next(a for a in range(1, ctx.order) if ctx.is_cube(a))
+    noncube = next(a for a in range(2, ctx.order) if not ctx.is_cube(a))
+    for s in range(m + 1):
+        for alpha in (cube, noncube):
+            assert_matches_oracle(pott_zhou(PottZhouParams(m=m, k=1, s=s, alpha=alpha), ctx))
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_fast_path_matches_oracle_gold(n):
+    assert_matches_oracle(gold(n, 1))
+
+
+def table_from_anf(coeffs: dict[int, int], n: int) -> np.ndarray:
+    """f(x) = sum of coeffs[u] over the monomials u contained in x."""
+    x = np.arange(1 << n)
+    tab = np.zeros(1 << n, dtype=np.uint32)
+    for u, c in coeffs.items():
+        tab[(x & u) == u] ^= np.uint32(c)
+    return tab
+
+
+@st.composite
+def quadratic_anf(draw, min_m=1):
+    m = draw(st.integers(min_m, 4))
+    n = 2 * m
+    monomials = [0] + [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1)]
+    return m, {u: draw(st.integers(0, (1 << n) - 1)) for u in monomials}
+
+
+@settings(max_examples=100, deadline=None)
+@given(quadratic_anf())
+def test_random_quadratic_tables_match_oracle(m_coeffs):
+    m, coeffs = m_coeffs
+    f = TruthTableFunction(table_from_anf(coeffs, 2 * m), default_ctx(m))
+    assert _is_quadratic(f.packed_table(), f.dimension)
+    assert_matches_oracle(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(quadratic_anf(min_m=2), st.data())
+def test_cubic_monomial_fails_degree_check(m_coeffs, data):
+    m, coeffs = m_coeffs
+    n = 2 * m
+    bits = data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
+    cubic = sum(1 << b for b in bits)
+    coeffs[cubic] = data.draw(st.integers(1, (1 << n) - 1))
+    f = TruthTableFunction(table_from_anf(coeffs, n), default_ctx(m))
+    assert not _is_quadratic(f.packed_table(), n)
+    assert_matches_oracle(f)
