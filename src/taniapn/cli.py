@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Commands: table, audit, check-apn, enumerate-beta, spectrum, classes,
-witness, aut.  Global flags (before the command): --format, --workers,
---modulus, --seed.
+witness, aut.  Global flags (before the command): --format, --modulus.
 
 Exit codes: 0 success / APN / verified; 1 audit or consistency failure;
 2 usage error (including bad parameters and oversize requests);
@@ -18,12 +17,13 @@ available") with exit 0.
 Field elements are read and printed as hex bit-patterns relative to the
 modulus in use; with a --modulus override, cross-run comparisons require
 matching moduli (a warning is printed).  All output is deterministic for
-fixed flags; --workers never changes output bytes.
+fixed flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -31,7 +31,7 @@ from math import gcd
 
 from . import counting, diffanalysis, equivalence, poly_roots
 from .counting import CSV_HEADER, count_report
-from .errors import TaniapnError, TooLarge
+from .errors import InvalidParams, TaniapnError
 from .families import (
     GoldFunction,
     PottZhouParams,
@@ -42,7 +42,7 @@ from .families import (
     save_function,
     taniguchi,
 )
-from .gf2m import FieldCtx, default_ctx
+from .gf2m import FieldCtx, coprime_residues, default_ctx
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
@@ -53,9 +53,7 @@ EXIT_NEGATIVE = 3
 @dataclass
 class RunConfig:
     fmt: str = "pretty"
-    workers: int | None = None          # None = auto
     modulus_overrides: dict[int, FieldCtx] = field(default_factory=dict)
-    seed: int | None = None
     _warned: set = field(default_factory=set)
 
     def ctx(self, m: int) -> FieldCtx:
@@ -99,8 +97,7 @@ def _parse_modulus_override(pairs: list[str]) -> dict[int, FieldCtx]:
     out = {}
     for pair in pairs:
         if "=" not in pair:
-            raise argparse.ArgumentTypeError(
-                f"--modulus expects m=HEX, got {pair!r}")
+            raise InvalidParams(f"--modulus expects m=HEX, got {pair!r}")
         m_str, hex_str = pair.split("=", 1)
         m = int(m_str)
         out[m] = FieldCtx(m, int(hex_str, 16))  # validates degree + irreducibility
@@ -175,16 +172,10 @@ def cmd_table(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _audit_ks(m: int, policy: str) -> list[int]:
-    if m == 1:
-        return [1]
+    ks = coprime_residues(m)
     if policy == "all":
-        return [k for k in range(1, m) if gcd(k, m) == 1]
-    ks = [1]
-    for k in range((m - 1) // 2, 1, -1):  # largest k < m/2 coprime to m
-        if gcd(k, m) == 1:
-            ks.append(k)
-            break
-    return ks
+        return ks
+    return [1] + [k for k in ks if 1 < k < m / 2][-1:]  # largest k < m/2 coprime to m
 
 
 def cmd_audit(args, cfg: RunConfig) -> int:
@@ -353,8 +344,7 @@ def cmd_classes(args, cfg: RunConfig) -> int:
             return EXIT_USAGE
         k_stars = [min(args.k % m, m - args.k % m)]
     else:
-        k_stars = [k for k in range(1, m // 2 + 1)
-                   if gcd(k, m) == 1 and k < m / 2]
+        k_stars = [k for k in coprime_residues(m) if k < m / 2]
     rows = []
     for k in k_stars:
         if m % 2 == 0:
@@ -432,7 +422,9 @@ def cmd_aut(args, cfg: RunConfig) -> int:
 # Parser / entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     ap = argparse.ArgumentParser(
         prog="taniapn",
         description="Taniguchi APN functions on GF(2^(2m)): verification, "
@@ -440,13 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--format", choices=("pretty", "json", "csv"),
                     default="pretty", help="output format")
-    ap.add_argument("--workers", default="auto",
-                    help="worker count or 'auto' (never affects output bytes)")
     ap.add_argument("--modulus", action="append", default=[], metavar="m=HEX",
                     help="override the field modulus for degree m (repeatable)")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="seed for randomized sampling; shipped commands are "
-                         "deterministic")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="counting table: m, #classes, lower bound")
@@ -515,39 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    workers = args.workers
-    if workers != "auto":
-        try:
-            workers = int(workers)
-        except ValueError:
-            print(f"error: --workers expects an integer or 'auto', got {workers!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        if workers < 1:
-            print("error: --workers must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     try:
-        overrides = _parse_modulus_override(args.modulus)
-    except (TaniapnError, ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    cfg = RunConfig(
-        fmt=args.format,
-        workers=None if workers == "auto" else workers,
-        modulus_overrides=overrides,
-        seed=args.seed,
-    )
-    try:
+        cfg = RunConfig(fmt=args.format,
+                        modulus_overrides=_parse_modulus_override(args.modulus))
         return args.func(args, cfg)
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TaniapnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (TaniapnError, ValueError, OSError) as exc:  # OSError: --table, --save-table paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

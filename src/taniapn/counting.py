@@ -33,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidParams, NonIntegralOrbitCount, TooLarge
-from .gf2m import FieldCtx, default_ctx
+from .gf2m import FieldCtx, default_ctx, factorize
 from .poly_roots import frobenius_orbits, phi_set
 
 _ORACLE_DEGREE_LIMIT = 24
@@ -42,25 +42,6 @@ _ORACLE_DEGREE_LIMIT = 24
 # ---------------------------------------------------------------------------
 # Integer helpers
 # ---------------------------------------------------------------------------
-
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division (fine for n <= 10^6)."""
-    if n < 1:
-        raise InvalidParams("factorize needs n >= 1")
-    out = []
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
 
 def euler_phi(n: int) -> int:
     r = n
@@ -223,20 +204,6 @@ class CountReport:
         if self.note:
             data["note"] = self.note
         return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CountReport":
-        return cls(
-            m=int(data["m"]),
-            capital_m=int(data["M"]),
-            capital_n=int(data["N"]),
-            b=int(data["b"]),
-            n_taniguchi=int(data["n"]),
-            lower_bound=int(data["bound"]),
-            epsilon=int(data["epsilon"]),
-            factorization=[(int(p), int(e)) for p, e in data["factorization"]],
-            note=data.get("note"),
-        )
 
     def csv_row(self) -> tuple:
         return (self.m, self.capital_m, self.capital_n, self.b,

@@ -63,14 +63,6 @@ class DifferentialSpectrum:
             "histogram": {str(c): f for c, f in sorted(self.histogram.items())},
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "DifferentialSpectrum":
-        return cls(
-            n=int(data["n"]),
-            uniformity=int(data["uniformity"]),
-            histogram={int(c): int(f) for c, f in data["histogram"].items()},
-        )
-
 
 def _checked_table(f) -> tuple[np.ndarray, int]:
     n = f.dimension

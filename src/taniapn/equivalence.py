@@ -48,12 +48,17 @@ from .families import (
     BivariateFunction,
     PottZhouParams,
     TaniguchiParams,
-    pott_zhou,
     taniguchi,
 )
 from .gf2m import FieldCtx, default_ctx
 from .linmaps import PairMap, gf2_rank, mono_lin, table_from_images, zero_lin
-from .poly_roots import count_roots, orbit_length, orbit_min, transform_beta
+from .poly_roots import (
+    count_roots,
+    frobenius_orbit,
+    orbit_length,
+    orbit_min,
+    transform_beta,
+)
 
 _VERIFY_BITS_LIMIT = 20   # exhaustive witness check is 2^(2m) points
 _MONOMIAL_DEGREE_LIMIT = 8
@@ -78,11 +83,6 @@ class CanonicalTriple:
             "beta_star": f"0x{self.beta_star:X}",
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CanonicalTriple":
-        return cls(int(data["k_star"]), int(data["alpha_star"]),
-                   int(data["beta_star"], 16))
-
 
 @dataclass(frozen=True)
 class LinearWitness:
@@ -96,52 +96,21 @@ class LinearWitness:
     n_map: PairMap
     m_map: PairMap
 
-    # named blocks of N
-    @property
-    def n1(self): return self.n_map.xx
-    @property
-    def n3(self): return self.n_map.xy
-    @property
-    def n2(self): return self.n_map.yx
-    @property
-    def n4(self): return self.n_map.yy
-
     def to_json(self) -> dict:
         return {
             "l_a": {"x": _hex_vec(self.l_map.xx), "y": _hex_vec(self.l_map.xy)},
             "l_b": {"x": _hex_vec(self.l_map.yx), "y": _hex_vec(self.l_map.yy)},
-            "n1": _hex_vec(self.n1),
-            "n2": _hex_vec(self.n2),
-            "n3": _hex_vec(self.n3),
-            "n4": _hex_vec(self.n4),
+            "n1": _hex_vec(self.n_map.xx),
+            "n2": _hex_vec(self.n_map.yx),
+            "n3": _hex_vec(self.n_map.xy),
+            "n4": _hex_vec(self.n_map.yy),
             "m_a": {"x": _hex_vec(self.m_map.xx), "y": _hex_vec(self.m_map.xy)},
             "m_b": {"x": _hex_vec(self.m_map.yx), "y": _hex_vec(self.m_map.yy)},
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "LinearWitness":
-        return cls(
-            l_map=PairMap(
-                xx=_vec_hex(data["l_a"]["x"]), xy=_vec_hex(data["l_a"]["y"]),
-                yx=_vec_hex(data["l_b"]["x"]), yy=_vec_hex(data["l_b"]["y"]),
-            ),
-            n_map=PairMap(
-                xx=_vec_hex(data["n1"]), xy=_vec_hex(data["n3"]),
-                yx=_vec_hex(data["n2"]), yy=_vec_hex(data["n4"]),
-            ),
-            m_map=PairMap(
-                xx=_vec_hex(data["m_a"]["x"]), xy=_vec_hex(data["m_a"]["y"]),
-                yx=_vec_hex(data["m_b"]["x"]), yy=_vec_hex(data["m_b"]["y"]),
-            ),
-        )
-
 
 def _hex_vec(p) -> list[str]:
     return [f"0x{c:X}" for c in p]
-
-
-def _vec_hex(v) -> tuple[int, ...]:
-    return tuple(int(c, 16) for c in v)
 
 
 @dataclass(frozen=True)
@@ -300,12 +269,9 @@ def canonical_witness(p: TaniguchiParams, ctx: FieldCtx | None = None
         beta = transform_beta(k_star, inv_b, inv_b, ctx)
         k = k_star
 
-    beta_star = orbit_min(beta, ctx)
-    i = 0
-    cur = beta_star
-    while cur != beta:
-        cur = ctx.mul(cur, cur)
-        i += 1
+    orbit = frobenius_orbit(beta, ctx)
+    beta_star = min(orbit)
+    i = -orbit.index(beta_star) % len(orbit)  # beta = beta_star^(2^i)
     if i:
         w = compose_witness(w, _w_frob(i, ctx), ctx)
 
@@ -333,12 +299,10 @@ def equivalence_witness(p1: TaniguchiParams, p2: TaniguchiParams,
     if p1.alpha == 0:
         if p1.k != p2.k:
             return None
-        i, cur = 0, p2.beta
-        while cur != p1.beta:
-            cur = ctx.mul(cur, cur)
-            i += 1
-            if i >= ctx.m:
-                return None  # same class but different orbit: no direct map here
+        orbit = frobenius_orbit(p2.beta, ctx)
+        if p1.beta not in orbit:
+            return None  # same class but different orbit: no direct map here
+        i = orbit.index(p1.beta)  # p1.beta = p2.beta^(2^i)
         return _w_frob(i, ctx) if i else identity_witness(ctx.m)
     w1, c1 = canonical_witness(p1, ctx)
     w2, c2 = canonical_witness(p2, ctx)

@@ -187,11 +187,6 @@ class TaniguchiFunction(BivariateFunction):
         p = self.params
         return count_roots(p.k, p.alpha, p.beta, self.ctx) == 0
 
-    def is_apn(self) -> bool:
-        """Alias for the closed-form criterion (the exhaustive verdict lives
-        in diffanalysis.is_apn)."""
-        return self.is_apn_criterion()
-
 
 class PottZhouFunction(BivariateFunction):
     kind = "pott-zhou"
@@ -224,11 +219,6 @@ class PottZhouFunction(BivariateFunction):
         """APN criterion: s even and alpha a non-cube."""
         p = self.params
         return p.s % 2 == 0 and not self.ctx.is_cube(p.alpha)
-
-    def is_apn(self) -> bool:
-        """Alias for the closed-form criterion (the exhaustive verdict lives
-        in diffanalysis.is_apn)."""
-        return self.is_apn_criterion()
 
 
 class TruthTableFunction(BivariateFunction):
@@ -347,6 +337,8 @@ def load_function(path: str | Path, ctx: FieldCtx | None = None) -> TruthTableFu
     raw = path.read_bytes()
     if raw[:4] != _FILE_MAGIC:
         raise InvalidParams(f"{path}: bad magic, not a truth-table file")
+    if len(raw) < 8:
+        raise InvalidParams(f"{path}: truncated header")
     version, m, kind_code = struct.unpack("<BHB", raw[4:8])
     if version != _FILE_VERSION:
         raise InvalidParams(f"{path}: unsupported version {version}")
@@ -355,15 +347,20 @@ def load_function(path: str | Path, ctx: FieldCtx | None = None) -> TruthTableFu
     if ctx is None:
         manifest_path = path.with_name(path.name + ".json")
         if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text())
-            ctx = FieldCtx(m, int(manifest["modulus"], 16))
+            try:
+                modulus = int(json.loads(manifest_path.read_text())["modulus"], 16)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise InvalidParams(
+                    f"{manifest_path}: not a JSON object with a hex \"modulus\"") from exc
+            ctx = FieldCtx(m, modulus)
         else:
             ctx = default_ctx(m)
     if ctx.m != m:
         raise InvalidParams(f"{path}: header degree {m} != context degree {ctx.m}")
+    if len(raw) - 8 != 8 << (2 * m):
+        raise InvalidParams(f"{path}: expected 2^{2 * m} entries of 8 bytes, "
+                            f"got {len(raw) - 8} bytes")
     pairs = np.frombuffer(raw[8:], dtype="<u4").reshape(-1, 2)
-    if pairs.shape[0] != 1 << (2 * m):
-        raise InvalidParams(f"{path}: expected 2^{2 * m} entries, got {pairs.shape[0]}")
     if int(pairs.max(initial=0)) >= 1 << m:
         raise InvalidParams(f"{path}: coordinate value out of GF(2^{m})")
     table = (pairs[:, 0].astype(np.uint32) << np.uint32(m)) | pairs[:, 1].astype(np.uint32)

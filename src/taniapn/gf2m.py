@@ -24,6 +24,9 @@ The full table is MODULUS_TABLE below.  Any other irreducible polynomial
 of the right degree can be supplied explicitly; all counting results are
 isomorphism-invariant, the canonical choice only makes element values
 reproducible bit-for-bit.
+
+The integer helpers the field and the counting pipeline share live here
+too: factorize (trial division) and coprime_residues.
 """
 
 from __future__ import annotations
@@ -245,7 +248,7 @@ class FieldCtx:
         n1 = self.order - 1
         if n1 == 1:
             return 1
-        primes = [p for p, _ in _factorize(n1)]
+        primes = [p for p, _ in factorize(n1)]
         g = 2
         while True:
             if all(self.pow(g, n1 // p) != 1 for p in primes):
@@ -354,7 +357,10 @@ def default_ctx(m: int) -> FieldCtx:
     return FieldCtx(m)
 
 
-def _factorize(n: int) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization by trial division (fine for n <= 10^6)."""
+    if n < 1:
+        raise InvalidParams("factorize needs n >= 1")
     out = []
     d = 2
     while d * d <= n:

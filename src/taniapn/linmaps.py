@@ -39,9 +39,6 @@ def mono_lin(m: int, coeff: int, deg: int) -> LinPoly:
     out[deg % m] = coeff
     return tuple(out)
 
-def ident_lin(m: int) -> LinPoly:
-    return mono_lin(m, 1, 0)
-
 def add_lin(p: LinPoly, q: LinPoly) -> LinPoly:
     return tuple(a ^ b for a, b in zip(p, q))
 
@@ -141,10 +138,6 @@ def gf2_invert(imgs: list[int]) -> list[int] | None:
     return [piv[b][1] for b in range(nbits)]
 
 
-def gf2_compose(outer: list[int], inner: list[int]) -> list[int]:
-    return [gf2_apply(outer, w) for w in inner]
-
-
 def table_from_images(imgs: list[int]) -> np.ndarray:
     """Values of the GF(2)-linear map on all points, by linearity doubling."""
     tab = np.zeros(1, dtype=np.uint32)
@@ -177,7 +170,7 @@ class PairMap:
 
     @classmethod
     def identity(cls, m: int) -> "PairMap":
-        return cls(ident_lin(m), zero_lin(m), zero_lin(m), ident_lin(m))
+        return cls(mono_lin(m, 1, 0), zero_lin(m), zero_lin(m), mono_lin(m, 1, 0))
 
     def apply(self, v: int, ctx: FieldCtx) -> int:
         m = ctx.m
@@ -221,9 +214,6 @@ class PairMap:
             yy=linpoly_from_images([w & mask for w in y_imgs], ctx),
         )
 
-    def is_bijective(self, ctx: FieldCtx) -> bool:
-        return gf2_rank(self.images(ctx)) == 2 * ctx.m
-
     def inverse(self, ctx: FieldCtx) -> "PairMap":
         inv = gf2_invert(self.images(ctx))
         if inv is None:
@@ -233,16 +223,3 @@ class PairMap:
     def table(self, ctx: FieldCtx) -> np.ndarray:
         """Values on all packed points, built by linearity doubling."""
         return table_from_images(self.images(ctx))
-
-    def coeffs_json(self) -> dict:
-        return {
-            blk: [f"0x{c:X}" for c in getattr(self, blk)]
-            for blk in ("xx", "xy", "yx", "yy")
-        }
-
-    @classmethod
-    def from_coeffs_json(cls, data: dict) -> "PairMap":
-        return cls(**{
-            blk: tuple(int(c, 16) for c in data[blk])
-            for blk in ("xx", "xy", "yx", "yy")
-        })

@@ -59,12 +59,6 @@ class BetaSet:
             "elements": [f"0x{int(b):X}" for b in self.elements],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "BetaSet":
-        elements = np.array(sorted(int(b, 16) for b in data["elements"]),
-                            dtype=np.uint32)
-        return cls(m=int(data["m"]), k=int(data["k"]), elements=elements)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BetaSet)
@@ -94,14 +88,6 @@ class OrbitDecomposition:
                 for r, length in self.orbits
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "OrbitDecomposition":
-        return cls(
-            orbits=[(int(o["representative"], 16), int(o["length"]))
-                    for o in data["orbits"]],
-            total=int(data["total"]),
-        )
 
 
 def _check_k(k: int, ctx: FieldCtx) -> int:
@@ -176,24 +162,26 @@ def transform_beta(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:
     return ctx.mul(beta, ctx.inverse(ctx.pow(alpha, e)))
 
 
-def orbit_min(beta: int, ctx: FieldCtx) -> int:
-    """Smallest member of the Frobenius orbit of beta."""
-    best = beta
+def frobenius_orbit(beta: int, ctx: FieldCtx) -> list[int]:
+    """The orbit of beta in walk order: [beta, beta^2, beta^4, ...], so
+    entry i is beta^(2^i).  The one scalar Frobenius walk; through orbit_min
+    it is the oracle for orbit_minima."""
+    orbit = [beta]
     cur = ctx.mul(beta, beta)
     while cur != beta:
-        best = min(best, cur)
+        orbit.append(cur)
         cur = ctx.mul(cur, cur)
-    return best
+    return orbit
+
+
+def orbit_min(beta: int, ctx: FieldCtx) -> int:
+    """Smallest member of the Frobenius orbit of beta."""
+    return min(frobenius_orbit(beta, ctx))
 
 
 def orbit_length(beta: int, ctx: FieldCtx) -> int:
     """min { u >= 1 : beta^(2^u) = beta }; divides m."""
-    u = 1
-    cur = ctx.mul(beta, beta)
-    while cur != beta:
-        cur = ctx.mul(cur, cur)
-        u += 1
-    return u
+    return len(frobenius_orbit(beta, ctx))
 
 
 def subfield_embedding(sub: FieldCtx, sup: FieldCtx) -> np.ndarray:

@@ -4,8 +4,10 @@ import json
 from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from taniapn.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from taniapn.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, build_parser, main
 
 TABLE_2_TO_16 = [1, 1, 3, 6, 5, 21, 26, 57, 74, 315, 234, 1266, 1185, 2916, 5492]
 
@@ -200,6 +202,78 @@ def test_save_table_rejects_gold(capsys, tmp_path):
     assert "bivariate" in err
 
 
+def test_save_table_unwritable_path_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "check-apn", "taniguchi", "--m", "3", "--k", "1",
+                         "--alpha", "1", "--beta", "1",
+                         "--save-table", str(tmp_path / "no-such-dir" / "x.bin"))
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ")
+
+
+def _saved_table(capsys, tmp_path):
+    path = tmp_path / "f.apnt"
+    code, _, _ = run(capsys, "check-apn", "taniguchi", "--m", "3", "--k", "1",
+                     "--alpha", "1", "--beta", "2", "--save-table", str(path))
+    assert code == EXIT_OK
+    return path, path.with_name(path.name + ".json")
+
+
+@pytest.mark.parametrize("damage", ["short-header", "manifest-without-modulus",
+                                    "manifest-is-a-list", "missing-path"])
+def test_malformed_table_input_is_usage_error(capsys, tmp_path, damage):
+    path, manifest = _saved_table(capsys, tmp_path)
+    if damage == "short-header":
+        path.write_bytes(path.read_bytes()[:6])
+    elif damage == "manifest-without-modulus":
+        data = json.loads(manifest.read_text())
+        del data["modulus"]
+        manifest.write_text(json.dumps(data))
+    elif damage == "manifest-is-a-list":
+        manifest.write_text("[1, 2]")
+    else:
+        path = tmp_path / "absent.apnt"
+    code, out, err = run(capsys, "spectrum", "--table", str(path))
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(target=st.sampled_from(["table", "manifest"]),
+       cut=st.none() | st.integers(0, 600),
+       flips=st.lists(st.tuples(st.integers(0, 600), st.integers(1, 255)), max_size=3))
+def test_damaged_table_files_never_crash(capsys, tmp_path, target, cut, flips):
+    path, manifest = _saved_table(capsys, tmp_path)
+    victim = path if target == "table" else manifest
+    raw = bytearray(victim.read_bytes())
+    for pos, mask in flips:
+        raw[pos % len(raw)] ^= mask
+    victim.write_bytes(bytes(raw[:cut]))
+    code, _, err = run(capsys, "spectrum", "--table", str(path))
+    assert code in (EXIT_OK, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert err.startswith("error: ")
+
+
+def test_parser_cached_and_stateless_across_calls(capsys):
+    """Back-to-back main calls on the shared parser print what fresh parsers print."""
+    argv = ["enumerate-beta", "--m", "6", "--k", "1"]
+    calls = [["--modulus", "6=0x49", "--format", "json"] + argv,
+             ["--format", "csv"] + argv,
+             argv,
+             ["--format", "json"] + argv,
+             ["--modulus", "6=0x49"] + argv]
+    fresh = []
+    for call in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *call))
+    assert build_parser() is build_parser()
+    assert [run(capsys, *call) for call in calls] == fresh
+    assert fresh[0][1] != fresh[3][1] and fresh[2][1] != fresh[4][1]
+    assert build_parser().parse_args(argv).modulus == []
+    assert build_parser().parse_args(argv).format == "pretty"
+
+
 def test_aut_command(capsys):
     code, out, _ = run(capsys, "--format", "json", "aut", "--m", "4",
                        "--k", "1", "--alpha", "0", "--beta", "2")
@@ -231,22 +305,6 @@ def test_modulus_override_context_built_once(capsys):
     assert cfg.ctx(5) is cfg.ctx(5)
     err = capsys.readouterr().err
     assert err.count("warning") == 2 and err.count("for m=3;") == 1
-
-
-def test_workers_flag_validated_and_inert(capsys):
-    code, out1, _ = run(capsys, "--workers", "1", "--format", "json",
-                        "table", "--m", "2..8")
-    code2, out4, _ = run(capsys, "--workers", "4", "--format", "json",
-                         "table", "--m", "2..8")
-    assert code == code2 == EXIT_OK
-    assert out1 == out4
-    code, _, err = run(capsys, "--workers", "0", "table", "--m", "3")
-    assert code == EXIT_USAGE
-
-
-def test_seed_flag_accepted(capsys):
-    code, out, _ = run(capsys, "--seed", "42", "table", "--m", "4")
-    assert code == EXIT_OK
 
 
 def test_enumerate_beta_csv(capsys):
@@ -284,12 +342,12 @@ def test_classes_csv(capsys):
 
 
 def test_json_outputs_parse_and_round_trip(capsys):
-    from taniapn.counting import CountReport, count_report
+    from taniapn.counting import count_report
     code, out, _ = run(capsys, "--format", "json", "table", "--m", "5..7",
                        "--full")
     assert code == EXIT_OK
     for item in json.loads(out):
-        assert CountReport.from_json(item) == count_report(item["m"])
+        assert item == count_report(item["m"]).to_json()
 
 
 def test_determinism_byte_identical(capsys):

@@ -1,0 +1,74 @@
+"""Golden CLI outputs: the SHA-256 of stdout and the exit code per command.
+
+The digests were recorded from the code before the unused flags, aliases
+and duplicate helpers were deleted, so a passing run shows that those
+deletions changed no output byte and no exit code.  Every command runs in
+each of the three formats (commands without a CSV form fall back to their
+pretty output), on inputs small enough for the default suite.
+"""
+
+import hashlib
+import shlex
+
+import pytest
+
+from taniapn.cli import main
+
+GOLDEN = [
+    ("--format pretty table --m 2..8", 0, "27bc44f761040ff38a023243d6f91f3d77398d29b74bca34cf5fb8ddac869b26"),
+    ("--format json table --m 2..8", 0, "76c20f9a0891fff82836ef8c6d7192cee8ce48c7924b252778189eed8590b470"),
+    ("--format csv table --m 2..8", 0, "48440fbe569aabd3ca321e787caaf32d90318cbba3f23f473794a583cdb708a7"),
+    ("--format pretty table --m 2..8 --full", 0, "5c5cc519e4a61b2f0d3a66678aec0e294a416c4c2abe3a0da275366ac88f9322"),
+    ("--format json table --m 2..8 --full", 0, "a513514feb67f20f8ccb3fe32ad79b50dbea7e65ae8b18162f2728285d41cc6c"),
+    ("--format csv table --m 2..8 --full", 0, "2b3462e92da601588ce94bbe7010447c9e3ab3d44b1ffed6ebc53ee71168eca4"),
+    ("--format pretty audit --m-max 8", 0, "1015d29876f95b24f98bcdc50d38fd1ce65a2a827c3236a3c5941ea985d77461"),
+    ("--format json audit --m-max 8", 0, "153574b07ca3a176bfdaab8dc0e85c739410595ad5dea451e90626b62da9ac49"),
+    ("--format csv audit --m-max 8", 0, "1015d29876f95b24f98bcdc50d38fd1ce65a2a827c3236a3c5941ea985d77461"),
+    ("--format pretty audit --m-max 8 --k-policy all", 0, "5e83e1414388c125b3e58f3ca2497079b984346527fd10c6deec41514869bb8e"),
+    ("--format json audit --m-max 8 --k-policy all", 0, "16f199b6a45842a640d21dbf7fe1bb45e5feeb7e697190f51c7976c14eb3c555"),
+    ("--format csv audit --m-max 8 --k-policy all", 0, "5e83e1414388c125b3e58f3ca2497079b984346527fd10c6deec41514869bb8e"),
+    ("--format pretty check-apn taniguchi --m 4 --k 1 --alpha 1 --beta 9 --exhaustive --spectrum", 0, "93c24ffa550c21e8b49e6604460dcf57579ec0e98c3f48e5e9e323c32d88d1f8"),
+    ("--format json check-apn taniguchi --m 4 --k 1 --alpha 1 --beta 9 --exhaustive --spectrum", 0, "35cf5fd46219bd5bbb0f75523bc4d1e08faa05dfb7a68abb9d586439b59908c8"),
+    ("--format csv check-apn taniguchi --m 4 --k 1 --alpha 1 --beta 9 --exhaustive --spectrum", 0, "93c24ffa550c21e8b49e6604460dcf57579ec0e98c3f48e5e9e323c32d88d1f8"),
+    ("--format pretty check-apn taniguchi --m 4 --k 1 --alpha 0 --beta 1 --exhaustive --spectrum", 3, "4237f311acf4daeb25585e7c54b324d765fd252cb1f041673074a082040bda44"),
+    ("--format json check-apn taniguchi --m 4 --k 1 --alpha 0 --beta 1 --exhaustive --spectrum", 3, "a479ac31546edc721e2abdc2ffe982b414b12deff541ee2e450c1e0bbef77a22"),
+    ("--format csv check-apn taniguchi --m 4 --k 1 --alpha 0 --beta 1 --exhaustive --spectrum", 3, "4237f311acf4daeb25585e7c54b324d765fd252cb1f041673074a082040bda44"),
+    ("--format pretty check-apn pott-zhou --m 4 --k 1 --s 2 --alpha 2 --exhaustive --spectrum", 0, "549fa8adb8c2b29043298205bb3ad0d937f861abfb7fd92b05dcce7190a8f4fb"),
+    ("--format json check-apn pott-zhou --m 4 --k 1 --s 2 --alpha 2 --exhaustive --spectrum", 0, "3a5d1244d08c6c60a75a8a4858601d1ea64c645018800653516acb970fb15e71"),
+    ("--format csv check-apn pott-zhou --m 4 --k 1 --s 2 --alpha 2 --exhaustive --spectrum", 0, "549fa8adb8c2b29043298205bb3ad0d937f861abfb7fd92b05dcce7190a8f4fb"),
+    ("--format pretty check-apn gold --n 7 --i 3 --exhaustive --spectrum", 0, "a861352c76f22ee5324dbcadda916cf068af24edfe0b38ded181f007760de41b"),
+    ("--format json check-apn gold --n 7 --i 3 --exhaustive --spectrum", 0, "508303f39846b19c4f326b0526abe73c284f4c998d9dee5f92ca4a5fc41c4b57"),
+    ("--format csv check-apn gold --n 7 --i 3 --exhaustive --spectrum", 0, "a861352c76f22ee5324dbcadda916cf068af24edfe0b38ded181f007760de41b"),
+    ("--format pretty spectrum taniguchi --m 3 --k 1 --alpha 1 --beta 1", 0, "f34678ba4db5f4f0af038fe84e86426310beaa7258f7469d1f9f30de88f020d2"),
+    ("--format json spectrum taniguchi --m 3 --k 1 --alpha 1 --beta 1", 0, "97d3f6e3f87316d0edc6362ddab4a807234de4c4b48fac0b60634ebc1662c7ec"),
+    ("--format csv spectrum taniguchi --m 3 --k 1 --alpha 1 --beta 1", 0, "86c6c4e387e2a731a6adbe16fb788225ed3cf46e4028efa963adf67bbc718640"),
+    ("--format pretty enumerate-beta --m 6 --k 1", 0, "0a49973726c460d66eb93b72399f37653debb94d24091a4812b3f54a23a0202d"),
+    ("--format json enumerate-beta --m 6 --k 1", 0, "78503094b721768d2d58e4d7f71de9f83324541d6103903627f9f7dacef99b98"),
+    ("--format csv enumerate-beta --m 6 --k 1", 0, "d8f4899cbaf187a1420ed7114a805a3da9d901320864d34e2a8f8687561e6e50"),
+    ("--format pretty classes --m 7", 0, "95c04746d41fe69db52db0b96bb2dc290ae489d90f9681bbc69a5ddf179527be"),
+    ("--format json classes --m 7", 0, "7919ca2e0376be44a39e06cd02972fc8cb964ca8e8f068ab9cd8e601f7c8c3d8"),
+    ("--format csv classes --m 7", 0, "4a0158093a0b0175b4a0bffd2def2f301ed080ad522952b8282ce83084ed5d33"),
+    ("--format pretty classes --m 8 --k 5", 0, "52a33f87f522bb09ee4c83df70adaf8f24293f0475e3224d477aaff671bebb85"),
+    ("--format json classes --m 8 --k 5", 0, "874c225aff62209c7232f315c96f0455468fca5bcfc051154beeb110d04757a4"),
+    ("--format csv classes --m 8 --k 5", 0, "2f3bc25b0a68f2473b4719ccaea42819fe66200375a7dcf98d1b7129576e1245"),
+    ("--format pretty witness --from 4,1,1,9 --to 4,1,1,D", 0, "4825c599ce1c27d1baf8c4d56f0ce2d89aed2d7cc508843907706f8b07a32e7f"),
+    ("--format json witness --from 4,1,1,9 --to 4,1,1,D", 0, "5cdd3027e7681b3bd342d3b25c6b1c65e5c6715f1d50c1d9511e3a18da1d22e7"),
+    ("--format csv witness --from 4,1,1,9 --to 4,1,1,D", 0, "4825c599ce1c27d1baf8c4d56f0ce2d89aed2d7cc508843907706f8b07a32e7f"),
+    ("--format pretty witness --from 4,1,1,9 --to 4,1,1,1", 3, "ccda944d2aea6b8336f2c400a70a3de985ac0d00758decc8ffa510a9f58f5741"),
+    ("--format json witness --from 4,1,1,9 --to 4,1,1,1", 3, "c74581fc4cad4e8de3eb62b5755ef172be23d71cb9961e49f856122af3260dd6"),
+    ("--format csv witness --from 4,1,1,9 --to 4,1,1,1", 3, "ccda944d2aea6b8336f2c400a70a3de985ac0d00758decc8ffa510a9f58f5741"),
+    ("--format pretty witness --from 4,1,0,2 --to 4,3,0,2", 0, "dfcb33afaf4bc1e24a2d29f8e71a5d31eaaeb88fb30e3bf4666731914d96c2a4"),
+    ("--format json witness --from 4,1,0,2 --to 4,3,0,2", 0, "2d0c05cea05804e13a16695a73a9f2fca7535ab1cc4931c923ab7b2c7a917a4b"),
+    ("--format csv witness --from 4,1,0,2 --to 4,3,0,2", 0, "dfcb33afaf4bc1e24a2d29f8e71a5d31eaaeb88fb30e3bf4666731914d96c2a4"),
+    ("--format pretty aut --m 4 --k 1 --alpha 0 --beta 2", 0, "9ceb8edb56f33fc2dfaa2cd053235af8204fda27420a65b8f72e5c183c2d4fa5"),
+    ("--format json aut --m 4 --k 1 --alpha 0 --beta 2", 0, "4bc24c0f464fa127a38f1b87d5c062c50ced713ca7e974442dd781b2914ad930"),
+    ("--format csv aut --m 4 --k 1 --alpha 0 --beta 2", 0, "9ceb8edb56f33fc2dfaa2cd053235af8204fda27420a65b8f72e5c183c2d4fa5"),
+    ("--modulus 6=0x49 --format json enumerate-beta --m 6 --k 1", 0, "3435fe38ffcbb04c362779698e2cf96a6dc341b84f9b5389ff24deeeddf4b1d2"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_cli_output_bytes_unchanged(capsys, argv, code, digest):
+    assert main(shlex.split(argv)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taniapn.diffanalysis import (
-    DifferentialSpectrum,
     _generic_histograms,
     _is_quadratic,
     differential_spectrum,
@@ -109,7 +108,6 @@ def test_spectrum_json_round_trip():
     spec = differential_spectrum(gold(5, 1))
     data = spec.to_json()
     assert data == {"n": 5, "uniformity": 2, "histogram": {"0": 496, "2": 496}}
-    assert DifferentialSpectrum.from_json(data) == spec
 
 
 # ---------------------------------------------------------------------------

@@ -188,11 +188,16 @@ def test_load_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + bytes(16))
     with pytest.raises(InvalidParams):
         load_function(path)
+    f = taniguchi(TaniguchiParams(m=3, k=1, alpha=1, beta=2), default_ctx(3))
+    manifest = save_function(f, path)
+    good = path.read_bytes()
+    for raw in (good[:6], good[:-1], good + bytes(8)):   # short header, short/long payload
+        path.write_bytes(raw)
+        with pytest.raises(InvalidParams):
+            load_function(path)
+    path.write_bytes(good)
+    for text in ("[1, 2]", "{}", '{"modulus": 11}', '{"modulus": "0xZZ"}', "{"):
+        manifest.write_text(text)
+        with pytest.raises(InvalidParams):
+            load_function(path)
 
-
-def test_is_apn_alias_is_the_criterion():
-    ctx = default_ctx(4)
-    f = taniguchi(TaniguchiParams(m=4, k=1, alpha=1, beta=9), ctx)
-    assert f.is_apn() == f.is_apn_criterion() is True
-    g = pott_zhou(PottZhouParams(m=4, k=1, s=1, alpha=2), ctx)
-    assert g.is_apn() == g.is_apn_criterion() is False

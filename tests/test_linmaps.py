@@ -57,7 +57,7 @@ def test_pairmap_inverse_round_trip(m, seed):
     ctx = default_ctx(m)
     rng = np.random.default_rng(seed)
     pm = random_pairmap(ctx, rng)
-    if not pm.is_bijective(ctx):
+    if gf2_rank(pm.images(ctx)) < 2 * m:
         with pytest.raises(InvalidParams):
             pm.inverse(ctx)
         return
@@ -98,9 +98,3 @@ def test_gf2_helpers():
     tab = table_from_images(imgs)
     assert [int(x) for x in tab] == [gf2_apply(imgs, v) for v in range(8)]
 
-
-def test_pairmap_json_round_trip():
-    ctx = default_ctx(4)
-    rng = np.random.default_rng(1)
-    pm = random_pairmap(ctx, rng)
-    assert PairMap.from_coeffs_json(pm.coeffs_json()) == pm

@@ -1,5 +1,7 @@
 """Trinomial root analysis: scan oracle, Phi enumeration, orbits, embeddings."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from taniapn.counting import capital_m
 from taniapn.errors import InvalidK, NotFrobeniusClosed, ZeroAlpha
 from taniapn.gf2m import coprime_residues, default_ctx
 from taniapn.poly_roots import (
-    BetaSet,
     count_roots,
     frobenius_orbits,
     orbit_length,
@@ -202,7 +203,9 @@ def test_orbit_serialization():
 
 def test_json_round_trips():
     phi = phi_set(1, GF16)
-    assert BetaSet.from_json(phi.to_json()) == phi
+    assert json.loads(json.dumps(phi.to_json())) == {
+        "m": 4, "k": 1, "elements": [f"0x{b:X}" for b in phi]}
     dec = frobenius_orbits(phi, GF16)
-    from taniapn.poly_roots import OrbitDecomposition
-    assert OrbitDecomposition.from_json(dec.to_json()) == dec
+    assert json.loads(json.dumps(dec.to_json())) == {
+        "total": len(phi),
+        "orbits": [{"representative": f"0x{r:X}", "length": n} for r, n in dec.orbits]}
