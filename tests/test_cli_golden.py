@@ -1,10 +1,15 @@
 """Golden CLI outputs: the SHA-256 of stdout and the exit code per command.
 
-The digests were recorded from the code before the unused flags, aliases
-and duplicate helpers were deleted, so a passing run shows that those
-deletions changed no output byte and no exit code.  Every command runs in
-each of the three formats (commands without a CSV form fall back to their
-pretty output), on inputs small enough for the default suite.
+The first 49 digests were recorded from the code before the unused flags,
+aliases and duplicate helpers were deleted, so a passing run shows that
+those deletions changed no output byte and no exit code.  The two witness
+groups after them (5,4,13,1F -> 5,4,9,C, which goes through alpha
+normalisation, the k -> m-k swap and witness inversion, and
+6,1,12,1 -> 6,5,2A,39) were recorded from the code that still composed
+linear maps as linearized-polynomial coefficients, before PairMap moved
+to basis images.  Every command runs in each of the three formats
+(commands without a CSV form fall back to their pretty output), on inputs
+small enough for the default suite.
 """
 
 import hashlib
@@ -64,6 +69,12 @@ GOLDEN = [
     ("--format json aut --m 4 --k 1 --alpha 0 --beta 2", 0, "4bc24c0f464fa127a38f1b87d5c062c50ced713ca7e974442dd781b2914ad930"),
     ("--format csv aut --m 4 --k 1 --alpha 0 --beta 2", 0, "9ceb8edb56f33fc2dfaa2cd053235af8204fda27420a65b8f72e5c183c2d4fa5"),
     ("--modulus 6=0x49 --format json enumerate-beta --m 6 --k 1", 0, "3435fe38ffcbb04c362779698e2cf96a6dc341b84f9b5389ff24deeeddf4b1d2"),
+    ("--format pretty witness --from 5,4,13,1F --to 5,4,9,C", 0, "c804872a5b4edf0ef0a23f169e633bef4d221f08389f71fe3e5fe869e1bea62e"),
+    ("--format json witness --from 5,4,13,1F --to 5,4,9,C", 0, "d7e2573b75a2ec959908c10367529f04afc0e5e174af4797d525207daf6be796"),
+    ("--format csv witness --from 5,4,13,1F --to 5,4,9,C", 0, "c804872a5b4edf0ef0a23f169e633bef4d221f08389f71fe3e5fe869e1bea62e"),
+    ("--format pretty witness --from 6,1,12,1 --to 6,5,2A,39", 0, "3d80c1e33b3ef8826290d699dd895d12553b54d51d330589551708b2ba3d22b1"),
+    ("--format json witness --from 6,1,12,1 --to 6,5,2A,39", 0, "1d7f42f7cfcb6607c3842e856a2ae03b3c4389492ef53a53e8b743abb9daac47"),
+    ("--format csv witness --from 6,1,12,1 --to 6,5,2A,39", 0, "3d80c1e33b3ef8826290d699dd895d12553b54d51d330589551708b2ba3d22b1"),
 ]
 
 
