@@ -395,9 +395,9 @@ def cmd_witness(args, cfg: RunConfig) -> int:
     ok = equivalence.verify_witness(
         w, taniguchi(p1, ctx), taniguchi(p2, ctx))
     if cfg.fmt == "json":
-        _emit_json({"witness": w.to_json(), "verified": ok})
+        _emit_json({"witness": w.to_json(ctx), "verified": ok})
     else:
-        print(json.dumps(w.to_json(), indent=2, sort_keys=True))
+        print(json.dumps(w.to_json(ctx), indent=2, sort_keys=True))
         print(f"verified: {ok}")
     return EXIT_OK if ok else EXIT_AUDIT_FAIL
 

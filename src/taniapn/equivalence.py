@@ -51,7 +51,7 @@ from .families import (
     taniguchi,
 )
 from .gf2m import FieldCtx, default_ctx
-from .linmaps import PairMap, gf2_rank, mono_lin, table_from_images, zero_lin
+from .linmaps import PairMap, gf2_rank
 from .poly_roots import (
     count_roots,
     frobenius_orbit,
@@ -88,29 +88,28 @@ class CanonicalTriple:
 class LinearWitness:
     """(L, N, M) with f(L(x,y)) = N(g(x,y)) + M(x,y).
 
-    Blocks: L = (L_A; L_B), N = (N1, N3; N2, N4), M = (M_A; M_B), each a
-    PairMap whose xx/xy rows feed the first coordinate.
+    Each map is a PairMap held as basis images.  The JSON form writes
+    its linearized-polynomial blocks (xx, xy, yx, yy) from PairMap.blocks:
+    L = (L_A; L_B) and M = (M_A; M_B) by output coordinate, with
+    L_A(x, y) = xx(x) + xy(y) and L_B(x, y) = yx(x) + yy(y), and
+    N = (N1, N3; N2, N4) with N1 = xx, N2 = yx, N3 = xy, N4 = yy.
     """
 
     l_map: PairMap
     n_map: PairMap
     m_map: PairMap
 
-    def to_json(self) -> dict:
+    def to_json(self, ctx: FieldCtx) -> dict:
+        (lxx, lxy, lyx, lyy), (nxx, nxy, nyx, nyy), (mxx, mxy, myx, myy) = (
+            [[f"0x{c:X}" for c in block] for block in pm.blocks(ctx)]
+            for pm in (self.l_map, self.n_map, self.m_map))
         return {
-            "l_a": {"x": _hex_vec(self.l_map.xx), "y": _hex_vec(self.l_map.xy)},
-            "l_b": {"x": _hex_vec(self.l_map.yx), "y": _hex_vec(self.l_map.yy)},
-            "n1": _hex_vec(self.n_map.xx),
-            "n2": _hex_vec(self.n_map.yx),
-            "n3": _hex_vec(self.n_map.xy),
-            "n4": _hex_vec(self.n_map.yy),
-            "m_a": {"x": _hex_vec(self.m_map.xx), "y": _hex_vec(self.m_map.xy)},
-            "m_b": {"x": _hex_vec(self.m_map.yx), "y": _hex_vec(self.m_map.yy)},
+            "l_a": {"x": lxx, "y": lxy},
+            "l_b": {"x": lyx, "y": lyy},
+            "n1": nxx, "n2": nyx, "n3": nxy, "n4": nyy,
+            "m_a": {"x": mxx, "y": mxy},
+            "m_b": {"x": myx, "y": myy},
         }
-
-
-def _hex_vec(p) -> list[str]:
-    return [f"0x{c:X}" for c in p]
 
 
 @dataclass(frozen=True)
@@ -176,60 +175,50 @@ def identity_witness(m: int) -> LinearWitness:
 
 def _w_alpha(k: int, alpha: int, ctx: FieldCtx) -> LinearWitness:
     """f_{k,alpha,beta} <- f_{k,1,beta/alpha^(2^(-k)+1)}: scale y by 1/alpha^(2^-k)."""
-    m = ctx.m
-    c = ctx.inverse(ctx.pow2k(alpha, m - k))
-    return LinearWitness(
-        l_map=PairMap(mono_lin(m, 1, 0), zero_lin(m), zero_lin(m), mono_lin(m, c, 0)),
-        n_map=PairMap(mono_lin(m, 1, 0), zero_lin(m), zero_lin(m), mono_lin(m, c, 0)),
-        m_map=PairMap.zero(m),
-    )
+    c = ctx.inverse(ctx.pow2k(alpha, ctx.m - k))
+    scale_y = PairMap.monomial(ctx, xx=(1, 0), yy=(c, 0))
+    return LinearWitness(l_map=scale_y, n_map=scale_y, m_map=PairMap.zero(ctx.m))
 
 
 def _w_frob(i: int, ctx: FieldCtx) -> LinearWitness:
     """f_{k,alpha,beta^(2^i)} <- f_{k,alpha,beta}: raise everything to 2^i."""
-    m = ctx.m
-    return LinearWitness(
-        l_map=PairMap(mono_lin(m, 1, i), zero_lin(m), zero_lin(m), mono_lin(m, 1, i)),
-        n_map=PairMap(mono_lin(m, 1, i), zero_lin(m), zero_lin(m), mono_lin(m, 1, i)),
-        m_map=PairMap.zero(m),
-    )
+    twist = PairMap.monomial(ctx, xx=(1, i), yy=(1, i))
+    return LinearWitness(l_map=twist, n_map=twist, m_map=PairMap.zero(ctx.m))
 
 
 def _w_negk(k_star: int, beta: int, ctx: FieldCtx) -> LinearWitness:
     """f_{m-k*,1,beta} <- f_{k*,1/beta,1/beta}: swap x and y, twist by 2^(3k*)."""
-    m = ctx.m
-    d = (3 * k_star) % m
+    d = (3 * k_star) % ctx.m
     return LinearWitness(
-        l_map=PairMap(zero_lin(m), mono_lin(m, 1, d), mono_lin(m, 1, d), zero_lin(m)),
-        n_map=PairMap(mono_lin(m, beta, 0), zero_lin(m), zero_lin(m), mono_lin(m, 1, d)),
-        m_map=PairMap.zero(m),
+        l_map=PairMap.monomial(ctx, xy=(1, d), yx=(1, d)),
+        n_map=PairMap.monomial(ctx, xx=(beta, 0), yy=(1, d)),
+        m_map=PairMap.zero(ctx.m),
     )
 
 
 def _w_pz_bridge(beta: int, ctx: FieldCtx) -> LinearWitness:
     """f_{k,0,beta} <- g_{k,2k,1/beta}: swap x and y, scale first output by beta."""
-    m = ctx.m
     return LinearWitness(
-        l_map=PairMap(zero_lin(m), mono_lin(m, 1, 0), mono_lin(m, 1, 0), zero_lin(m)),
-        n_map=PairMap(mono_lin(m, beta, 0), zero_lin(m), zero_lin(m), mono_lin(m, 1, 0)),
-        m_map=PairMap.zero(m),
+        l_map=PairMap.monomial(ctx, xy=(1, 0), yx=(1, 0)),
+        n_map=PairMap.monomial(ctx, xx=(beta, 0), yy=(1, 0)),
+        m_map=PairMap.zero(ctx.m),
     )
 
 
-def compose_witness(w1: LinearWitness, w2: LinearWitness, ctx: FieldCtx) -> LinearWitness:
+def compose_witness(w1: LinearWitness, w2: LinearWitness) -> LinearWitness:
     """(f <- g) composed with (g <- h) gives f <- h."""
     return LinearWitness(
-        l_map=w1.l_map.compose(w2.l_map, ctx),
-        n_map=w1.n_map.compose(w2.n_map, ctx),
-        m_map=w1.n_map.compose(w2.m_map, ctx).add(w1.m_map.compose(w2.l_map, ctx)),
+        l_map=w1.l_map.compose(w2.l_map),
+        n_map=w1.n_map.compose(w2.n_map),
+        m_map=w1.n_map.compose(w2.m_map).add(w1.m_map.compose(w2.l_map)),
     )
 
 
-def invert_witness(w: LinearWitness, ctx: FieldCtx) -> LinearWitness:
+def invert_witness(w: LinearWitness) -> LinearWitness:
     """(f <- g) inverted to (g <- f): g(L^-1) = N^-1(f) + N^-1(M(L^-1))."""
-    l_inv = w.l_map.inverse(ctx)
-    n_inv = w.n_map.inverse(ctx)
-    m_new = n_inv.compose(w.m_map.compose(l_inv, ctx), ctx)
+    l_inv = w.l_map.inverse()
+    n_inv = w.n_map.inverse()
+    m_new = n_inv.compose(w.m_map.compose(l_inv))
     return LinearWitness(l_map=l_inv, n_map=n_inv, m_map=m_new)
 
 
@@ -257,15 +246,15 @@ def canonical_witness(p: TaniguchiParams, ctx: FieldCtx | None = None
     k, beta = p.k, p.beta
 
     if p.alpha != 1:
-        w = compose_witness(w, _w_alpha(k, p.alpha, ctx), ctx)
+        w = compose_witness(w, _w_alpha(k, p.alpha, ctx))
         beta = transform_beta(k, p.alpha, beta, ctx)
 
     if k > m // 2:
         k_star = m - k
-        w = compose_witness(w, _w_negk(k_star, beta, ctx), ctx)
+        w = compose_witness(w, _w_negk(k_star, beta, ctx))
         inv_b = ctx.inverse(beta)
         # now at f_{k*, 1/beta, 1/beta}; normalize its alpha away
-        w = compose_witness(w, _w_alpha(k_star, inv_b, ctx), ctx)
+        w = compose_witness(w, _w_alpha(k_star, inv_b, ctx))
         beta = transform_beta(k_star, inv_b, inv_b, ctx)
         k = k_star
 
@@ -273,7 +262,7 @@ def canonical_witness(p: TaniguchiParams, ctx: FieldCtx | None = None
     beta_star = min(orbit)
     i = -orbit.index(beta_star) % len(orbit)  # beta = beta_star^(2^i)
     if i:
-        w = compose_witness(w, _w_frob(i, ctx), ctx)
+        w = compose_witness(w, _w_frob(i, ctx))
 
     target = TaniguchiParams(m=m, k=k, alpha=1, beta=beta_star)
     return w, target
@@ -307,7 +296,7 @@ def equivalence_witness(p1: TaniguchiParams, p2: TaniguchiParams,
     w1, c1 = canonical_witness(p1, ctx)
     w2, c2 = canonical_witness(p2, ctx)
     assert c1 == c2
-    return compose_witness(w1, invert_witness(w2, ctx), ctx)
+    return compose_witness(w1, invert_witness(w2))
 
 
 def pott_zhou_bridge_witness(p: TaniguchiParams, ctx: FieldCtx | None = None
@@ -335,15 +324,13 @@ def verify_witness(w: LinearWitness, f: BivariateFunction, g: BivariateFunction)
     n = 2 * ctx.m
     if n > _VERIFY_BITS_LIMIT:
         raise TooLarge(f"witness verification capped at 2m={_VERIFY_BITS_LIMIT}")
-    l_imgs = w.l_map.images(ctx)
-    n_imgs = w.n_map.images(ctx)
-    if gf2_rank(l_imgs) != n or gf2_rank(n_imgs) != n:
+    if gf2_rank(w.l_map.images()) != n or gf2_rank(w.n_map.images()) != n:
         return False
-    f_tab = f.packed_table()
+    f_tab = f.packed_table()  # function tables first: lower peak memory
     g_tab = g.packed_table()
-    l_tab = table_from_images(l_imgs)
-    n_tab = table_from_images(n_imgs)
-    m_tab = w.m_map.table(ctx)
+    l_tab = w.l_map.table()
+    n_tab = w.n_map.table()
+    m_tab = w.m_map.table()
     return bool(np.array_equal(f_tab[l_tab], n_tab[g_tab] ^ m_tab))
 
 
@@ -402,18 +389,16 @@ def monomial_el_automorphisms(p: TaniguchiParams, ctx: FieldCtx | None = None
     _require_apn(p, ctx)
     f = taniguchi(p, ctx)
     f.packed_table()  # build once; every verification reuses it
-    m = ctx.m
+    zero = PairMap.zero(ctx.m)
     found = []
-    for u in range(m):
+    for u in range(ctx.m):
         for a_u in range(1, ctx.order):
             b_bar = ctx.pow2k(a_u, 2 * p.k)
             c_u = ctx.pow(b_bar, (1 << p.k) + 1)
             w = LinearWitness(
-                l_map=PairMap(mono_lin(m, a_u, u), zero_lin(m),
-                              zero_lin(m), mono_lin(m, b_bar, u)),
-                n_map=PairMap(mono_lin(m, c_u, u), zero_lin(m),
-                              zero_lin(m), mono_lin(m, ctx.mul(a_u, b_bar), u)),
-                m_map=PairMap.zero(m),
+                l_map=PairMap.monomial(ctx, xx=(a_u, u), yy=(b_bar, u)),
+                n_map=PairMap.monomial(ctx, xx=(c_u, u), yy=(ctx.mul(a_u, b_bar), u)),
+                m_map=zero,
             )
             if verify_witness(w, f, f):
                 found.append(AutWitness(u=u, a_u=a_u, b_bar_u=b_bar, c_u=c_u))

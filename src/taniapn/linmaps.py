@@ -1,21 +1,24 @@
-"""Linearized-polynomial maps on GF(2^m)^2 and their GF(2) linear algebra.
-
-A GF(2)-linear map GF(2^m) -> GF(2^m) is a linearized polynomial
-sum c_i X^(2^i), stored as the length-m coefficient tuple (c_0..c_(m-1)).
-A linear map on the pair space decomposes into four such blocks:
-
-    P(x, y) = ( xx(x) + xy(y),  yx(x) + yy(y) )
+"""Linear maps on GF(2^m)^2 = GF(2)^(2m) as basis images, and GF(2) algebra.
 
 Pairs pack as v = (bits(x) << m) | bits(y), matching the truth-table
-layout, so a PairMap also acts on packed 2m-bit vectors.  Composition is
-done symbolically ((sum a_i X^(2^i)) o (sum b_j X^(2^j)) collects
-a_i b_j^(2^i) at exponent 2^(i+j mod m)); inversion goes through the
-2m x 2m GF(2) matrix and comes back to coefficients by solving the Moore
-system sum_i c_i e_j^(2^i) = phi(e_j) on the bit basis e_j.
+layout.  A PairMap is stored as its 2m basis images, images[j] = P(1 << j),
+so composition, sums, inversion, rank and full tables are plain GF(2)
+linear algebra on those lists and need no field context.
+
+Linearized-polynomial coefficients appear only at the JSON boundary: the
+map decomposes into four GF(2^m)-linear blocks
+
+    P(x, y) = ( xx(x) + xy(y),  yx(x) + yy(y) ),
+
+each a linearized polynomial sum c_i X^(2^i), stored as the length-m
+coefficient tuple (c_0..c_(m-1)) and recovered from the block's basis
+images by solving the Moore system sum_i c_i e_j^(2^i) = phi(e_j) on the
+bit basis e_j.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,50 +30,21 @@ LinPoly = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# Univariate linearized polynomials
+# Linearized-polynomial coefficients (JSON boundary only)
 # ---------------------------------------------------------------------------
 
-def zero_lin(m: int) -> LinPoly:
-    return (0,) * m
+def linpoly_from_images(columns: Sequence[Sequence[int]], ctx: FieldCtx) -> list[LinPoly]:
+    """Coefficients of the unique linearized polynomial with phi(e_j) = images[j],
+    for each images list in `columns`.
 
-def mono_lin(m: int, coeff: int, deg: int) -> LinPoly:
-    """coeff * X^(2^(deg mod m))."""
-    out = [0] * m
-    out[deg % m] = coeff
-    return tuple(out)
-
-def add_lin(p: LinPoly, q: LinPoly) -> LinPoly:
-    return tuple(a ^ b for a, b in zip(p, q))
-
-def eval_lin(p: LinPoly, x: int, ctx: FieldCtx) -> int:
-    r = 0
-    for i, c in enumerate(p):
-        if c:
-            r ^= ctx.mul(c, ctx.pow2k(x, i))
-    return r
-
-def compose_lin(p: LinPoly, q: LinPoly, ctx: FieldCtx) -> LinPoly:
-    """(p o q)(X): coefficient p_i q_j^(2^i) lands at exponent 2^(i+j)."""
-    m = ctx.m
-    out = [0] * m
-    for i, pi in enumerate(p):
-        if not pi:
-            continue
-        for j, qj in enumerate(q):
-            if qj:
-                out[(i + j) % m] ^= ctx.mul(pi, ctx.pow2k(qj, i))
-    return tuple(out)
-
-
-def linpoly_from_images(images: list[int], ctx: FieldCtx) -> LinPoly:
-    """Coefficients of the unique linearized polynomial with phi(e_j) = images[j].
-
-    Solves the Moore system over GF(2^m) on the bit basis e_j = 1 << j;
-    the Moore matrix of a basis is invertible, so elimination always
-    finds a pivot.
+    Solves the Moore system over GF(2^m) on the bit basis e_j = 1 << j,
+    one elimination for every right-hand side; the Moore matrix of a
+    basis is invertible, so elimination always finds a pivot.
     """
     m = ctx.m
-    rows = [[ctx.pow2k(1 << j, i) for i in range(m)] + [images[j]] for j in range(m)]
+    rows = [[ctx.pow2k(1 << j, i) for i in range(m)] + [imgs[j] for imgs in columns]
+            for j in range(m)]
+    width = m + len(columns)
     for col in range(m):
         piv = next(r for r in range(col, m) if rows[r][col])
         rows[col], rows[piv] = rows[piv], rows[col]
@@ -79,15 +53,15 @@ def linpoly_from_images(images: list[int], ctx: FieldCtx) -> LinPoly:
         for r in range(m):
             if r != col and rows[r][col]:
                 f = rows[r][col]
-                rows[r] = [rows[r][i] ^ ctx.mul(f, rows[col][i]) for i in range(m + 1)]
-    return tuple(rows[j][m] for j in range(m))
+                rows[r] = [rows[r][i] ^ ctx.mul(f, rows[col][i]) for i in range(width)]
+    return [tuple(rows[j][m + c] for j in range(m)) for c in range(len(columns))]
 
 
 # ---------------------------------------------------------------------------
 # GF(2) linear maps as basis-image lists (imgs[j] = map(1 << j))
 # ---------------------------------------------------------------------------
 
-def gf2_apply(imgs: list[int], v: int) -> int:
+def gf2_apply(imgs: Sequence[int], v: int) -> int:
     r, j = 0, 0
     while v:
         if v & 1:
@@ -97,7 +71,7 @@ def gf2_apply(imgs: list[int], v: int) -> int:
     return r
 
 
-def gf2_rank(imgs: list[int]) -> int:
+def gf2_rank(imgs: Sequence[int]) -> int:
     basis: list[int] = []
     for v in imgs:
         for b in basis:
@@ -108,7 +82,7 @@ def gf2_rank(imgs: list[int]) -> int:
     return len(basis)
 
 
-def gf2_invert(imgs: list[int]) -> list[int] | None:
+def gf2_invert(imgs: Sequence[int]) -> list[int] | None:
     """Basis images of the inverse map, or None when singular."""
     nbits = len(imgs)
     piv: dict[int, tuple[int, int]] = {}  # leading bit -> (value, preimage)
@@ -138,7 +112,7 @@ def gf2_invert(imgs: list[int]) -> list[int] | None:
     return [piv[b][1] for b in range(nbits)]
 
 
-def table_from_images(imgs: list[int]) -> np.ndarray:
+def table_from_images(imgs: Sequence[int]) -> np.ndarray:
     """Values of the GF(2)-linear map on all points, by linearity doubling."""
     tab = np.zeros(1, dtype=np.uint32)
     for img in imgs:
@@ -150,76 +124,63 @@ def table_from_images(imgs: list[int]) -> np.ndarray:
 # Pair-space maps
 # ---------------------------------------------------------------------------
 
+Monomial = tuple[int, int]  # (c, d): the block c * X^(2^d)
+
+
 @dataclass(frozen=True)
 class PairMap:
-    """Linear map on GF(2^m)^2 in 2x2 linearized-block form."""
+    """GF(2)-linear map on packed pairs, stored as imgs[j] = P(1 << j)."""
 
-    xx: LinPoly  # first coordinate, from x
-    xy: LinPoly  # first coordinate, from y
-    yx: LinPoly  # second coordinate, from x
-    yy: LinPoly  # second coordinate, from y
-
-    @property
-    def m(self) -> int:
-        return len(self.xx)
+    imgs: tuple[int, ...]
 
     @classmethod
     def zero(cls, m: int) -> "PairMap":
-        z = zero_lin(m)
-        return cls(z, z, z, z)
+        return cls((0,) * (2 * m))
 
     @classmethod
     def identity(cls, m: int) -> "PairMap":
-        return cls(mono_lin(m, 1, 0), zero_lin(m), zero_lin(m), mono_lin(m, 1, 0))
-
-    def apply(self, v: int, ctx: FieldCtx) -> int:
-        m = ctx.m
-        x, y = v >> m, v & ((1 << m) - 1)
-        a = eval_lin(self.xx, x, ctx) ^ eval_lin(self.xy, y, ctx)
-        b = eval_lin(self.yx, x, ctx) ^ eval_lin(self.yy, y, ctx)
-        return (a << m) | b
-
-    def compose(self, other: "PairMap", ctx: FieldCtx) -> "PairMap":
-        """self o other."""
-        def blk(p, q, r, s):  # p o q + r o s
-            return add_lin(compose_lin(p, q, ctx), compose_lin(r, s, ctx))
-        return PairMap(
-            xx=blk(self.xx, other.xx, self.xy, other.yx),
-            xy=blk(self.xx, other.xy, self.xy, other.yy),
-            yx=blk(self.yx, other.xx, self.yy, other.yx),
-            yy=blk(self.yx, other.xy, self.yy, other.yy),
-        )
-
-    def add(self, other: "PairMap") -> "PairMap":
-        return PairMap(
-            add_lin(self.xx, other.xx),
-            add_lin(self.xy, other.xy),
-            add_lin(self.yx, other.yx),
-            add_lin(self.yy, other.yy),
-        )
-
-    def images(self, ctx: FieldCtx) -> list[int]:
-        return [self.apply(1 << j, ctx) for j in range(2 * ctx.m)]
+        return cls(tuple(1 << j for j in range(2 * m)))
 
     @classmethod
-    def from_images(cls, imgs: list[int], ctx: FieldCtx) -> "PairMap":
+    def monomial(cls, ctx: FieldCtx, xx: Monomial | None = None,
+                 xy: Monomial | None = None, yx: Monomial | None = None,
+                 yy: Monomial | None = None) -> "PairMap":
+        """Map whose blocks are each c * X^(2^d) or, when None, zero."""
         m = ctx.m
-        mask = (1 << m) - 1
-        x_imgs = [imgs[m + j] for j in range(m)]  # bit m+j is bit j of x
-        y_imgs = [imgs[j] for j in range(m)]
-        return cls(
-            xx=linpoly_from_images([w >> m for w in x_imgs], ctx),
-            xy=linpoly_from_images([w >> m for w in y_imgs], ctx),
-            yx=linpoly_from_images([w & mask for w in x_imgs], ctx),
-            yy=linpoly_from_images([w & mask for w in y_imgs], ctx),
-        )
 
-    def inverse(self, ctx: FieldCtx) -> "PairMap":
-        inv = gf2_invert(self.images(ctx))
+        def blk(mono: Monomial | None, e: int) -> int:
+            return ctx.mul(mono[0], ctx.pow2k(e, mono[1])) if mono else 0
+
+        from_y = [(blk(xy, 1 << j) << m) | blk(yy, 1 << j) for j in range(m)]
+        from_x = [(blk(xx, 1 << j) << m) | blk(yx, 1 << j) for j in range(m)]
+        return cls(tuple(from_y + from_x))
+
+    def images(self) -> tuple[int, ...]:
+        """Basis images, imgs[j] = P(1 << j)."""
+        return self.imgs
+
+    def compose(self, other: "PairMap") -> "PairMap":
+        """self o other."""
+        return PairMap(tuple(gf2_apply(self.imgs, v) for v in other.imgs))
+
+    def add(self, other: "PairMap") -> "PairMap":
+        return PairMap(tuple(a ^ b for a, b in zip(self.imgs, other.imgs)))
+
+    def inverse(self) -> "PairMap":
+        inv = gf2_invert(self.imgs)
         if inv is None:
             raise InvalidParams("pair map is not bijective")
-        return PairMap.from_images(inv, ctx)
+        return PairMap(tuple(inv))
 
-    def table(self, ctx: FieldCtx) -> np.ndarray:
+    def table(self) -> np.ndarray:
         """Values on all packed points, built by linearity doubling."""
-        return table_from_images(self.images(ctx))
+        return table_from_images(self.imgs)
+
+    def blocks(self, ctx: FieldCtx) -> tuple[LinPoly, LinPoly, LinPoly, LinPoly]:
+        """Coefficients of the (xx, xy, yx, yy) blocks, by the Moore solve."""
+        m = ctx.m
+        mask = (1 << m) - 1
+        from_x, from_y = self.imgs[m:], self.imgs[:m]  # bit m+j is bit j of x
+        return tuple(linpoly_from_images(
+            [[w >> m for w in from_x], [w >> m for w in from_y],
+             [w & mask for w in from_x], [w & mask for w in from_y]], ctx))

@@ -1,5 +1,6 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
+import functools
 import json
 from math import gcd
 
@@ -188,6 +189,39 @@ def test_witness_alpha0_equivalent_without_witness(capsys, to):
     code, out, _ = run(capsys, "witness", "--from", "4,1,0,2", "--to", to)
     assert code == EXIT_OK
     assert out == "equivalent; no constructive witness available\n"
+
+
+@functools.cache
+def _apn_members(m):
+    """Every APN Taniguchi member (alpha = 0 included) of degree m."""
+    from taniapn.families import TaniguchiParams
+    from taniapn.gf2m import coprime_residues, default_ctx
+    from taniapn.poly_roots import count_roots
+    ctx = default_ctx(m)
+    return [TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta)
+            for k in coprime_residues(m) for alpha in range(ctx.order)
+            for beta in range(1, ctx.order) if count_roots(k, alpha, beta, ctx) == 0]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(m=st.sampled_from([4, 5, 6]), data=st.data())
+def test_witness_verdict_matches_equivalence(capsys, m, data):
+    """`witness` exits 0 exactly for CCZ-equivalent pairs, and every witness verifies."""
+    from taniapn.equivalence import are_ccz_equivalent
+    members = _apn_members(m)
+    alpha0 = [p for p in members if p.alpha == 0]  # none for odd m
+    member = st.sampled_from(alpha0) | st.sampled_from(members) if alpha0 else \
+        st.sampled_from(members)
+    p1, p2 = data.draw(member), data.draw(member)
+    src, dst = (f"{p.m},{p.k},{p.alpha:X},{p.beta:X}" for p in (p1, p2))
+    code, out, _ = run(capsys, "--format", "json", "witness", "--from", src, "--to", dst)
+    result = json.loads(out)
+    assert (code == EXIT_OK) == are_ccz_equivalent(p1, p2)
+    if result["witness"] is None:
+        assert result == {"witness": None, "equivalent": code == EXIT_OK}
+    else:
+        assert result["verified"] is True and code == EXIT_OK
 
 
 def test_witness_degree_mismatch(capsys):

@@ -217,10 +217,10 @@ def test_witness_composition_and_inversion_round_trip():
     p = TaniguchiParams(m=4, k=3, alpha=5, beta=11)
     assert count_roots(3, 5, 11, ctx) == 0
     w, canon = canonical_witness(p, ctx)
-    w_inv = invert_witness(w, ctx)
+    w_inv = invert_witness(w)
     assert verify_witness(w_inv, taniguchi(canon, ctx), taniguchi(p, ctx))
     # composing a witness with its inverse gives a self-witness of f_p
-    w_id = compose_witness(w, w_inv, ctx)
+    w_id = compose_witness(w, w_inv)
     f = taniguchi(p, ctx)
     assert verify_witness(w_id, f, f)
 
@@ -245,12 +245,15 @@ def test_witness_json_round_trip():
     p1 = TaniguchiParams(m=4, k=1, alpha=1, beta=9)
     p2 = TaniguchiParams(m=4, k=1, alpha=1, beta=13)
     w = equivalence_witness(p1, p2, ctx)
-    data = json.loads(json.dumps(w.to_json()))
-    blocks = {"l_a": (w.l_map.xx, w.l_map.xy), "l_b": (w.l_map.yx, w.l_map.yy),
-              "m_a": (w.m_map.xx, w.m_map.xy), "m_b": (w.m_map.yx, w.m_map.yy)}
+    data = json.loads(json.dumps(w.to_json(ctx)))
+    l_xx, l_xy, l_yx, l_yy = w.l_map.blocks(ctx)
+    n_xx, n_xy, n_yx, n_yy = w.n_map.blocks(ctx)
+    m_xx, m_xy, m_yx, m_yy = w.m_map.blocks(ctx)
+    blocks = {"l_a": (l_xx, l_xy), "l_b": (l_yx, l_yy),
+              "m_a": (m_xx, m_xy), "m_b": (m_yx, m_yy)}
     for name, (x, y) in blocks.items():
         assert data[name] == {"x": [f"0x{c:X}" for c in x], "y": [f"0x{c:X}" for c in y]}
-    n_blocks = {"n1": w.n_map.xx, "n2": w.n_map.yx, "n3": w.n_map.xy, "n4": w.n_map.yy}
+    n_blocks = {"n1": n_xx, "n2": n_yx, "n3": n_xy, "n4": n_yy}
     for name, coeffs in n_blocks.items():
         assert data[name] == [f"0x{c:X}" for c in coeffs]
     assert verify_witness(w, taniguchi(p1, ctx), taniguchi(p2, ctx))

@@ -1,4 +1,4 @@
-"""Linearized-polynomial maps: evaluation, composition, inversion, rank."""
+"""Pair maps as basis images: composition, inversion, tables, coefficients."""
 
 import numpy as np
 import pytest
@@ -9,62 +9,59 @@ from taniapn.errors import InvalidParams
 from taniapn.gf2m import default_ctx
 from taniapn.linmaps import (
     PairMap,
-    compose_lin,
-    eval_lin,
     gf2_apply,
     gf2_invert,
     gf2_rank,
     linpoly_from_images,
-    mono_lin,
     table_from_images,
-    zero_lin,
 )
 
 
-def random_pairmap(ctx, rng):
+def eval_lin(p, x, ctx):
+    """Scalar oracle: the linearized polynomial sum p_i X^(2^i) at x."""
+    r = 0
+    for i, c in enumerate(p):
+        if c:
+            r ^= ctx.mul(c, ctx.pow2k(x, i))
+    return r
+
+
+def eval_blocks(blocks, v, ctx):
+    """Scalar oracle: (xx(x) + xy(y), yx(x) + yy(y)) at the packed point v."""
+    xx, xy, yx, yy = blocks
     m = ctx.m
-    blocks = [tuple(int(v) for v in rng.integers(0, ctx.order, size=m))
-              for _ in range(4)]
-    return PairMap(*blocks)
+    x, y = v >> m, v & ((1 << m) - 1)
+    a = eval_lin(xx, x, ctx) ^ eval_lin(xy, y, ctx)
+    b = eval_lin(yx, x, ctx) ^ eval_lin(yy, y, ctx)
+    return (a << m) | b
 
 
-@settings(max_examples=50, deadline=None)
-@given(m=st.sampled_from([2, 3, 4, 5]), seed=st.integers(0, 10_000))
-def test_compose_lin_matches_pointwise(m, seed):
-    ctx = default_ctx(m)
-    rng = np.random.default_rng(seed)
-    p = tuple(int(v) for v in rng.integers(0, ctx.order, size=m))
-    q = tuple(int(v) for v in rng.integers(0, ctx.order, size=m))
-    pq = compose_lin(p, q, ctx)
-    for x in range(ctx.order):
-        assert eval_lin(pq, x, ctx) == eval_lin(p, eval_lin(q, x, ctx), ctx)
+def random_pairmap(m, rng):
+    return PairMap(tuple(int(v) for v in rng.integers(0, 1 << (2 * m), size=2 * m)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(m=st.sampled_from([2, 3, 4]), seed=st.integers(0, 10_000))
+@given(m=st.sampled_from([2, 3, 4, 6]), seed=st.integers(0, 10_000))
 def test_pairmap_compose_matches_pointwise(m, seed):
-    ctx = default_ctx(m)
     rng = np.random.default_rng(seed)
-    a, b = random_pairmap(ctx, rng), random_pairmap(ctx, rng)
-    ab = a.compose(b, ctx)
-    for v in range(1 << (2 * m)):
-        assert ab.apply(v, ctx) == a.apply(b.apply(v, ctx), ctx)
+    a, b = random_pairmap(m, rng), random_pairmap(m, rng)
+    assert np.array_equal(a.compose(b).table(), a.table()[b.table()])
+    assert np.array_equal(a.add(b).table(), a.table() ^ b.table())
 
 
 @settings(max_examples=40, deadline=None)
 @given(m=st.sampled_from([2, 3, 4, 6]), seed=st.integers(0, 10_000))
 def test_pairmap_inverse_round_trip(m, seed):
-    ctx = default_ctx(m)
     rng = np.random.default_rng(seed)
-    pm = random_pairmap(ctx, rng)
-    if gf2_rank(pm.images(ctx)) < 2 * m:
+    pm = random_pairmap(m, rng)
+    if gf2_rank(pm.images()) < 2 * m:
         with pytest.raises(InvalidParams):
-            pm.inverse(ctx)
+            pm.inverse()
         return
-    inv = pm.inverse(ctx)
-    ident = pm.compose(inv, ctx)
-    assert np.array_equal(ident.table(ctx),
-                          np.arange(1 << (2 * m), dtype=np.uint32))
+    inv = pm.inverse()
+    points = np.arange(1 << (2 * m), dtype=np.uint32)
+    assert np.array_equal(inv.table()[pm.table()], points)
+    assert pm.compose(inv) == PairMap.identity(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,17 +69,42 @@ def test_pairmap_inverse_round_trip(m, seed):
 def test_moore_solve_recovers_coefficients(m, seed):
     ctx = default_ctx(m)
     rng = np.random.default_rng(seed)
-    coeffs = tuple(int(v) for v in rng.integers(0, ctx.order, size=m))
-    images = [eval_lin(coeffs, 1 << j, ctx) for j in range(m)]
-    assert linpoly_from_images(images, ctx) == coeffs
+    polys = [tuple(int(v) for v in rng.integers(0, ctx.order, size=m)) for _ in range(3)]
+    columns = [[eval_lin(p, 1 << j, ctx) for j in range(m)] for p in polys]
+    assert linpoly_from_images(columns, ctx) == polys
+    assert linpoly_from_images(columns[:1], ctx) == polys[:1]
 
 
-def test_pairmap_table_matches_apply():
-    ctx = default_ctx(3)
-    pm = PairMap(mono_lin(3, 5, 1), zero_lin(3), mono_lin(3, 2, 0), mono_lin(3, 1, 2))
-    tab = pm.table(ctx)
-    for v in range(64):
-        assert int(tab[v]) == pm.apply(v, ctx)
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from([2, 3, 4]), seed=st.integers(0, 10_000))
+def test_pairmap_blocks_evaluate_to_table(m, seed):
+    # slow oracle: the JSON coefficients, evaluated at every point, are the map
+    ctx = default_ctx(m)
+    rng = np.random.default_rng(seed)
+    blocks = tuple(tuple(int(v) for v in rng.integers(0, ctx.order, size=m))
+                   for _ in range(4))
+    pm = PairMap(tuple(eval_blocks(blocks, 1 << j, ctx) for j in range(2 * m)))
+    assert pm.blocks(ctx) == blocks
+    tab = pm.table()
+    for v in range(1 << (2 * m)):
+        assert int(tab[v]) == eval_blocks(blocks, v, ctx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([2, 3, 4, 5]), data=st.data())
+def test_pairmap_monomial_matches_direct_evaluation(m, data):
+    ctx = default_ctx(m)
+    mono = st.none() | st.tuples(st.integers(0, ctx.order - 1), st.integers(0, m - 1))
+    xx, xy, yx, yy = (data.draw(mono) for _ in range(4))
+
+    def blk(b, e):  # c * e^(2^d), by plain exponentiation
+        return ctx.mul(b[0], ctx.pow(e, 1 << b[1])) if b else 0
+
+    tab = PairMap.monomial(ctx, xx=xx, xy=xy, yx=yx, yy=yy).table()
+    for v in range(1 << (2 * m)):
+        x, y = v >> m, v & (ctx.order - 1)
+        want = ((blk(xx, x) ^ blk(xy, y)) << m) | (blk(yx, x) ^ blk(yy, y))
+        assert int(tab[v]) == want
 
 
 def test_gf2_helpers():
@@ -97,4 +119,3 @@ def test_gf2_helpers():
         assert gf2_apply(inv, gf2_apply(imgs, v)) == v
     tab = table_from_images(imgs)
     assert [int(x) for x in tab] == [gf2_apply(imgs, v) for v in range(8)]
-
