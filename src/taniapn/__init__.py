@@ -73,7 +73,6 @@ from .poly_roots import (
     count_roots,
     frobenius_orbits,
     phi_set,
-    subfield_embedding,
     transform_beta,
 )
 

@@ -15,8 +15,12 @@ Witnesses.  Equivalences are produced constructively as (L, N, M) with
 f(L(x, y)) = N(g(x, y)) + M(x, y), composed from the elementary maps
 (alpha-normalization, Frobenius twist, k-negation, and the alpha = 0
 bridge to the pott-zhou family) and only ever trusted after
-verify_witness checks both coordinate identities on the full grid and
-the bijectivity of L and N.
+verify_witness checks the bijectivity of L and N and the identity on the
+points of Hamming weight <= 2.  That is exact for quadratic f and g:
+h = f o L + N o g + M then has algebraic degree <= 2, and its ANF
+coefficient at a monomial of weight <= 2 is the XOR of h over the points
+below it, so h vanishing on those 1 + n + n(n-1)/2 points (n = 2m) makes
+every coefficient, and so h, zero.
 
 Automorphism orders.  For m >= 4,
 
@@ -28,7 +32,8 @@ and |Aut| = |Aut_EA| = 2^(2m) |Aut_EL| (the translation part contributes
 a factor 2^(2m)).  m = 2 and m = 3 have the single classes with
 |Aut| = 5760 and 896 respectively (known orders).  The monomial
 enumerator rebuilds |Aut_EL| from scratch for alpha = 1 by trying every
-self-witness of the shape L_A = a X^(2^u), L_B = a^(2^(2k)) Y^(2^u).
+self-witness of the shape L_A = a X^(2^u), L_B = a^(2^(2k)) Y^(2^u),
+checked on the same weight <= 2 points for all a at once.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .diffanalysis import _is_quadratic
 from .errors import (
     DegreeMismatch,
     InvalidParams,
@@ -46,12 +52,15 @@ from .errors import (
 )
 from .families import (
     BivariateFunction,
+    PottZhouFunction,
     PottZhouParams,
+    TaniguchiFunction,
     TaniguchiParams,
+    TruthTableFunction,
     taniguchi,
 )
 from .gf2m import FieldCtx, default_ctx
-from .linmaps import PairMap, gf2_rank
+from .linmaps import PairMap, gf2_apply_vec, gf2_rank, low_weight_values
 from .poly_roots import (
     count_roots,
     frobenius_orbit,
@@ -60,8 +69,8 @@ from .poly_roots import (
     transform_beta,
 )
 
-_VERIFY_BITS_LIMIT = 20   # exhaustive witness check is 2^(2m) points
-_MONOMIAL_DEGREE_LIMIT = 8
+_VERIFY_BITS_LIMIT = 32   # 2m; packed points and values are uint32
+_MONOMIAL_DEGREE_LIMIT = 11
 
 
 # ---------------------------------------------------------------------------
@@ -316,22 +325,38 @@ def pott_zhou_bridge_witness(p: TaniguchiParams, ctx: FieldCtx | None = None
 # Witness verification
 # ---------------------------------------------------------------------------
 
+def _require_quadratic(f: BivariateFunction) -> None:
+    """Refuse an operand the weight <= 2 check cannot decide exactly."""
+    if isinstance(f, TruthTableFunction):
+        quadratic = _is_quadratic(f.table, f.dimension)
+    else:
+        quadratic = isinstance(f, (TaniguchiFunction, PottZhouFunction))
+    if not quadratic:
+        raise InvalidParams("witness check needs operands of algebraic degree <= 2")
+
+
 def verify_witness(w: LinearWitness, f: BivariateFunction, g: BivariateFunction) -> bool:
-    """Exhaustively check f(L(x,y)) = N(g(x,y)) + M(x,y) plus bijectivity."""
+    """Check f(L(x,y)) = N(g(x,y)) + M(x,y) plus bijectivity of L and N.
+
+    The identity is compared on the points of Hamming weight <= 2, which
+    decides it everywhere because f and g are quadratic (module
+    docstring).  Taniguchi and pott-zhou members are quadratic by
+    construction; a truth table of degree > 2 raises InvalidParams.
+    """
     if f.ctx != g.ctx:
         raise DegreeMismatch("witness operands live over different contexts")
     ctx = f.ctx
     n = 2 * ctx.m
     if n > _VERIFY_BITS_LIMIT:
         raise TooLarge(f"witness verification capped at 2m={_VERIFY_BITS_LIMIT}")
+    _require_quadratic(f)
+    _require_quadratic(g)
     if gf2_rank(w.l_map.images()) != n or gf2_rank(w.n_map.images()) != n:
         return False
-    f_tab = f.packed_table()  # function tables first: lower peak memory
-    g_tab = g.packed_table()
-    l_tab = w.l_map.table()
-    n_tab = w.n_map.table()
-    m_tab = w.m_map.table()
-    return bool(np.array_equal(f_tab[l_tab], n_tab[g_tab] ^ m_tab))
+    points = low_weight_values(PairMap.identity(ctx.m).images())
+    lhs = f.eval_packed_vec(low_weight_values(w.l_map.images()))
+    rhs = gf2_apply_vec(w.n_map.images(), g.eval_packed_vec(points))
+    return bool(np.array_equal(lhs, rhs ^ low_weight_values(w.m_map.images())))
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +400,15 @@ def pott_zhou_aut_order(m: int, s: int) -> int:
 
 def monomial_el_automorphisms(p: TaniguchiParams, ctx: FieldCtx | None = None
                               ) -> list[AutWitness]:
-    """Every verified self-witness of the monomial shape, by exhaustion.
+    """Every self-witness of the monomial shape, by exhaustion.
 
     Enumerates (u, a_u), derives b_bar_u = a_u^(2^(2k)), c_u = b_bar_u^(2^k+1),
-    N4 = a_u b_bar_u X^(2^u), and keeps the tuples whose witness
-    verify_witness accepts against f itself.
+    N4 = a_u b_bar_u X^(2^u), and keeps the tuples, in (u, a_u) order,
+    whose witness (L, N, 0) is a self-witness of f.  L and N are
+    bijective iff a_u, b_bar_u, c_u and a_u b_bar_u are nonzero (a block
+    c X^(2^u) is bijective iff c != 0), and the identity f(L(p)) = N(f(p))
+    is checked as in verify_witness, on the points of weight <= 2, for all
+    2^m - 1 values of a_u in one pass per u.
     """
     ctx = _resolve_ctx(p, ctx)
     if p.alpha != 1:
@@ -388,24 +417,28 @@ def monomial_el_automorphisms(p: TaniguchiParams, ctx: FieldCtx | None = None
         raise TooLarge(f"monomial enumeration capped at m={_MONOMIAL_DEGREE_LIMIT}")
     _require_apn(p, ctx)
     f = taniguchi(p, ctx)
-    f.packed_table()  # build once; every verification reuses it
-    zero = PairMap.zero(ctx.m)
+    shift, mask = np.uint32(ctx.m), np.uint32(ctx.order - 1)
+    points = low_weight_values(PairMap.identity(ctx.m).images())
+    f_points = f.eval_packed_vec(points)
+    a_u = np.arange(1, ctx.order, dtype=np.uint32)
+    b_bar = ctx.pow2k_vec(a_u, 2 * p.k)
+    c_u = ctx.pow_vec(b_bar, (1 << p.k) + 1)
+    n4 = ctx.mul_vec(a_u, b_bar)
+    bijective = (a_u != 0) & (b_bar != 0) & (c_u != 0) & (n4 != 0)
     found = []
     for u in range(ctx.m):
-        for a_u in range(1, ctx.order):
-            b_bar = ctx.pow2k(a_u, 2 * p.k)
-            c_u = ctx.pow(b_bar, (1 << p.k) + 1)
-            w = LinearWitness(
-                l_map=PairMap.monomial(ctx, xx=(a_u, u), yy=(b_bar, u)),
-                n_map=PairMap.monomial(ctx, xx=(c_u, u), yy=(ctx.mul(a_u, b_bar), u)),
-                m_map=zero,
-            )
-            if verify_witness(w, f, f):
-                found.append(AutWitness(u=u, a_u=a_u, b_bar_u=b_bar, c_u=c_u))
+        # one row per a_u, one column per point p = (x, y) with f(p) = (f1, f2):
+        # L(p) = (a_u x^(2^u), b_bar y^(2^u)), N(f(p)) = (c_u f1^(2^u), n4 f2^(2^u))
+        lx, ly, n1, n2 = (ctx.mul_vec(coeff[:, None], ctx.pow2k_vec(v, u)) for coeff, v in (
+            (a_u, points >> shift), (b_bar, points & mask),
+            (c_u, f_points >> shift), (n4, f_points & mask)))
+        same = f.eval_packed_vec((lx << shift) | ly) == ((n1 << shift) | n2)
+        found += [AutWitness(u=u, a_u=int(a_u[i]), b_bar_u=int(b_bar[i]), c_u=int(c_u[i]))
+                  for i in np.flatnonzero(bijective & same.all(axis=1))]
     return found
 
 
 def count_monomial_el_automorphisms(p: TaniguchiParams,
                                     ctx: FieldCtx | None = None) -> int:
-    """|Aut_EL| recomputed by the monomial exhaustion (alpha = 1, m <= 8)."""
+    """|Aut_EL| recomputed by the monomial exhaustion (alpha = 1, m <= 11)."""
     return len(monomial_el_automorphisms(p, ctx))

@@ -2,8 +2,9 @@
 
 Pairs pack as v = (bits(x) << m) | bits(y), matching the truth-table
 layout.  A PairMap is stored as its 2m basis images, images[j] = P(1 << j),
-so composition, sums, inversion, rank and full tables are plain GF(2)
-linear algebra on those lists and need no field context.
+so composition, sums, inversion, rank, full tables and the values at the
+points of Hamming weight <= 2 are plain GF(2) linear algebra on those
+lists and need no field context.
 
 Linearized-polynomial coefficients appear only at the JSON boundary: the
 map decomposes into four GF(2^m)-linear blocks
@@ -13,13 +14,14 @@ map decomposes into four GF(2^m)-linear blocks
 each a linearized polynomial sum c_i X^(2^i), stored as the length-m
 coefficient tuple (c_0..c_(m-1)) and recovered from the block's basis
 images by solving the Moore system sum_i c_i e_j^(2^i) = phi(e_j) on the
-bit basis e_j.
+bit basis e_j; the Moore matrix is inverted once per field context.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,18 +35,16 @@ LinPoly = tuple[int, ...]
 # Linearized-polynomial coefficients (JSON boundary only)
 # ---------------------------------------------------------------------------
 
-def linpoly_from_images(columns: Sequence[Sequence[int]], ctx: FieldCtx) -> list[LinPoly]:
-    """Coefficients of the unique linearized polynomial with phi(e_j) = images[j],
-    for each images list in `columns`.
+@lru_cache(maxsize=16)
+def _moore_inverse(ctx: FieldCtx) -> np.ndarray:
+    """inv[i, j] of the Moore matrix A[j, i] = e_j^(2^i) on the bit basis.
 
-    Solves the Moore system over GF(2^m) on the bit basis e_j = 1 << j,
-    one elimination for every right-hand side; the Moore matrix of a
-    basis is invertible, so elimination always finds a pivot.
+    Gauss-Jordan on [A | I]; the Moore matrix of a basis is invertible,
+    so elimination always finds a pivot.  Read-only: the cache shares it.
     """
     m = ctx.m
-    rows = [[ctx.pow2k(1 << j, i) for i in range(m)] + [imgs[j] for imgs in columns]
+    rows = [[ctx.pow2k(1 << j, i) for i in range(m)] + [int(r == j) for r in range(m)]
             for j in range(m)]
-    width = m + len(columns)
     for col in range(m):
         piv = next(r for r in range(col, m) if rows[r][col])
         rows[col], rows[piv] = rows[piv], rows[col]
@@ -53,8 +53,23 @@ def linpoly_from_images(columns: Sequence[Sequence[int]], ctx: FieldCtx) -> list
         for r in range(m):
             if r != col and rows[r][col]:
                 f = rows[r][col]
-                rows[r] = [rows[r][i] ^ ctx.mul(f, rows[col][i]) for i in range(width)]
-    return [tuple(rows[j][m + c] for j in range(m)) for c in range(len(columns))]
+                rows[r] = [rows[r][i] ^ ctx.mul(f, rows[col][i]) for i in range(2 * m)]
+    out = np.array([row[m:] for row in rows], dtype=np.uint32)
+    out.flags.writeable = False
+    return out
+
+
+def linpoly_from_images(columns: Sequence[Sequence[int]], ctx: FieldCtx) -> list[LinPoly]:
+    """Coefficients of the unique linearized polynomial with phi(e_j) = images[j],
+    for each images list in `columns`.
+
+    Solves the Moore system sum_i c_i e_j^(2^i) = phi(e_j) over GF(2^m) on
+    the bit basis e_j = 1 << j by the field's cached Moore inverse.
+    """
+    inv = _moore_inverse(ctx)
+    rhs = np.array(columns, dtype=np.uint32).T  # rhs[j, c] = columns[c][j]
+    coeffs = np.bitwise_xor.reduce(ctx.mul_vec(inv[:, :, None], rhs[None, :, :]), axis=1)
+    return [tuple(int(v) for v in coeffs[:, c]) for c in range(len(columns))]
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +125,22 @@ def gf2_invert(imgs: Sequence[int]) -> list[int] | None:
             rest = v ^ (1 << b)
         piv[b] = (v, p)
     return [piv[b][1] for b in range(nbits)]
+
+
+def gf2_apply_vec(imgs: Sequence[int], v: np.ndarray) -> np.ndarray:
+    """gf2_apply at every entry of a uint32 array."""
+    out = np.zeros_like(v)
+    for j, img in enumerate(imgs):
+        out ^= ((v >> np.uint32(j)) & np.uint32(1)) * np.uint32(img)
+    return out
+
+
+def low_weight_values(imgs: Sequence[int]) -> np.ndarray:
+    """Values of the map at the points of Hamming weight <= 2, in the order
+    0, then e_i, then e_i + e_j for i < j (row-major)."""
+    a = np.array(imgs, dtype=np.uint32)
+    i, j = np.triu_indices(a.size, 1)
+    return np.concatenate([np.zeros(1, dtype=np.uint32), a, a[i] ^ a[j]])
 
 
 def table_from_images(imgs: Sequence[int]) -> np.ndarray:

@@ -182,58 +182,3 @@ def orbit_min(beta: int, ctx: FieldCtx) -> int:
 def orbit_length(beta: int, ctx: FieldCtx) -> int:
     """min { u >= 1 : beta^(2^u) = beta }; divides m."""
     return len(frobenius_orbit(beta, ctx))
-
-
-def subfield_embedding(sub: FieldCtx, sup: FieldCtx) -> np.ndarray:
-    """Field embedding GF(2^r) -> GF(2^m) as a lookup table of size 2^r.
-
-    The two contexts may use unrelated moduli.  The embedding sends a
-    generator g of GF(2^r)* to a root h in GF(2^m) of g's minimal
-    polynomial over GF(2); g^e -> h^e is then the field homomorphism
-    determined by g -> h.  (Pinning h to a conjugate root matters: an
-    arbitrary element of matching multiplicative order would give a group
-    embedding that need not preserve addition.)
-    """
-    r, m = sub.m, sup.m
-    if m % r != 0:
-        raise InvalidParams(f"GF(2^{r}) does not embed in GF(2^{m})")
-    if sub == sup:
-        return np.arange(sub.order, dtype=np.uint32)
-
-    g = sub.generator
-    # minimal polynomial of g: prod over conjugates of (X + g^(2^j))
-    coeffs = [1]
-    conj = g
-    for _ in range(r):
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] ^= c
-            nxt[i] ^= sub.mul(conj, c)
-        coeffs = nxt
-        conj = sub.mul(conj, conj)
-        if conj == g:
-            break
-    if any(c not in (0, 1) for c in coeffs):
-        raise InvalidParams("minimal polynomial not over GF(2)")  # unreachable
-
-    x = sup.elements()
-    acc = np.full(sup.order, coeffs[-1], dtype=np.uint32)
-    for c in reversed(coeffs[:-1]):
-        acc = sup.mul_vec(acc, x) ^ np.uint32(c)
-    roots = np.nonzero(acc == 0)[0]
-    h = int(roots[0])
-
-    emb = np.zeros(sub.order, dtype=np.uint32)
-    cur_sub, cur_sup = 1, 1
-    for _ in range(sub.order - 1):
-        emb[cur_sub] = cur_sup
-        cur_sub = sub.mul(cur_sub, g)
-        cur_sup = sup.mul(cur_sup, h)
-
-    # self-check GF(2)-linearity: table must equal its own linear extension
-    lin = np.zeros(1, dtype=np.uint32)
-    for j in range(r):
-        lin = np.concatenate([lin, lin ^ emb[1 << j]])
-    if not bool(np.array_equal(lin, emb)):
-        raise InvalidParams("embedding failed additivity check")  # unreachable
-    return emb

@@ -169,6 +169,14 @@ def test_witness_verified(capsys):
     assert data["witness"]["n2"] == ["0x0", "0x0", "0x0", "0x0"]
 
 
+def test_witness_verified_at_cap(capsys):
+    # m = 16: 2m = 32 is the largest verifiable size; k -> m-k and alpha paths
+    code, out, _ = run(capsys, "--format", "json", "witness",
+                       "--from", "16,15,1,1003", "--to", "16,1,8E2D,8E2D")
+    assert code == EXIT_OK
+    assert json.loads(out)["verified"] is True
+
+
 def test_witness_negative(capsys):
     code, out, _ = run(capsys, "witness", "--from", "4,1,1,1", "--to", "4,1,1,9")
     assert code == EXIT_NEGATIVE

@@ -1,14 +1,18 @@
 """Canonicalization, witnesses, automorphism orders, and the monomial oracle."""
 
 import json
+import random
 
+import numpy as np
 import pytest
 
 from taniapn.counting import b_orbits, n_taniguchi
 from taniapn.diffanalysis import is_apn
 from taniapn.equivalence import (
     AutOrders,
+    AutWitness,
     CanonicalTriple,
+    LinearWitness,
     are_ccz_equivalent,
     aut_orders,
     canonical_witness,
@@ -24,9 +28,26 @@ from taniapn.equivalence import (
     verify_witness,
 )
 from taniapn.errors import DegreeMismatch, InvalidParams, NotApn, TooLarge
-from taniapn.families import TaniguchiParams, pott_zhou, taniguchi
+from taniapn.families import (
+    TaniguchiParams,
+    TruthTableFunction,
+    materialize,
+    pott_zhou,
+    taniguchi,
+)
 from taniapn.gf2m import coprime_residues, default_ctx
+from taniapn.linmaps import PairMap, gf2_rank
 from taniapn.poly_roots import count_roots, orbit_min, phi_set, transform_beta
+
+
+def full_grid_verify(w, f, g):
+    """Slow oracle for verify_witness: bijectivity, then the identity at every point."""
+    n = f.dimension
+    if gf2_rank(w.l_map.images()) != n or gf2_rank(w.n_map.images()) != n:
+        return False
+    f_tab, g_tab = f.packed_table(), g.packed_table()
+    return bool(np.array_equal(f_tab[w.l_map.table()],
+                               w.n_map.table()[g_tab] ^ w.m_map.table()))
 
 
 def apn_params(m, ks=None, alphas=(1,), ctx=None):
@@ -169,7 +190,6 @@ def test_decision_completeness_invariants():
 def test_pair_witnesses_within_classes():
     # sampled pairs with equal canonical triples (alpha != 0) always get a
     # verified constructive witness
-    import random
     rng = random.Random(11)
     for m in (4, 5, 6):
         ctx = default_ctx(m)
@@ -226,10 +246,10 @@ def test_witness_composition_and_inversion_round_trip():
 
 
 def test_witness_verify_guard():
-    ctx = default_ctx(11)
-    f = taniguchi(TaniguchiParams(m=11, k=1, alpha=1, beta=1), ctx)
+    ctx = default_ctx(17)  # 2m = 34 exceeds the uint32 packing
+    f = taniguchi(TaniguchiParams(m=17, k=1, alpha=1, beta=1), ctx)
     with pytest.raises(TooLarge):
-        verify_witness(identity_witness(11), f, f)
+        verify_witness(identity_witness(17), f, f)
 
 
 def test_witness_verify_rejects_context_mismatch():
@@ -238,6 +258,77 @@ def test_witness_verify_rejects_context_mismatch():
     g = taniguchi(TaniguchiParams(m=3, k=1, alpha=1, beta=3), FieldCtx(3, 0xD))
     with pytest.raises(DegreeMismatch):
         verify_witness(identity_witness(3), f, g)
+
+
+def _corrupted(w, rng):
+    """One bit flipped in one basis image of L, of N and of M, and a singular L."""
+    n = len(w.l_map.images())
+
+    def flip(pm):
+        imgs = list(pm.images())
+        imgs[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        return PairMap(tuple(imgs))
+
+    singular = list(w.l_map.images())
+    singular[rng.randrange(n)] = 0
+    return [LinearWitness(flip(w.l_map), w.n_map, w.m_map),
+            LinearWitness(w.l_map, flip(w.n_map), w.m_map),
+            LinearWitness(w.l_map, w.n_map, flip(w.m_map)),
+            LinearWitness(PairMap(tuple(singular)), w.n_map, w.m_map)]
+
+
+def test_verify_witness_matches_full_grid_oracle():
+    # every canonical witness and pott-zhou bridge with 2m <= 12, plus
+    # corrupted copies of a sample of them
+    rng = random.Random(5)
+    cases = []
+    for m in (3, 4, 5, 6):
+        ctx = default_ctx(m)
+        canon_funcs = {}
+        for p in apn_params(m, alphas=range(1, ctx.order), ctx=ctx):
+            w, canon = canonical_witness(p, ctx)
+            if canon not in canon_funcs:
+                canon_funcs[canon] = taniguchi(canon, ctx)
+            cases.append((w, taniguchi(p, ctx), canon_funcs[canon]))
+    for m in (4, 6):
+        ctx = default_ctx(m)
+        for p in apn_params(m, ks=[k for k in coprime_residues(m) if k < m / 2],
+                            alphas=(0,), ctx=ctx):
+            w, pz = pott_zhou_bridge_witness(p, ctx)
+            cases.append((w, taniguchi(p, ctx), pott_zhou(pz, ctx)))
+    for w, f, g in cases:
+        assert verify_witness(w, f, g) and full_grid_verify(w, f, g)
+    for w, f, g in rng.sample(cases, 100):
+        for bad in _corrupted(w, rng):
+            assert verify_witness(bad, f, g) == full_grid_verify(bad, f, g)
+
+
+def test_verify_witness_accepts_quadratic_tables_only():
+    ctx = default_ctx(4)
+    p = TaniguchiParams(m=4, k=3, alpha=5, beta=11)
+    w, canon = canonical_witness(p, ctx)
+    f, g = materialize(taniguchi(p, ctx)), materialize(taniguchi(canon, ctx))
+    assert verify_witness(w, f, g)
+    points = np.arange(1 << 8, dtype=np.uint32)
+    cubic = TruthTableFunction(  # adds x_0 x_1 x_2 to output bit 0
+        f.table ^ ((points & 7) == 7).astype(np.uint32), ctx)
+    with pytest.raises(InvalidParams):
+        verify_witness(w, cubic, g)
+    with pytest.raises(InvalidParams):
+        verify_witness(invert_witness(w), g, cubic)
+
+
+def test_witness_verify_at_the_cap():
+    # 2m = 32, the largest verifiable size
+    ctx = default_ctx(16)
+    beta = 0x1003  # in Phi for k = 15
+    p1 = TaniguchiParams(m=16, k=15, alpha=1, beta=beta)
+    p2 = TaniguchiParams(m=16, k=1, alpha=ctx.inverse(beta), beta=ctx.inverse(beta))
+    f1, f2 = taniguchi(p1, ctx), taniguchi(p2, ctx)
+    w = equivalence_witness(p1, p2, ctx)
+    assert verify_witness(w, f1, f2)
+    for bad in _corrupted(w, random.Random(16)):
+        assert not verify_witness(bad, f1, f2)
 
 
 def test_witness_json_round_trip():
@@ -402,7 +493,45 @@ def test_monomial_guards():
             TaniguchiParams(m=5, k=1, alpha=3, beta=6))
     with pytest.raises(TooLarge):
         count_monomial_el_automorphisms(
-            TaniguchiParams(m=9, k=1, alpha=1, beta=1))
+            TaniguchiParams(m=12, k=1, alpha=1, beta=1))
+
+
+def monomial_by_full_grid(p, ctx):
+    """Slow oracle: each monomial candidate built as a witness, checked on every point."""
+    f = taniguchi(p, ctx)
+    found = []
+    for u in range(ctx.m):
+        for a_u in range(1, ctx.order):
+            b_bar = ctx.pow2k(a_u, 2 * p.k)
+            c_u = ctx.pow(b_bar, (1 << p.k) + 1)
+            w = LinearWitness(
+                l_map=PairMap.monomial(ctx, xx=(a_u, u), yy=(b_bar, u)),
+                n_map=PairMap.monomial(ctx, xx=(c_u, u), yy=(ctx.mul(a_u, b_bar), u)),
+                m_map=PairMap.zero(ctx.m),
+            )
+            if full_grid_verify(w, f, f):
+                found.append(AutWitness(u=u, a_u=a_u, b_bar_u=b_bar, c_u=c_u))
+    return found
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_monomial_matches_full_grid_oracle(m):
+    ctx = default_ctx(m)
+    for k in coprime_residues(m):
+        phi = phi_set(k, ctx)
+        for beta in {min(phi), max(phi)}:
+            p = TaniguchiParams(m=m, k=k, alpha=1, beta=beta)
+            assert monomial_el_automorphisms(p, ctx) == monomial_by_full_grid(p, ctx)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", [10, 11])
+def test_monomial_counts_above_old_cap(m):
+    ctx = default_ctx(m)
+    phi = phi_set(1, ctx)
+    for beta in (min(phi), max(phi)):
+        p = TaniguchiParams(m=m, k=1, alpha=1, beta=beta)
+        assert count_monomial_el_automorphisms(p, ctx) == aut_orders(p, ctx).aut_el
 
 
 def test_canonical_triple_json_round_trip():

@@ -1,4 +1,4 @@
-"""Trinomial root analysis: scan oracle, Phi enumeration, orbits, embeddings."""
+"""Trinomial root analysis: scan oracle, Phi enumeration, orbits."""
 
 import json
 
@@ -14,7 +14,6 @@ from taniapn.poly_roots import (
     orbit_length,
     orbit_min,
     phi_set,
-    subfield_embedding,
     transform_beta,
 )
 
@@ -152,38 +151,6 @@ def test_transform_beta_preserves_rootlessness():
             lhs = count_roots(1, alpha, beta, GF16) == 0
             rhs = count_roots(1, 1, transform_beta(1, alpha, beta, GF16), GF16) == 0
             assert lhs == rhs
-
-
-# (r, p) pairs from the subfield-embedding contract; m = r*p
-EMBED_CASES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (5, 2)]
-
-
-@pytest.mark.parametrize("r,p", EMBED_CASES)
-def test_embedding_is_field_homomorphism(r, p):
-    sub, sup = default_ctx(r), default_ctx(r * p)
-    emb = subfield_embedding(sub, sup)
-    assert emb[0] == 0 and emb[1] == 1
-    for a in range(sub.order):
-        for b in range(sub.order):
-            assert emb[a ^ b] == emb[a] ^ emb[b]
-            assert int(emb[sub.mul(a, b)]) == sup.mul(int(emb[a]), int(emb[b]))
-
-
-@pytest.mark.parametrize("r,p", EMBED_CASES)
-def test_subfield_root_transfer(r, p):
-    # p != 3: rootless betas stay rootless upstairs; p = 3: all gain roots
-    m = r * p
-    sub, sup = default_ctx(r), default_ctx(m)
-    k = 1
-    emb = subfield_embedding(sub, sup)
-    phi_up = phi_set(k, sup)
-    for beta in phi_set(k, sub):
-        lifted = int(emb[beta])
-        if p == 3:
-            assert lifted not in phi_up
-            assert count_roots(k, 1, lifted, sup) == 3
-        else:
-            assert lifted in phi_up
 
 
 def test_beta_set_serialization():
