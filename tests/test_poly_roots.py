@@ -1,4 +1,4 @@
-"""Trinomial root analysis: scan oracle, Phi enumeration, orbits."""
+"""Trinomial root analysis: scan oracle, Phi enumeration, orbits, subfield lifts."""
 
 import json
 
@@ -151,6 +151,62 @@ def test_transform_beta_preserves_rootlessness():
             lhs = count_roots(1, alpha, beta, GF16) == 0
             rhs = count_roots(1, 1, transform_beta(1, alpha, beta, GF16), GF16) == 0
             assert lhs == rhs
+
+
+def embed_subfield(sub, sup):
+    """Test-local embedding GF(2^r) -> GF(2^m) as a lookup table of size 2^r.
+
+    Sends sub's generator g to a root h in sup of g's minimal polynomial
+    over GF(2), then g^e -> h^e; checked to be a field homomorphism.
+    """
+    g = sub.generator
+    coeffs = [1]                       # prod over conjugates c of (X + c)
+    conj = g
+    while True:
+        nxt = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] ^= c
+            nxt[i] ^= sub.mul(conj, c)
+        coeffs, conj = nxt, sub.mul(conj, conj)
+        if conj == g:
+            break
+    assert set(coeffs) <= {0, 1}
+    x = sup.elements()
+    acc = np.full(sup.order, coeffs[-1], dtype=np.uint32)
+    for c in reversed(coeffs[:-1]):
+        acc = sup.mul_vec(acc, x) ^ np.uint32(c)
+    h = int(np.nonzero(acc == 0)[0][0])
+    emb = [0] * sub.order
+    a, b = 1, 1
+    for _ in range(sub.order - 1):
+        emb[a] = b
+        a, b = sub.mul(a, g), sup.mul(b, h)
+    for a in range(sub.order):
+        for b in range(sub.order):
+            assert emb[a ^ b] == emb[a] ^ emb[b]
+            assert emb[sub.mul(a, b)] == sup.mul(emb[a], emb[b])
+    return emb
+
+
+# (r, p) pairs from the subfield-embedding contract; m = r*p
+EMBED_CASES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (5, 2)]
+
+
+@pytest.mark.parametrize("r,p", EMBED_CASES)
+def test_subfield_root_transfer(r, p):
+    # p != 3: rootless betas stay rootless upstairs; p = 3: all gain roots
+    m = r * p
+    sub, sup = default_ctx(r), default_ctx(m)
+    k = 1
+    emb = embed_subfield(sub, sup)
+    phi_up = phi_set(k, sup)
+    for beta in phi_set(k, sub):
+        lifted = emb[beta]
+        if p == 3:
+            assert lifted not in phi_up
+            assert count_roots(k, 1, lifted, sup) == 3
+        else:
+            assert lifted in phi_up
 
 
 def test_beta_set_serialization():
