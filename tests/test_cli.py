@@ -57,6 +57,18 @@ def test_table_rejects_m1(capsys):
     assert "m >= 2" in err
 
 
+@pytest.mark.parametrize("argv, err", [
+    ("table --m x", "error: invalid literal for int() with base 10: 'x'\n"),
+    ("table --m 1..4", "error: table needs m >= 2\n"),
+    ("spectrum", "error: spectrum needs a family or --table PATH\n"),
+    ("classes --m 2", "error: classes needs m >= 3 (m=2 has the single class)\n"),
+    ("classes --m 6 --k 2", "error: k=2 not coprime to m=6\n"),
+])
+def test_usage_errors_exact_stderr(capsys, argv, err):
+    # recorded before the commands left the printing of usage errors to main
+    assert run(capsys, *argv.split()) == (EXIT_USAGE, "", err)
+
+
 def test_audit_pass_lines(capsys):
     code, out, _ = run(capsys, "audit", "--m-max", "3")
     assert code == EXIT_OK
