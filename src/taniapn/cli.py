@@ -134,14 +134,9 @@ def _emit_aligned(rows: list[tuple]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_table(args, cfg: RunConfig) -> int:
-    try:
-        m_list = _parse_m_spec(args.m)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    m_list = _parse_m_spec(args.m)
     if any(m < 2 for m in m_list):
-        print("error: table needs m >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParams("table needs m >= 2")
     reports = [count_report(m) for m in m_list]
     if cfg.fmt == "json":
         if args.full:
@@ -286,8 +281,7 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
     if args.table is not None:
         f = load_function(args.table)
     elif args.family is None:
-        print("error: spectrum needs a family or --table PATH", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParams("spectrum needs a family or --table PATH")
     else:
         f, _, _ = _build_function(args, cfg)
     spec = diffanalysis.differential_spectrum(f)
@@ -334,14 +328,11 @@ def cmd_enumerate_beta(args, cfg: RunConfig) -> int:
 def cmd_classes(args, cfg: RunConfig) -> int:
     m = args.m
     if m < 3:
-        print("error: classes needs m >= 3 (m=2 has the single class)",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidParams("classes needs m >= 3 (m=2 has the single class)")
     ctx = cfg.ctx(m)
     if args.k is not None:
         if gcd(args.k, m) != 1:
-            print(f"error: k={args.k} not coprime to m={m}", file=sys.stderr)
-            return EXIT_USAGE
+            raise InvalidParams(f"k={args.k} not coprime to m={m}")
         k_stars = [min(args.k % m, m - args.k % m)]
     else:
         k_stars = [k for k in coprime_residues(m) if k < m / 2]

@@ -142,7 +142,7 @@ def lower_bound(m: int) -> int:
 # Brute-force oracles (definition-level recomputation, no shared code path)
 # ---------------------------------------------------------------------------
 
-def _oracle_ctx(m: int, k: int, ctx: FieldCtx | None) -> FieldCtx:
+def _oracle_ctx(m: int, ctx: FieldCtx | None) -> FieldCtx:
     if m > _ORACLE_DEGREE_LIMIT:
         raise TooLarge(f"oracles capped at m={_ORACLE_DEGREE_LIMIT}")
     if ctx is None:
@@ -154,7 +154,7 @@ def _oracle_ctx(m: int, k: int, ctx: FieldCtx | None) -> FieldCtx:
 
 def oracle_capital_n(m: int, k: int, ctx: FieldCtx | None = None) -> int:
     """N(m) by enumeration: drop beta with beta^(2^m') = beta for a proper divisor m'."""
-    ctx = _oracle_ctx(m, k, ctx)
+    ctx = _oracle_ctx(m, ctx)
     arr = phi_set(k, ctx).elements
     in_proper_subfield = np.zeros(arr.shape, dtype=bool)
     for mp in divisors(m):
@@ -165,7 +165,7 @@ def oracle_capital_n(m: int, k: int, ctx: FieldCtx | None = None) -> int:
 
 def oracle_b(m: int, k: int, ctx: FieldCtx | None = None) -> int:
     """b(m) by direct orbit decomposition of the enumerated Phi(m)."""
-    ctx = _oracle_ctx(m, k, ctx)
+    ctx = _oracle_ctx(m, ctx)
     return len(frobenius_orbits(phi_set(k, ctx), ctx))
 
 

@@ -195,21 +195,15 @@ def _w_frob(i: int, ctx: FieldCtx) -> LinearWitness:
     return LinearWitness(l_map=twist, n_map=twist, m_map=PairMap.zero(ctx.m))
 
 
-def _w_negk(k_star: int, beta: int, ctx: FieldCtx) -> LinearWitness:
-    """f_{m-k*,1,beta} <- f_{k*,1/beta,1/beta}: swap x and y, twist by 2^(3k*)."""
-    d = (3 * k_star) % ctx.m
+def _w_swap(d: int, beta: int, ctx: FieldCtx) -> LinearWitness:
+    """Swap x and y, twist by 2^d, scale the first output by beta.
+
+    With d = 3k* mod m this is f_{m-k*,1,beta} <- f_{k*,1/beta,1/beta};
+    with d = 0 it is the bridge f_{k,0,beta} <- g_{k,2k,1/beta}.
+    """
     return LinearWitness(
         l_map=PairMap.monomial(ctx, xy=(1, d), yx=(1, d)),
         n_map=PairMap.monomial(ctx, xx=(beta, 0), yy=(1, d)),
-        m_map=PairMap.zero(ctx.m),
-    )
-
-
-def _w_pz_bridge(beta: int, ctx: FieldCtx) -> LinearWitness:
-    """f_{k,0,beta} <- g_{k,2k,1/beta}: swap x and y, scale first output by beta."""
-    return LinearWitness(
-        l_map=PairMap.monomial(ctx, xy=(1, 0), yx=(1, 0)),
-        n_map=PairMap.monomial(ctx, xx=(beta, 0), yy=(1, 0)),
         m_map=PairMap.zero(ctx.m),
     )
 
@@ -260,7 +254,7 @@ def canonical_witness(p: TaniguchiParams, ctx: FieldCtx | None = None
 
     if k > m // 2:
         k_star = m - k
-        w = compose_witness(w, _w_negk(k_star, beta, ctx))
+        w = compose_witness(w, _w_swap(3 * k_star % m, beta, ctx))
         inv_b = ctx.inverse(beta)
         # now at f_{k*, 1/beta, 1/beta}; normalize its alpha away
         w = compose_witness(w, _w_alpha(k_star, inv_b, ctx))
@@ -318,7 +312,7 @@ def pott_zhou_bridge_witness(p: TaniguchiParams, ctx: FieldCtx | None = None
         raise InvalidParams("bridge witness needs 0 < k < m/2")
     _require_apn(p, ctx)
     pz = PottZhouParams(m=p.m, k=p.k, s=2 * p.k, alpha=ctx.inverse(p.beta))
-    return _w_pz_bridge(p.beta, ctx), pz
+    return _w_swap(0, p.beta, ctx), pz
 
 
 # ---------------------------------------------------------------------------

@@ -122,14 +122,8 @@ class BivariateFunction:
         raise NotImplementedError
 
     def eval_packed_vec(self, v: np.ndarray) -> np.ndarray:
-        """Packed values at packed points; subclasses vectorize this."""
-        m = self.ctx.m
-        mask = (1 << m) - 1
-        out = np.empty(v.shape, dtype=np.uint32)
-        for i, p in enumerate(v):
-            f1, f2 = self.evaluate(int(p) >> m, int(p) & mask)
-            out[i] = (f1 << m) | f2
-        return out
+        """Packed values at an array of packed points."""
+        raise NotImplementedError
 
     @cached_property
     def _table(self) -> np.ndarray:
@@ -169,15 +163,13 @@ class TaniguchiFunction(BivariateFunction):
     def eval_packed_vec(self, v: np.ndarray) -> np.ndarray:
         ctx, p = self.ctx, self.params
         m = ctx.m
-        x = (v >> m).astype(np.uint32)
-        y = (v & np.uint32((1 << m) - 1)).astype(np.uint32)
+        x, y = v >> m, v & np.uint32((1 << m) - 1)
         x2k2 = ctx.pow2k_vec(x, 2 * p.k)
         yk = ctx.pow2k_vec(y, p.k)
         f1 = ctx.mul_vec(ctx.pow2k_vec(x, 3 * p.k), x2k2)
         f1 ^= ctx.mul_vec(ctx.mul_vec(x2k2, yk), p.alpha)
         f1 ^= ctx.mul_vec(ctx.mul_vec(yk, y), p.beta)
-        f2 = ctx.mul_vec(x, y)
-        return (f1.astype(np.uint32) << np.uint32(m)) | f2
+        return (f1 << np.uint32(m)) | ctx.mul_vec(x, y)
 
     def is_apn_criterion(self) -> bool:
         """APN criterion: the trinomial X^(2^k+1)+alpha*X+beta is rootless.
@@ -207,13 +199,11 @@ class PottZhouFunction(BivariateFunction):
     def eval_packed_vec(self, v: np.ndarray) -> np.ndarray:
         ctx, p = self.ctx, self.params
         m = ctx.m
-        x = (v >> m).astype(np.uint32)
-        y = (v & np.uint32((1 << m) - 1)).astype(np.uint32)
+        x, y = v >> m, v & np.uint32((1 << m) - 1)
         f1 = ctx.mul_vec(ctx.pow2k_vec(x, p.k), x)
         yterm = ctx.pow2k_vec(ctx.mul_vec(ctx.pow2k_vec(y, p.k), y), p.s)
         f1 ^= ctx.mul_vec(yterm, p.alpha)
-        f2 = ctx.mul_vec(x, y)
-        return (f1.astype(np.uint32) << np.uint32(m)) | f2
+        return (f1 << np.uint32(m)) | ctx.mul_vec(x, y)
 
     def is_apn_criterion(self) -> bool:
         """APN criterion: s even and alpha a non-cube."""

@@ -6,9 +6,12 @@ Addition is XOR; multiplication is shift-and-XOR with on-the-fly reduction.
 
 Every operation flows through a FieldCtx, which is immutable after
 construction and safe to share.  Scalar operations use the raw
-shift-and-XOR path; bulk (numpy) operations additionally use a lazily
-built log/antilog table pair for m <= 24, so the two paths stay
-independently testable against each other.
+shift-and-XOR path and never touch a table, so they are the oracle for
+the bulk (numpy) operations.  Those take and return uint32 element
+arrays.  mul_vec adds logs; square_vec, pow2k_vec and pow_vec are one
+power kernel that multiplies a log by the exponent.  Both run on a lazily
+built log/antilog pair for m <= 24, with int64 only for the log indices,
+and on the shift-and-XOR product beyond.
 
 The default modulus for each degree is the lexicographically smallest
 irreducible polynomial (smallest when the coefficient bit-vector is read
@@ -274,81 +277,61 @@ class FieldCtx:
 
     # -- bulk (numpy) operations ---------------------------------------------
     #
-    # Arguments are integer arrays (or broadcastable scalars) of valid
-    # elements; results are uint32 arrays.  For m <= 24 these run on the
-    # log/antilog pair, beyond that on vectorized shift-and-XOR.  Scalar
-    # operations above never touch the tables, so the two paths stay
-    # independently checkable.
+    # Arguments are arrays of valid elements, 0-d arrays or Python ints;
+    # results are uint32.  Operands index the log table as they are; only
+    # the log indices are int64, since their sums and products can pass
+    # 2^32.  Every power goes through _pow.
 
     def elements(self) -> np.ndarray:
         return np.arange(self.order, dtype=np.uint32)
 
     def _mul_vec_raw(self, a, b) -> np.ndarray:
         """Bulk shift-and-XOR product; independent of the log tables."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        a, b = np.broadcast_arrays(a, b)
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.uint32), np.asarray(b, dtype=np.uint32))
+        # reduce by the top bit read before the shift drops it, so m = 32 fits
+        top, low = np.uint32(self.m - 1), np.uint32(self.modulus & 0xFFFFFFFF)
         cur = a.copy()
         r = np.zeros_like(cur)
         for i in range(self.m):
-            r ^= np.where((b >> i) & 1 == 1, cur, 0)
-            cur = cur << 1
-            cur ^= np.where((cur >> self.m) & 1 == 1, self.modulus, 0)
-        return r.astype(np.uint32)
+            r ^= cur * ((b >> np.uint32(i)) & np.uint32(1))
+            cur = (cur << np.uint32(1)) ^ (low * (cur >> top))
+        return r
+
+    def _pow(self, a, e: int) -> np.ndarray:
+        """a^e for e >= 0, with 0^0 = 1."""
+        if e == 0:
+            return np.ones(np.shape(a), dtype=np.uint32)
+        if self.m > _TABLE_DEGREE_LIMIT:
+            base, r = np.array(a, dtype=np.uint32), None
+            while True:
+                if e & 1:
+                    r = base if r is None else self._mul_vec_raw(r, base)
+                e >>= 1
+                if not e:
+                    return r
+                base = self._mul_vec_raw(base, base)
+        exp, log = self._logexp
+        n1 = self.order - 1
+        la = log[a]
+        return np.where(la < 0, np.uint32(0), exp[la * (e % n1) % n1])
 
     def mul_vec(self, a, b) -> np.ndarray:
         if self.m > _TABLE_DEGREE_LIMIT:
             return self._mul_vec_raw(a, b)
         exp, log = self._logexp
-        n1 = self.order - 1
-        la = log[np.asarray(a, dtype=np.int64)]
-        lb = log[np.asarray(b, dtype=np.int64)]
-        r = exp[(la + lb) % n1].astype(np.int64)
-        return np.where((la < 0) | (lb < 0), 0, r).astype(np.uint32)
+        la, lb = log[a], log[b]
+        return np.where((la < 0) | (lb < 0), np.uint32(0), exp[(la + lb) % (self.order - 1)])
 
     def square_vec(self, a) -> np.ndarray:
-        if self.m <= _TABLE_DEGREE_LIMIT:
-            exp, log = self._logexp
-            n1 = self.order - 1
-            la = np.asarray(log[np.asarray(a, dtype=np.int64)])
-            r = exp[(2 * la) % n1].astype(np.int64)
-            return np.where(la < 0, 0, r).astype(np.uint32)
-        return self.mul_vec(a, a)
+        return self._pow(a, 2)
 
     def pow2k_vec(self, a, k: int) -> np.ndarray:
-        k %= self.m
-        if self.m <= _TABLE_DEGREE_LIMIT:
-            exp, log = self._logexp
-            n1 = self.order - 1
-            la = np.asarray(log[np.asarray(a, dtype=np.int64)])
-            r = exp[(la * ((1 << k) % n1)) % n1].astype(np.int64)
-            return np.where(la < 0, 0, r).astype(np.uint32)
-        r = np.asarray(a, dtype=np.int64).astype(np.uint32)
-        for _ in range(k):
-            r = self.mul_vec(r, r)
-        return r
+        return self._pow(a, 1 << (k % self.m))
 
     def pow_vec(self, a, e: int) -> np.ndarray:
         if e < 0:
             raise InvalidParams("pow exponent must be non-negative")
-        a = np.asarray(a, dtype=np.int64)
-        if e == 0:
-            return np.ones_like(a, dtype=np.uint32)
-        if self.m <= _TABLE_DEGREE_LIMIT:
-            exp, log = self._logexp
-            n1 = self.order - 1
-            la = log[a]
-            r = exp[(la * (e % n1)) % n1].astype(np.int64)
-            return np.where(la < 0, 0, r).astype(np.uint32)
-        r = np.ones_like(a, dtype=np.uint32)
-        base = a.astype(np.uint32)
-        while e:
-            if e & 1:
-                r = self.mul_vec(r, base)
-            e >>= 1
-            if e:
-                base = self.mul_vec(base, base)
-        return r
+        return self._pow(a, e)
 
 
 @lru_cache(maxsize=None)

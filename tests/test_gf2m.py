@@ -150,24 +150,35 @@ def test_generator_has_full_order():
         assert x == 1 and len(seen) == ctx.order - 1
 
 
-@pytest.mark.parametrize("m", [1, 3, 8, 16, 18, 24, 26])
+@pytest.mark.parametrize("m", [1, 3, 8, 16, 18, 24, 26, 32])
 def test_vector_ops_match_scalar(m):
-    # m <= 24 exercises the log-table path, beyond it the shift-XOR path;
-    # the scalar side is always the raw loop
+    # m <= 24 exercises the log-table path, beyond it the shift-XOR path
+    # (at m = 32 its reduction must not lose the top bit); the scalar side
+    # is always the raw loop
     ctx = default_ctx(m)
     rng = np.random.default_rng(m)
     a = rng.integers(0, ctx.order, size=200, dtype=np.uint32)
     b = rng.integers(0, ctx.order, size=200, dtype=np.uint32)
-    mv = ctx.mul_vec(a, b)
-    assert all(int(mv[i]) == ctx.mul(int(a[i]), int(b[i])) for i in range(200))
-    sv = ctx.square_vec(a)
-    assert all(int(sv[i]) == ctx.mul(int(a[i]), int(a[i])) for i in range(200))
-    for k in (0, 1, m - 1):
-        pv = ctx.pow2k_vec(a, k)
-        assert all(int(pv[i]) == ctx.pow2k(int(a[i]), k) for i in range(200))
+    a[:2] = 0                                # 200 random draws can miss 0
+    b[1:3] = 0
+    ops = [
+        (lambda x, y: ctx.mul_vec(x, y), ctx.mul),
+        (lambda x, y: ctx.square_vec(x), lambda x, y: ctx.mul(x, x)),
+    ]
+    for k in (0, 1, m - 1, -1, -m - 1):
+        ops.append((lambda x, y, k=k: ctx.pow2k_vec(x, k), lambda x, y, k=k: ctx.pow2k(x, k)))
     for e in (0, 1, 3, (1 << min(m, 8)) + 1, ctx.order - 1):
-        ev = ctx.pow_vec(a, e)
-        assert all(int(ev[i]) == ctx.pow(int(a[i]), e) for i in range(200))
+        ops.append((lambda x, y, e=e: ctx.pow_vec(x, e), lambda x, y, e=e: ctx.pow(x, e)))
+    for vec, scalar in ops:
+        r = vec(a, b)
+        assert r.dtype == np.uint32 and r.shape == a.shape
+        assert all(int(r[i]) == scalar(int(a[i]), int(b[i])) for i in range(200))
+        # Python-int and 0-d operands, zero included
+        for x, y in ((0, 0), (0, int(b[5])), (int(a[5]), 0), (int(a[5]), int(b[5]))):
+            for r in (vec(x, y), vec(np.uint32(x), np.uint32(y)), vec(np.array(x), np.array(y))):
+                assert r.dtype == np.uint32 and r.shape == ()
+                assert int(r) == scalar(x, y)
+    assert ctx.pow_vec(0, 0) == 1 and ctx.pow_vec(np.zeros(3, np.uint32), 0).tolist() == [1] * 3
 
 
 def test_irreducibles_generator():
