@@ -33,7 +33,6 @@ from . import counting, diffanalysis, equivalence, poly_roots
 from .counting import CSV_HEADER, count_report
 from .errors import InvalidParams, TaniapnError
 from .families import (
-    GoldFunction,
     PottZhouParams,
     TaniguchiParams,
     gold,
@@ -247,8 +246,6 @@ def cmd_check_apn(args, cfg: RunConfig) -> int:
     if args.spectrum:
         spectrum = diffanalysis.differential_spectrum(f)
     if args.save_table is not None:
-        if isinstance(f, GoldFunction):
-            raise TaniapnError("truth-table files hold bivariate functions only")
         save_function(f, args.save_table)
 
     verdict = criterion if scan is None else scan

@@ -33,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidParams, NonIntegralOrbitCount, TooLarge
-from .gf2m import FieldCtx, default_ctx, factorize
+from .gf2m import FieldCtx, factorize, resolve_ctx
 from .poly_roots import frobenius_orbits, phi_set
 
 _ORACLE_DEGREE_LIMIT = 24
@@ -145,11 +145,7 @@ def lower_bound(m: int) -> int:
 def _oracle_ctx(m: int, ctx: FieldCtx | None) -> FieldCtx:
     if m > _ORACLE_DEGREE_LIMIT:
         raise TooLarge(f"oracles capped at m={_ORACLE_DEGREE_LIMIT}")
-    if ctx is None:
-        ctx = default_ctx(m)
-    if ctx.m != m:
-        raise InvalidParams("context degree does not match m")
-    return ctx
+    return resolve_ctx(m, ctx)
 
 
 def oracle_capital_n(m: int, k: int, ctx: FieldCtx | None = None) -> int:

@@ -59,7 +59,7 @@ from .families import (
     TruthTableFunction,
     taniguchi,
 )
-from .gf2m import FieldCtx, default_ctx
+from .gf2m import FieldCtx, resolve_ctx
 from .linmaps import PairMap, gf2_apply_vec, gf2_rank, low_weight_values
 from .poly_roots import (
     count_roots,
@@ -142,13 +142,6 @@ class AutOrders(NamedTuple):
 # Canonicalization and the equivalence decision
 # ---------------------------------------------------------------------------
 
-def _resolve_ctx(p: TaniguchiParams, ctx: FieldCtx | None) -> FieldCtx:
-    ctx = ctx or default_ctx(p.m)
-    if ctx.m != p.m:
-        raise InvalidParams("context degree does not match params")
-    return ctx
-
-
 def _require_apn(p: TaniguchiParams, ctx: FieldCtx) -> None:
     if count_roots(p.k, p.alpha, p.beta, ctx) != 0:
         raise NotApn(f"f_(k={p.k}, alpha=0x{p.alpha:X}, beta=0x{p.beta:X}) is not APN")
@@ -156,7 +149,7 @@ def _require_apn(p: TaniguchiParams, ctx: FieldCtx) -> None:
 
 def canonicalize(p: TaniguchiParams, ctx: FieldCtx | None = None) -> CanonicalTriple:
     """Canonical triple of an APN member; defined for m >= 3."""
-    ctx = _resolve_ctx(p, ctx)
+    ctx = resolve_ctx(p.m, ctx)
     if p.m < 3:
         raise InvalidParams("canonical form is defined for m >= 3")
     _require_apn(p, ctx)
@@ -237,7 +230,7 @@ def canonical_witness(p: TaniguchiParams, ctx: FieldCtx | None = None
     k > m/2 (via the 3k-Frobenius swap, which reintroduces an alpha to
     normalize), then a Frobenius twist down to the orbit minimum.
     """
-    ctx = _resolve_ctx(p, ctx)
+    ctx = resolve_ctx(p.m, ctx)
     if p.alpha == 0:
         raise InvalidParams("constructive canonicalization needs alpha != 0")
     if p.m < 3:
@@ -281,13 +274,11 @@ def equivalence_witness(p1: TaniguchiParams, p2: TaniguchiParams,
     """
     if p1.m != p2.m:
         raise DegreeMismatch(f"m={p1.m} vs m={p2.m}")
-    ctx = ctx or default_ctx(p1.m)
+    ctx = resolve_ctx(p1.m, ctx)
     if not are_ccz_equivalent(p1, p2, ctx):
         return None
     if p1 == p2:
         return identity_witness(ctx.m)
-    if (p1.alpha == 0) != (p2.alpha == 0):
-        return None
     if p1.alpha == 0:
         if p1.k != p2.k:
             return None
@@ -305,7 +296,7 @@ def equivalence_witness(p1: TaniguchiParams, p2: TaniguchiParams,
 def pott_zhou_bridge_witness(p: TaniguchiParams, ctx: FieldCtx | None = None
                              ) -> tuple[LinearWitness, PottZhouParams]:
     """Witness f_{k,0,beta} <- g_{k,2k,1/beta} (even m, non-cube beta, k < m/2)."""
-    ctx = _resolve_ctx(p, ctx)
+    ctx = resolve_ctx(p.m, ctx)
     if p.alpha != 0:
         raise InvalidParams("bridge witness is for alpha = 0 members")
     if not 0 < p.k < p.m / 2:
@@ -366,7 +357,7 @@ def aut_orders(p: TaniguchiParams, ctx: FieldCtx | None = None) -> AutOrders:
     m in {2, 3} returns the known single-class orders (5760, 896 for |Aut|),
     with |Aut_EL| = |Aut| / 2^(2m) from the translation factorization.
     """
-    ctx = _resolve_ctx(p, ctx)
+    ctx = resolve_ctx(p.m, ctx)
     _require_apn(p, ctx)
     m = p.m
     if m in _KNOWN_AUT_ORDERS:
@@ -404,7 +395,7 @@ def monomial_el_automorphisms(p: TaniguchiParams, ctx: FieldCtx | None = None
     is checked as in verify_witness, on the points of weight <= 2, for all
     2^m - 1 values of a_u in one pass per u.
     """
-    ctx = _resolve_ctx(p, ctx)
+    ctx = resolve_ctx(p.m, ctx)
     if p.alpha != 1:
         raise InvalidParams("monomial enumeration is stated for alpha = 1")
     if p.m > _MONOMIAL_DEGREE_LIMIT:

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParams, TooLarge
-from .gf2m import FieldCtx, default_ctx
+from .gf2m import FieldCtx, default_ctx, resolve_ctx
 from .poly_roots import count_roots
 
 _MATERIALIZE_LIMIT = 28  # bits of packed index (= 2m)
@@ -145,10 +145,8 @@ class BivariateFunction:
 class TaniguchiFunction(BivariateFunction):
     kind = "taniguchi"
 
-    def __init__(self, params: TaniguchiParams, ctx: FieldCtx):
-        super().__init__(ctx)
-        if ctx.m != params.m:
-            raise InvalidParams("context degree does not match params")
+    def __init__(self, params: TaniguchiParams, ctx: FieldCtx | None = None):
+        super().__init__(resolve_ctx(params.m, ctx))
         self.params = params
 
     def evaluate(self, x: int, y: int) -> tuple[int, int]:
@@ -183,10 +181,8 @@ class TaniguchiFunction(BivariateFunction):
 class PottZhouFunction(BivariateFunction):
     kind = "pott-zhou"
 
-    def __init__(self, params: PottZhouParams, ctx: FieldCtx):
-        super().__init__(ctx)
-        if ctx.m != params.m:
-            raise InvalidParams("context degree does not match params")
+    def __init__(self, params: PottZhouParams, ctx: FieldCtx | None = None):
+        super().__init__(resolve_ctx(params.m, ctx))
         self.params = params
 
     def evaluate(self, x: int, y: int) -> tuple[int, int]:
@@ -268,15 +264,15 @@ class GoldFunction:
 # ---------------------------------------------------------------------------
 
 def taniguchi(params: TaniguchiParams, ctx: FieldCtx | None = None) -> TaniguchiFunction:
-    return TaniguchiFunction(params, ctx or default_ctx(params.m))
+    return TaniguchiFunction(params, ctx)
 
 
 def pott_zhou(params: PottZhouParams, ctx: FieldCtx | None = None) -> PottZhouFunction:
-    return PottZhouFunction(params, ctx or default_ctx(params.m))
+    return PottZhouFunction(params, ctx)
 
 
 def gold(n: int, i: int, ctx_n: FieldCtx | None = None) -> GoldFunction:
-    return GoldFunction(ctx_n or default_ctx(n), i)
+    return GoldFunction(resolve_ctx(n, ctx_n), i)
 
 
 def materialize(f: BivariateFunction) -> TruthTableFunction:
@@ -292,10 +288,12 @@ def materialize(f: BivariateFunction) -> TruthTableFunction:
 
 def save_function(f: BivariateFunction, path: str | Path) -> Path:
     """Write the binary table plus a JSON manifest (path + ".json")."""
+    if not isinstance(f, BivariateFunction):
+        raise InvalidParams("truth-table files hold bivariate functions only")
     path = Path(path)
     m = f.ctx.m
     table = f.packed_table()
-    kind_code = _KIND_CODES[f.kind if f.kind in _KIND_CODES else "truth-table"]
+    kind_code = _KIND_CODES[f.kind]
     with open(path, "wb") as fh:
         fh.write(_FILE_MAGIC)
         fh.write(struct.pack("<BHB", _FILE_VERSION, m, kind_code))
@@ -321,7 +319,7 @@ def save_function(f: BivariateFunction, path: str | Path) -> Path:
     return manifest_path
 
 
-def load_function(path: str | Path, ctx: FieldCtx | None = None) -> TruthTableFunction:
+def load_function(path: str | Path) -> TruthTableFunction:
     """Read a table written by save_function; modulus comes from the manifest."""
     path = Path(path)
     raw = path.read_bytes()
@@ -334,19 +332,16 @@ def load_function(path: str | Path, ctx: FieldCtx | None = None) -> TruthTableFu
         raise InvalidParams(f"{path}: unsupported version {version}")
     if kind_code not in _KIND_NAMES:
         raise InvalidParams(f"{path}: unknown kind code {kind_code}")
-    if ctx is None:
-        manifest_path = path.with_name(path.name + ".json")
-        if manifest_path.exists():
-            try:
-                modulus = int(json.loads(manifest_path.read_text())["modulus"], 16)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise InvalidParams(
-                    f"{manifest_path}: not a JSON object with a hex \"modulus\"") from exc
-            ctx = FieldCtx(m, modulus)
-        else:
-            ctx = default_ctx(m)
-    if ctx.m != m:
-        raise InvalidParams(f"{path}: header degree {m} != context degree {ctx.m}")
+    manifest_path = path.with_name(path.name + ".json")
+    if manifest_path.exists():
+        try:
+            modulus = int(json.loads(manifest_path.read_text())["modulus"], 16)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidParams(
+                f"{manifest_path}: not a JSON object with a hex \"modulus\"") from exc
+        ctx = FieldCtx(m, modulus)
+    else:
+        ctx = default_ctx(m)
     if len(raw) - 8 != 8 << (2 * m):
         raise InvalidParams(f"{path}: expected 2^{2 * m} entries of 8 bytes, "
                             f"got {len(raw) - 8} bytes")

@@ -340,6 +340,15 @@ def default_ctx(m: int) -> FieldCtx:
     return FieldCtx(m)
 
 
+def resolve_ctx(m: int, ctx: FieldCtx | None = None) -> FieldCtx:
+    """ctx, or the default context of degree m when None; refuses another degree."""
+    if ctx is None:
+        return default_ctx(m)
+    if ctx.m != m:
+        raise InvalidParams(f"context degree {ctx.m} does not match m={m}")
+    return ctx
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization by trial division (fine for n <= 10^6)."""
     if n < 1:

@@ -14,14 +14,16 @@ map decomposes into four GF(2^m)-linear blocks
 each a linearized polynomial sum c_i X^(2^i), stored as the length-m
 coefficient tuple (c_0..c_(m-1)) and recovered from the block's basis
 images by solving the Moore system sum_i c_i e_j^(2^i) = phi(e_j) on the
-bit basis e_j; the Moore matrix is inverted once per field context.
+bit basis e_j.  The Moore inverse is the Frobenius table of the trace-dual
+basis, found by one GF(2) inversion once per field context.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 
 import numpy as np
 
@@ -37,24 +39,20 @@ LinPoly = tuple[int, ...]
 
 @lru_cache(maxsize=16)
 def _moore_inverse(ctx: FieldCtx) -> np.ndarray:
-    """inv[i, j] of the Moore matrix A[j, i] = e_j^(2^i) on the bit basis.
+    """inv[i, j] = d_j^(2^i), the inverse of the Moore matrix A[j, i] = e_j^(2^i).
 
-    Gauss-Jordan on [A | I]; the Moore matrix of a basis is invertible,
-    so elimination always finds a pivot.  Read-only: the cache shares it.
+    d is the trace-dual basis of the bit basis: Tr(d_j e_k) = [j = k], so
+    x = sum_j Tr(d_j x) e_j and phi(x) = sum_i x^(2^i) sum_j d_j^(2^i) phi(e_j).
+    d is the GF(2) inverse of x -> (Tr(e_0 x), ..., Tr(e_(m-1) x)), which
+    the nondegenerate trace form makes bijective; Tr(v) is the parity of
+    v & tr_mask, Tr being GF(2)-linear.  Read-only: the cache shares it.
     """
     m = ctx.m
-    rows = [[ctx.pow2k(1 << j, i) for i in range(m)] + [int(r == j) for r in range(m)]
-            for j in range(m)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if rows[r][col])
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = ctx.inverse(rows[col][col])
-        rows[col] = [ctx.mul(inv, v) for v in rows[col]]
-        for r in range(m):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [rows[r][i] ^ ctx.mul(f, rows[col][i]) for i in range(2 * m)]
-    out = np.array([row[m:] for row in rows], dtype=np.uint32)
+    tr_mask = sum(reduce(xor, (ctx.pow2k(1 << t, i) for i in range(m))) << t for t in range(m))
+    tr_form = [sum(((ctx.mul(1 << k, 1 << j) & tr_mask).bit_count() & 1) << k
+                   for k in range(m)) for j in range(m)]
+    dual = gf2_invert(tr_form)
+    out = np.array([[ctx.pow2k(d, i) for d in dual] for i in range(m)], dtype=np.uint32)
     out.flags.writeable = False
     return out
 
@@ -86,45 +84,43 @@ def gf2_apply(imgs: Sequence[int], v: int) -> int:
     return r
 
 
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Forward GF(2) elimination: {leading bit: row} spanning the same space."""
+    piv: dict[int, int] = {}
+    for v in rows:
+        while v:
+            b = v.bit_length() - 1
+            if b not in piv:
+                piv[b] = v
+                break
+            v ^= piv[b]
+    return piv
+
+
 def gf2_rank(imgs: Sequence[int]) -> int:
-    basis: list[int] = []
-    for v in imgs:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
+    return len(_echelon(imgs))
 
 
 def gf2_invert(imgs: Sequence[int]) -> list[int] | None:
-    """Basis images of the inverse map, or None when singular."""
-    nbits = len(imgs)
-    piv: dict[int, tuple[int, int]] = {}  # leading bit -> (value, preimage)
-    for j in range(nbits):
-        v, p = imgs[j], 1 << j
-        while v:
-            b = v.bit_length() - 1
-            if b in piv:
-                v ^= piv[b][0]
-                p ^= piv[b][1]
-            else:
-                piv[b] = (v, p)
-                break
-        else:
-            return None
-    if len(piv) < nbits:
+    """Basis images of the inverse map, or None when singular.
+
+    Eliminates the rows image | preimage, (imgs[j] << n) | (1 << j): a pivot
+    in the low half is a vanishing combination of images.  Otherwise back
+    substitution leaves the preimage of e_i in the row with pivot n + i.
+    """
+    n = len(imgs)
+    piv = _echelon((v << n) | (1 << j) for j, v in enumerate(imgs))
+    if min(piv, default=n) < n:
         return None
-    for b in sorted(piv):  # ascending: lower pivots already one-hot
-        v, p = piv[b]
-        rest = v ^ (1 << b)
+    for b in sorted(piv):  # ascending: lower pivots are one-hot in the high half
+        v = piv[b]
+        rest = (v >> n) ^ (1 << (b - n))
         while rest:
             c = rest.bit_length() - 1
-            v ^= piv[c][0]
-            p ^= piv[c][1]
-            rest = v ^ (1 << b)
-        piv[b] = (v, p)
-    return [piv[b][1] for b in range(nbits)]
+            v ^= piv[n + c]
+            rest ^= 1 << c
+        piv[b] = v
+    return [piv[n + i] & ((1 << n) - 1) for i in range(n)]
 
 
 def gf2_apply_vec(imgs: Sequence[int], v: np.ndarray) -> np.ndarray:

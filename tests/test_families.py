@@ -201,3 +201,11 @@ def test_load_rejects_garbage(tmp_path):
         with pytest.raises(InvalidParams):
             load_function(path)
 
+
+
+def test_save_rejects_gold_before_writing(tmp_path):
+    path = tmp_path / "g.apnt"
+    with pytest.raises(InvalidParams, match="bivariate"):
+        save_function(gold(5, 1), path)
+    assert not path.exists()
+    assert not path.with_name(path.name + ".json").exists()

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taniapn import counting, equivalence, families
 from taniapn.errors import InvalidParams, ZeroInput, ZeroInverse
+from taniapn.families import PottZhouParams, TaniguchiParams
 from taniapn.gf2m import (
     MODULUS_TABLE,
     FieldCtx,
@@ -13,6 +15,7 @@ from taniapn.gf2m import (
     default_ctx,
     irreducibles,
     is_irreducible,
+    resolve_ctx,
     smallest_irreducible,
 )
 
@@ -195,3 +198,31 @@ def test_coprime_residues():
     assert coprime_residues(1) == [1]
     assert coprime_residues(6) == [1, 5]
     assert coprime_residues(12) == [1, 5, 7, 11]
+
+
+
+TP = TaniguchiParams(m=5, k=1, alpha=1, beta=1)  # X^3 + X + 1 has no root in GF(2^5)
+PZ = PottZhouParams(m=4, k=1, s=2, alpha=2)
+ENTRY_POINTS = {  # name -> (degree, call with a context)
+    "resolve_ctx": (5, lambda c: resolve_ctx(5, c)),
+    "oracle_capital_n": (5, lambda c: counting.oracle_capital_n(5, 1, c)),
+    "oracle_b": (5, lambda c: counting.oracle_b(5, 1, c)),
+    "TaniguchiFunction": (5, lambda c: families.TaniguchiFunction(TP, c)),
+    "PottZhouFunction": (4, lambda c: families.PottZhouFunction(PZ, c)),
+    "taniguchi": (5, lambda c: families.taniguchi(TP, c)),
+    "pott_zhou": (4, lambda c: families.pott_zhou(PZ, c)),
+    "gold": (5, lambda c: families.gold(5, 1, c)),
+    "canonicalize": (5, lambda c: equivalence.canonicalize(TP, c)),
+    "canonical_witness": (5, lambda c: equivalence.canonical_witness(TP, c)),
+    "equivalence_witness": (5, lambda c: equivalence.equivalence_witness(TP, TP, c)),
+    "aut_orders": (5, lambda c: equivalence.aut_orders(TP, c)),
+    "monomial_el_automorphisms": (5, lambda c: equivalence.monomial_el_automorphisms(TP, c)),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_context_of_another_degree_is_refused(name):
+    m, call = ENTRY_POINTS[name]
+    call(default_ctx(m))
+    with pytest.raises(InvalidParams, match="context degree"):
+        call(default_ctx(m + 1))
