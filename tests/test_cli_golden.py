@@ -7,9 +7,15 @@ groups after them (5,4,13,1F -> 5,4,9,C, which goes through alpha
 normalisation, the k -> m-k swap and witness inversion, and
 6,1,12,1 -> 6,5,2A,39) were recorded from the code that still composed
 linear maps as linearized-polynomial coefficients, before PairMap moved
-to basis images.  Every command runs in each of the three formats
-(commands without a CSV form fall back to their pretty output), on inputs
-small enough for the default suite.
+to basis images.  The last four rows (enumerate-beta at m = 12, k = 5 and
+m = 15, k = 7, classes at m = 12, and enumerate-beta at m = 9 under the
+modulus 0x211) were recorded from the code that still built the log table
+with m shift-and-XOR passes per doubling step and took orbit minima with
+m - 1 squaring passes; they cover odd m, a degree that is not a power of
+two, several orbit lengths and a non-default modulus.  The earlier
+commands run in each of the three formats (commands without a CSV form
+fall back to their pretty output); all run on inputs small enough for the
+default suite.
 """
 
 import hashlib
@@ -75,6 +81,10 @@ GOLDEN = [
     ("--format pretty witness --from 6,1,12,1 --to 6,5,2A,39", 0, "3d80c1e33b3ef8826290d699dd895d12553b54d51d330589551708b2ba3d22b1"),
     ("--format json witness --from 6,1,12,1 --to 6,5,2A,39", 0, "1d7f42f7cfcb6607c3842e856a2ae03b3c4389492ef53a53e8b743abb9daac47"),
     ("--format csv witness --from 6,1,12,1 --to 6,5,2A,39", 0, "3d80c1e33b3ef8826290d699dd895d12553b54d51d330589551708b2ba3d22b1"),
+    ("--format json enumerate-beta --m 12 --k 5", 0, "7fc7a64a1124266b05b68fc8aa5779850e65930f6f77c00d918ff45ec81d2702"),
+    ("--format csv enumerate-beta --m 15 --k 7", 0, "f1a0c0922c3951cfff54b81e49b7b860b04f7510240535bf519c0800f731890c"),
+    ("--format json classes --m 12", 0, "2489438f7f3e12c2172fcf67b9855c1b0ec5875c3469a9457b61d4c0aaa069b8"),
+    ("--modulus 9=0x211 --format csv enumerate-beta --m 9 --k 2", 0, "3b0520c57eee33d09294a47fa29ccebab98f53a77b9a883f8e3f63e55852c176"),
 ]
 
 
