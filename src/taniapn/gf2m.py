@@ -10,8 +10,10 @@ shift-and-XOR path and never touch a table, so they are the oracle for
 the bulk (numpy) operations.  Those take and return uint32 element
 arrays.  mul_vec adds logs; square_vec, pow2k_vec and pow_vec are one
 power kernel that multiplies a log by the exponent.  Both run on a lazily
-built log/antilog pair for m <= 24, with int64 only for the log indices,
-and on the shift-and-XOR product beyond.
+built log/antilog pair for m <= 24 (uint32 antilog, int32 log, int64 only
+for the exponent products), and on the shift-and-XOR product beyond.  The
+antilog table is built by doubling, each step a multiplication by a fixed
+element done as one 256-entry table gather per byte of the operand.
 
 The default modulus for each degree is the lexicographically smallest
 irreducible polynomial (smallest when the coefficient bit-vector is read
@@ -79,7 +81,7 @@ MODULUS_TABLE: dict[int, int] = {
 }
 
 MAX_DEGREE = 32
-_TABLE_DEGREE_LIMIT = 24  # log/antilog pair built only up to here (~192 MB at 24)
+_TABLE_DEGREE_LIMIT = 24  # log/antilog pair built only up to here (~128 MB at 24)
 
 
 # ---------------------------------------------------------------------------
@@ -261,26 +263,35 @@ class FieldCtx:
     @cached_property
     def _logexp(self) -> tuple[np.ndarray, np.ndarray]:
         # antilog[i] = g^i for 0 <= i < 2^m - 1; log[0] = -1 sentinel.
-        # Built by doubling (block i + 2^j = block i times g^(2^j)), so the
-        # construction is m bulk multiplies instead of a 2^m scalar walk.
+        # Built by doubling: block i + 2^j is block i times c = g^(2^j).
+        # Times a fixed c is GF(2)-linear, so each block is the XOR of one
+        # gather per byte of the operand, from a table of c * (v << lo)
+        # built by linearity doubling on the images c * X^i.
         n1 = self.order - 1
-        g = self.generator
-        exp = np.ones(1, dtype=np.uint32)
-        j = 0
-        while exp.size < n1:
-            exp = np.concatenate([exp, self._mul_vec_raw(exp, self.pow2k(g, j))])
-            j += 1
-        exp = exp[:n1]
-        log = np.full(self.order, -1, dtype=np.int64)
-        log[exp] = np.arange(n1, dtype=np.int64)
+        exp = np.empty(n1, dtype=np.uint32)
+        exp[0] = 1
+        c, size = self.generator, 1
+        while size < n1:
+            dst = exp[size:2 * size]
+            src = exp[:dst.size]
+            dst[...] = 0
+            for lo in range(0, self.m, 8):
+                tab = np.zeros(1, dtype=np.uint32)
+                for i in range(lo, min(lo + 8, self.m)):
+                    tab = np.concatenate([tab, tab ^ np.uint32(self.mul(c, 1 << i))])
+                dst ^= tab[(src >> np.uint32(lo)) & np.uint32(0xFF)]
+            c, size = self.mul(c, c), 2 * size
+        log = np.full(self.order, -1, dtype=np.int32)
+        log[exp] = np.arange(n1, dtype=np.int32)
         return exp, log
 
     # -- bulk (numpy) operations ---------------------------------------------
     #
     # Arguments are arrays of valid elements, 0-d arrays or Python ints;
-    # results are uint32.  Operands index the log table as they are; only
-    # the log indices are int64, since their sums and products can pass
-    # 2^32.  Every power goes through _pow.
+    # results are uint32.  Operands index the log table as they are.  Logs
+    # are int32: a sum of two stays below 2^25, and only the exponent
+    # products in _pow, which can pass 2^32, are int64.  Every power goes
+    # through _pow.
 
     def elements(self) -> np.ndarray:
         return np.arange(self.order, dtype=np.uint32)
@@ -313,7 +324,7 @@ class FieldCtx:
         exp, log = self._logexp
         n1 = self.order - 1
         la = log[a]
-        return np.where(la < 0, np.uint32(0), exp[la * (e % n1) % n1])
+        return np.where(la < 0, np.uint32(0), exp[la * np.int64(e % n1) % n1])
 
     def mul_vec(self, a, b) -> np.ndarray:
         if self.m > _TABLE_DEGREE_LIMIT:

@@ -160,6 +160,11 @@ class PairMap:
 
     imgs: tuple[int, ...]
 
+    def __post_init__(self):
+        top = 1 << len(self.imgs)
+        if not all(0 <= v < top for v in self.imgs):
+            raise InvalidParams(f"basis images must lie in [0, 2^{len(self.imgs)})")
+
     @classmethod
     def zero(cls, m: int) -> "PairMap":
         return cls((0,) * (2 * m))

@@ -9,7 +9,9 @@ beta = x^(2^k+1) + x for some x, so one O(2^m) pass over x marks every
 rooted beta and the unmarked values are Phi(m).  Phi(m) is closed under
 the squaring map and decomposes into Frobenius orbits {b, b^2, b^4, ...}
 whose lengths divide m; orbit representatives are the numerically
-smallest members.
+smallest members.  orbit_minima finds them for a whole set with one
+squaring pass and ceil(log2 m) pointer-doubling steps over positions in
+the sorted set.
 
 count_roots() stays a literal exhaustive scan on purpose: it is the
 independent oracle the closed-form counting module is checked against.
@@ -127,27 +129,33 @@ def frobenius_orbits(s, ctx: FieldCtx) -> OrbitDecomposition:
         arr = s.elements
     else:
         arr = np.unique(np.fromiter((int(b) for b in s), dtype=np.uint32))
-    if arr.size == 0:
-        return OrbitDecomposition(orbits=[], total=0)
-    sq = ctx.square_vec(arr)
-    pos = np.searchsorted(arr, sq)
-    pos_clipped = np.minimum(pos, arr.size - 1)
-    if not bool(np.all(arr[pos_clipped] == sq)):
-        missing = int(sq[arr[pos_clipped] != sq][0])
-        raise NotFrobeniusClosed(f"square 0x{missing:X} escapes the set")
     uniq, counts = np.unique(orbit_minima(arr, ctx), return_counts=True)
     orbits = [(int(r), int(c)) for r, c in zip(uniq, counts)]
     return OrbitDecomposition(orbits=orbits, total=int(arr.size))
 
 
 def orbit_minima(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Per element of arr, the smallest member of its Frobenius orbit."""
-    reps = arr.copy()
-    cur = arr
-    for _ in range(ctx.m - 1):
-        cur = ctx.square_vec(cur)
-        reps = np.minimum(reps, cur)
-    return reps
+    """Per element of the sorted, squaring-closed arr, the smallest member
+    of its Frobenius orbit.
+
+    One squaring pass and a search give nxt, the squaring map on positions
+    in arr.  Pointer doubling then takes the minimum over 1, 2, 4, ... steps
+    of the map; every orbit length divides m, so ceil(log2 m) doublings
+    cover each orbit.  arr is sorted, so the smallest position holds the
+    smallest member.
+    """
+    if arr.size == 0:
+        return arr.copy()
+    sq = ctx.square_vec(arr)
+    nxt = np.minimum(np.searchsorted(arr, sq), arr.size - 1).astype(np.int32)
+    escaped = arr[nxt] != sq
+    if escaped.any():
+        raise NotFrobeniusClosed(f"square 0x{int(sq[escaped][0]):X} escapes the set")
+    reps = np.arange(arr.size, dtype=np.int32)
+    for _ in range((ctx.m - 1).bit_length()):
+        reps = np.minimum(reps, reps[nxt])
+        nxt = nxt[nxt]
+    return arr[reps]
 
 
 def transform_beta(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:

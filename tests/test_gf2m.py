@@ -153,6 +153,42 @@ def test_generator_has_full_order():
         assert x == 1 and len(seen) == ctx.order - 1
 
 
+def check_log_tables(ctx, idx):
+    """exp[i] = g^i and log[exp[i]] = i at each i of idx; log[0] = -1."""
+    exp, log = ctx._logexp
+    assert exp.dtype == np.uint32 and log.dtype == np.int32
+    assert exp.size == ctx.order - 1 and log.size == ctx.order and log[0] == -1
+    g = ctx.generator
+    for i in idx:
+        assert int(exp[i]) == ctx.pow(g, i) and int(log[exp[i]]) == i
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx(m) for m in range(1, 17)] + [FieldCtx(9, 0x211)], ids=repr)
+def test_log_tables_match_scalar_walk(ctx):
+    # every entry against the walk x -> x*g, which visits g^i at step i
+    exp, log = ctx._logexp
+    walk, x = [], 1
+    for _ in range(ctx.order - 1):
+        walk.append(x)
+        x = ctx.mul(x, ctx.generator)
+    assert exp.tolist() == walk
+    assert (log[exp] == np.arange(ctx.order - 1)).all()
+    check_log_tables(ctx, [0, ctx.order - 2])
+
+
+@pytest.mark.parametrize("m, modulus", [(20, None), (24, None), (22, 0x400027)])
+def test_log_tables_sampled(m, modulus):
+    ctx = FieldCtx(m, modulus)
+    rng = np.random.default_rng(m)
+    check_log_tables(ctx, [0, 1, ctx.order - 2] + rng.integers(0, ctx.order - 1, 300).tolist())
+
+
+def test_log_build_uses_no_bulk_product(monkeypatch):
+    ctx = FieldCtx(12)
+    monkeypatch.setattr(ctx, "_mul_vec_raw", lambda *a: pytest.fail("log build called _mul_vec_raw"))
+    check_log_tables(ctx, range(0, ctx.order - 1, 97))
+
+
 @pytest.mark.parametrize("m", [1, 3, 8, 16, 18, 24, 26, 32])
 def test_vector_ops_match_scalar(m):
     # m <= 24 exercises the log-table path, beyond it the shift-XOR path

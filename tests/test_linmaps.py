@@ -107,6 +107,13 @@ def test_pairmap_monomial_matches_direct_evaluation(m, data):
         assert int(tab[v]) == want
 
 
+@pytest.mark.parametrize("imgs", [(1 << 3, 1), (-1, 1)])
+def test_pairmap_rejects_out_of_range_images(imgs):
+    # too large (it once reached inverse() as a bare KeyError) and negative
+    with pytest.raises(InvalidParams):
+        PairMap(imgs)
+
+
 def test_gf2_helpers():
     # map on 3 bits: images of e0, e1, e2
     imgs = [0b011, 0b110, 0b101]        # singular: e0^e1^e2 -> 0

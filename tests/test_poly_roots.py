@@ -7,12 +7,13 @@ import pytest
 
 from taniapn.counting import capital_m
 from taniapn.errors import InvalidK, NotFrobeniusClosed, ZeroAlpha
-from taniapn.gf2m import coprime_residues, default_ctx
+from taniapn.gf2m import FieldCtx, coprime_residues, default_ctx
 from taniapn.poly_roots import (
     count_roots,
     frobenius_orbits,
     orbit_length,
     orbit_min,
+    orbit_minima,
     phi_set,
     transform_beta,
 )
@@ -134,6 +135,40 @@ def test_frobenius_orbits_properties():
 def test_frobenius_orbits_rejects_open_set():
     with pytest.raises(NotFrobeniusClosed):
         frobenius_orbits({2}, GF8)           # 2^2 = 4 escapes
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_orbit_minima_matches_scalar_walk(m):
+    # Phi(m) for every k, and the whole field: closed, holding 0 and 1,
+    # with the short orbits of every subfield
+    ctx = default_ctx(m)
+    field = ctx.elements()
+    oracle = [orbit_min(b, ctx) for b in field.tolist()]
+    for arr in [phi_set(k, ctx).elements for k in coprime_residues(m)] + [field]:
+        reps = orbit_minima(arr, ctx)
+        assert reps.dtype == np.uint32 and reps.shape == arr.shape
+        assert reps.tolist() == [oracle[b] for b in arr.tolist()]
+
+
+def test_orbit_minima_closure_and_empty_set():
+    # in GF(8) the orbit of 2 is {2, 4, 6}
+    assert orbit_minima(np.array([2, 4, 6], dtype=np.uint32), GF8).tolist() == [2, 2, 2]
+    with pytest.raises(NotFrobeniusClosed, match="0x6"):
+        orbit_minima(np.array([2, 4], dtype=np.uint32), GF8)
+    empty = orbit_minima(np.zeros(0, dtype=np.uint32), GF8)
+    assert empty.dtype == np.uint32 and empty.size == 0
+    empty_dec = frobenius_orbits(set(), GF8)
+    assert empty_dec.orbits == [] and empty_dec.total == 0
+
+
+def test_orbit_minima_makes_one_field_pass(monkeypatch):
+    ctx = FieldCtx(12)
+    calls = []
+    for name in ("mul_vec", "square_vec", "pow2k_vec", "pow_vec"):
+        orig = getattr(ctx, name)
+        monkeypatch.setattr(ctx, name, lambda *a, name=name, orig=orig: calls.append(name) or orig(*a))
+    orbit_minima(phi_set(5, default_ctx(12)).elements, ctx)
+    assert calls == ["square_vec"]
 
 
 def test_transform_beta():
