@@ -29,6 +29,8 @@ import sys
 from dataclasses import dataclass, field
 from math import gcd
 
+import numpy as np
+
 from . import counting, diffanalysis, equivalence, poly_roots
 from .counting import CSV_HEADER, count_report
 from .errors import InvalidParams, TaniapnError
@@ -177,28 +179,23 @@ def cmd_audit(args, cfg: RunConfig) -> int:
     lines = []
     for m in range(1, args.m_max + 1):
         ctx = cfg.ctx(m)
-        want_m = counting.capital_m(m)
-        want_n = counting.capital_n(m)
-        want_b = counting.b_orbits(m)
+        want = {"M": counting.capital_m(m), "N": counting.capital_n(m),
+                "b": counting.b_orbits(m)}
         ks = _audit_ks(m, args.k_policy)
         bad = []
         for k in ks:
-            got_m = len(poly_roots.phi_set(k, ctx))
-            got_n = counting.oracle_capital_n(m, k, ctx)
-            got_b = counting.oracle_b(m, k, ctx)
-            if got_m != want_m:
-                bad.append(f"k={k} M: formula={want_m} oracle={got_m}")
-            if got_n != want_n:
-                bad.append(f"k={k} N: formula={want_n} oracle={got_n}")
-            if got_b != want_b:
-                bad.append(f"k={k} b: formula={want_b} oracle={got_b}")
+            phi = poly_roots.phi_set(k, ctx)
+            got = {"M": len(phi), "N": counting.oracle_capital_n(phi),
+                   "b": counting.oracle_b(phi)}
+            bad += [f"k={k} {q}: formula={want[q]} oracle={got[q]}"
+                    for q in want if got[q] != want[q]]
         k_str = ",".join(str(k) for k in ks)
         if bad:
             lines.append(f"m={m} k=[{k_str}] FAIL " + "; ".join(bad))
             failures.append(m)
         else:
             lines.append(
-                f"m={m} k=[{k_str}] M={want_m} N={want_n} b={want_b} PASS")
+                f"m={m} k=[{k_str}] M={want['M']} N={want['N']} b={want['b']} PASS")
     if cfg.fmt == "json":
         _emit_json({"lines": lines, "failures": failures})
     else:
@@ -299,17 +296,17 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate_beta(args, cfg: RunConfig) -> int:
-    ctx = cfg.ctx(args.m)
-    phi = poly_roots.phi_set(args.k, ctx)
-    dec = poly_roots.frobenius_orbits(phi, ctx)
+    phi = poly_roots.phi_set(args.k, cfg.ctx(args.m))
+    if cfg.fmt == "csv":
+        reps = poly_roots.orbit_minima(phi.elements, phi.ctx)
+        _, orbit, lengths = np.unique(reps, return_inverse=True, return_counts=True)
+        rows = [(f"0x{beta:X}", f"0x{rep:X}", length) for beta, rep, length
+                in zip(phi.elements.tolist(), reps.tolist(), lengths[orbit].tolist())]
+        _emit_csv(("beta", "orbit_representative", "orbit_length"), rows)
+        return EXIT_OK
+    dec = poly_roots.frobenius_orbits(phi)
     if cfg.fmt == "json":
         _emit_json({"phi": phi.to_json(), "orbits": dec.to_json()})
-    elif cfg.fmt == "csv":
-        length = dict(dec.orbits)
-        reps = poly_roots.orbit_minima(phi.elements, ctx)
-        rows = [(f"0x{beta:X}", f"0x{rep:X}", length[rep])
-                for beta, rep in zip(phi.elements.tolist(), reps.tolist())]
-        _emit_csv(("beta", "orbit_representative", "orbit_length"), rows)
     else:
         print(f"m={args.m} k={args.k} |Phi|={len(phi)} orbits={len(dec)}")
         print("phi: " + " ".join(f"0x{b:X}" for b in phi))
@@ -339,8 +336,7 @@ def cmd_classes(args, cfg: RunConfig) -> int:
             noncubes = 2 * (ctx.order - 1) // 3
             rows.append({"k_star": k, "alpha_star": 0, "beta_star": None,
                          "members": noncubes})
-        phi = poly_roots.phi_set(k, ctx)
-        dec = poly_roots.frobenius_orbits(phi, ctx)
+        dec = poly_roots.frobenius_orbits(poly_roots.phi_set(k, ctx))
         for rep, length in dec.orbits:
             rows.append({"k_star": k, "alpha_star": 1,
                          "beta_star": f"0x{rep:X}", "members": length})
@@ -385,7 +381,7 @@ def cmd_witness(args, cfg: RunConfig) -> int:
     if cfg.fmt == "json":
         _emit_json({"witness": w.to_json(ctx), "verified": ok})
     else:
-        print(json.dumps(w.to_json(ctx), indent=2, sort_keys=True))
+        _emit_json(w.to_json(ctx))
         print(f"verified: {ok}")
     return EXIT_OK if ok else EXIT_AUDIT_FAIL
 

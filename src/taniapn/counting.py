@@ -20,9 +20,10 @@ All quantities are exact integers (Python ints; values reach 2^100 scale):
 m = 2 is special-cased: there is a single function up to equivalence, so
 both n(2) and the bound are reported as 1.
 
-The oracle_* functions recompute N and b from the literal definitions
-(enumerate Phi, remove subfield elements, walk orbits) and exist solely
-to validate the formulas; they share no code path with them.
+The oracle_* functions take the enumerated Phi(m) they check (a
+poly_roots.BetaSet, which carries its field) and recompute N and b from
+the literal definitions (remove subfield elements, walk orbits); they
+exist solely to validate the formulas and share no code path with them.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidParams, NonIntegralOrbitCount, TooLarge
-from .gf2m import FieldCtx, factorize, resolve_ctx
-from .poly_roots import frobenius_orbits, phi_set
+from .gf2m import factorize
+from .poly_roots import BetaSet, frobenius_orbits
 
 _ORACLE_DEGREE_LIMIT = 24
 
@@ -51,8 +52,7 @@ def euler_phi(n: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -142,27 +142,22 @@ def lower_bound(m: int) -> int:
 # Brute-force oracles (definition-level recomputation, no shared code path)
 # ---------------------------------------------------------------------------
 
-def _oracle_ctx(m: int, ctx: FieldCtx | None) -> FieldCtx:
-    if m > _ORACLE_DEGREE_LIMIT:
+def oracle_capital_n(phi: BetaSet) -> int:
+    """N(m) from Phi(m): drop beta with beta^(2^m') = beta for a proper divisor m'."""
+    if phi.m > _ORACLE_DEGREE_LIMIT:
         raise TooLarge(f"oracles capped at m={_ORACLE_DEGREE_LIMIT}")
-    return resolve_ctx(m, ctx)
-
-
-def oracle_capital_n(m: int, k: int, ctx: FieldCtx | None = None) -> int:
-    """N(m) by enumeration: drop beta with beta^(2^m') = beta for a proper divisor m'."""
-    ctx = _oracle_ctx(m, ctx)
-    arr = phi_set(k, ctx).elements
+    arr = phi.elements
     in_proper_subfield = np.zeros(arr.shape, dtype=bool)
-    for mp in divisors(m):
-        if mp < m:
-            in_proper_subfield |= ctx.pow2k_vec(arr, mp) == arr
+    for mp in divisors(phi.m)[:-1]:  # proper divisors; the last is m
+        in_proper_subfield |= phi.ctx.pow2k_vec(arr, mp) == arr
     return int((~in_proper_subfield).sum())
 
 
-def oracle_b(m: int, k: int, ctx: FieldCtx | None = None) -> int:
-    """b(m) by direct orbit decomposition of the enumerated Phi(m)."""
-    ctx = _oracle_ctx(m, ctx)
-    return len(frobenius_orbits(phi_set(k, ctx), ctx))
+def oracle_b(phi: BetaSet) -> int:
+    """b(m) by direct orbit decomposition of Phi(m)."""
+    if phi.m > _ORACLE_DEGREE_LIMIT:
+        raise TooLarge(f"oracles capped at m={_ORACLE_DEGREE_LIMIT}")
+    return len(frobenius_orbits(phi))
 
 
 # ---------------------------------------------------------------------------

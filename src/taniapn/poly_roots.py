@@ -6,12 +6,13 @@ The admissible set
 
 is enumerated by the image-complement trick: beta has a root iff
 beta = x^(2^k+1) + x for some x, so one O(2^m) pass over x marks every
-rooted beta and the unmarked values are Phi(m).  Phi(m) is closed under
-the squaring map and decomposes into Frobenius orbits {b, b^2, b^4, ...}
-whose lengths divide m; orbit representatives are the numerically
-smallest members.  orbit_minima finds them for a whole set with one
-squaring pass and ceil(log2 m) pointer-doubling steps over positions in
-the sorted set.
+rooted beta and the unmarked values are Phi(m), a BetaSet that holds the
+field it was enumerated in, so its readers take it alone.  Phi(m) is
+closed under the squaring map and decomposes into Frobenius orbits
+{b, b^2, b^4, ...} whose lengths divide m; orbit representatives are the
+numerically smallest members.  orbit_minima finds them for a whole set
+with one squaring pass and ceil(log2 m) pointer-doubling steps over
+positions in the sorted set.
 
 count_roots() stays a literal exhaustive scan on purpose: it is the
 independent oracle the closed-form counting module is checked against.
@@ -34,15 +35,20 @@ from .errors import (
 from .gf2m import FieldCtx
 
 _SCAN_DEGREE_LIMIT = 28  # 2^m-element scans stay feasible up to here
+_SCAN_CHUNK = 1 << 22  # x values per batch of a root scan; one batch up to m = 22
 
 
 @dataclass(frozen=True, eq=False)
 class BetaSet:
-    """Phi(m) for one (m, k): the beta values whose trinomial is rootless."""
+    """Phi(m) for one (m, k), in the field ctx: the betas whose trinomial is rootless."""
 
-    m: int
+    ctx: FieldCtx
     k: int
     elements: np.ndarray  # sorted uint32, no duplicates
+
+    @property
+    def m(self) -> int:
+        return self.ctx.m
 
     def __len__(self) -> int:
         return int(self.elements.size)
@@ -64,7 +70,7 @@ class BetaSet:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BetaSet)
-            and (self.m, self.k) == (other.m, other.k)
+            and (self.ctx, self.k) == (other.ctx, other.k)
             and bool(np.array_equal(self.elements, other.elements))
         )
 
@@ -99,6 +105,12 @@ def _check_k(k: int, ctx: FieldCtx) -> int:
     return k
 
 
+def _scan_chunks(ctx: FieldCtx):
+    """Every element of the field, in uint32 batches of _SCAN_CHUNK."""
+    for lo in range(0, ctx.order, _SCAN_CHUNK):
+        yield np.arange(lo, min(lo + _SCAN_CHUNK, ctx.order), dtype=np.uint32)
+
+
 def count_roots(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:
     """Exact number of x with x^(2^k+1) + alpha*x + beta = 0, by full scan."""
     k = _check_k(k, ctx)
@@ -106,9 +118,8 @@ def count_roots(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:
         raise InvalidParams("alpha/beta out of field range")
     if ctx.m > _SCAN_DEGREE_LIMIT:
         raise TooLarge(f"exhaustive root scan capped at m={_SCAN_DEGREE_LIMIT}")
-    x = ctx.elements()
-    vals = ctx.mul_vec(ctx.pow2k_vec(x, k), x) ^ ctx.mul_vec(x, alpha) ^ np.uint32(beta)
-    return int((vals == 0).sum())
+    return sum(int((ctx.mul_vec(ctx.pow2k_vec(x, k), x) ^ ctx.mul_vec(x, alpha) == beta).sum())
+               for x in _scan_chunks(ctx))
 
 
 def phi_set(k: int, ctx: FieldCtx) -> BetaSet:
@@ -116,22 +127,17 @@ def phi_set(k: int, ctx: FieldCtx) -> BetaSet:
     k = _check_k(k, ctx)
     if ctx.m > _SCAN_DEGREE_LIMIT:
         raise TooLarge(f"phi_set scan capped at m={_SCAN_DEGREE_LIMIT}")
-    x = ctx.elements()
-    image = ctx.mul_vec(ctx.pow2k_vec(x, k), x) ^ x
-    rooted = np.zeros(ctx.order, dtype=bool)
-    rooted[image] = True
-    return BetaSet(m=ctx.m, k=k, elements=np.nonzero(~rooted)[0].astype(np.uint32))
+    rootless = np.ones(ctx.order, dtype=bool)
+    for x in _scan_chunks(ctx):
+        rootless[ctx.mul_vec(ctx.pow2k_vec(x, k), x) ^ x] = False
+    return BetaSet(ctx=ctx, k=k, elements=np.flatnonzero(rootless).astype(np.uint32))
 
 
-def frobenius_orbits(s, ctx: FieldCtx) -> OrbitDecomposition:
-    """Partition a squaring-closed set into orbits {b, b^2, b^4, ...}."""
-    if isinstance(s, BetaSet):
-        arr = s.elements
-    else:
-        arr = np.unique(np.fromiter((int(b) for b in s), dtype=np.uint32))
-    uniq, counts = np.unique(orbit_minima(arr, ctx), return_counts=True)
+def frobenius_orbits(phi: BetaSet) -> OrbitDecomposition:
+    """Partition Phi(m) into Frobenius orbits {b, b^2, b^4, ...}."""
+    uniq, counts = np.unique(orbit_minima(phi.elements, phi.ctx), return_counts=True)
     orbits = [(int(r), int(c)) for r, c in zip(uniq, counts)]
-    return OrbitDecomposition(orbits=orbits, total=int(arr.size))
+    return OrbitDecomposition(orbits=orbits, total=len(phi))
 
 
 def orbit_minima(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:

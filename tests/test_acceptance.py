@@ -70,9 +70,10 @@ def test_criterion_2_formula_vs_oracle():
     for m in range(1, 19):
         ctx = default_ctx(m)
         for k in _two_ks(m):
-            assert len(phi_set(k, ctx)) == capital_m(m), (m, k)
-            assert oracle_capital_n(m, k, ctx) == capital_n(m), (m, k)
-            assert oracle_b(m, k, ctx) == b_orbits(m), (m, k)
+            phi = phi_set(k, ctx)
+            assert len(phi) == capital_m(m), (m, k)
+            assert oracle_capital_n(phi) == capital_n(m), (m, k)
+            assert oracle_b(phi) == b_orbits(m), (m, k)
     _pass_line(2, "formula vs oracle m=1..18, two k per m",
                time.perf_counter() - t0, 30.0)
 
@@ -228,8 +229,7 @@ def test_criterion_7_property_suites():
         for k in _two_ks(m):
             pa, pb = phi_set(k, ctx_a), phi_set(k, ctx_b)
             assert len(pa) == len(pb) == capital_m(m)
-            assert (frobenius_orbits(pa, ctx_a).lengths()
-                    == frobenius_orbits(pb, ctx_b).lengths())
+            assert frobenius_orbits(pa).lengths() == frobenius_orbits(pb).lengths()
 
     _pass_line(7, "property suites (axioms, trichotomy, 3k, mass, moduli)",
                time.perf_counter() - t0, 60.0)

@@ -77,6 +77,27 @@ def test_audit_pass_lines(capsys):
     assert all(line.endswith("PASS") for line in lines)
 
 
+def test_audit_builds_phi_once_per_m_k(capsys, monkeypatch):
+    import re
+    import sys
+
+    from taniapn import poly_roots
+    orig, calls = poly_roots.phi_set, []
+
+    def counted(k, ctx):
+        calls.append((ctx.m, k))
+        return orig(k, ctx)
+
+    for name, module in list(sys.modules.items()):  # wherever taniapn binds it
+        if name.startswith("taniapn") and getattr(module, "phi_set", None) is orig:
+            monkeypatch.setattr(module, "phi_set", counted)
+    code, out, _ = run(capsys, "audit", "--m-max", "10")
+    assert code == EXIT_OK
+    printed = [(int(m), int(k)) for m, ks in re.findall(r"m=(\d+) k=\[([\d,]+)\]", out)
+               for k in ks.split(",")]
+    assert len(printed) == 15 and calls == printed
+
+
 def test_audit_m_max_too_large():
     with pytest.raises(SystemExit) as exc:
         main(["audit", "--m-max", "30"])
@@ -369,6 +390,16 @@ def test_enumerate_beta_csv(capsys):
     assert lines[0] == "beta,orbit_representative,orbit_length"
     assert lines[1] == "0x1,0x1,1"
     assert lines[2] == "0x9,0x9,4"
+
+
+def test_enumerate_beta_csv_makes_one_orbit_pass(capsys, monkeypatch):
+    from taniapn.gf2m import FieldCtx
+    orig, calls = FieldCtx.square_vec, []
+    monkeypatch.setattr(FieldCtx, "square_vec",
+                        lambda ctx, a: calls.append(a.size) or orig(ctx, a))
+    code, out, _ = run(capsys, "--format", "csv", "enumerate-beta", "--m", "12", "--k", "5")
+    assert code == EXIT_OK
+    assert calls == [len(out.splitlines()) - 1]  # one squaring of the whole of Phi
 
 
 def test_enumerate_beta_csv_matches_scalar_orbit_walk(capsys):

@@ -1,5 +1,6 @@
 """Closed-form counting pipeline vs the known table and the brute-force oracles."""
 
+import numpy as np
 import pytest
 
 from taniapn.counting import (
@@ -18,7 +19,7 @@ from taniapn.counting import (
 )
 from taniapn.errors import InvalidParams, TooLarge
 from taniapn.gf2m import FieldCtx, coprime_residues, default_ctx, irreducibles
-from taniapn.poly_roots import frobenius_orbits, phi_set
+from taniapn.poly_roots import BetaSet, frobenius_orbits, phi_set
 
 # (m, number of classes, lower bound) for m = 2..20 and 25
 TABLE = {
@@ -112,13 +113,17 @@ def test_m2_special_case():
         n_taniguchi(1)
 
 
+def phi1(m):
+    return phi_set(1, default_ctx(m))
+
+
 def test_oracle_examples():
-    assert oracle_capital_n(1, 1) == 1
-    assert oracle_capital_n(2, 1) == 0
-    assert oracle_capital_n(6, 1) == capital_n(6) == 18
-    assert oracle_capital_n(9, 1) == 171
-    assert oracle_b(4, 1) == 2
-    assert oracle_b(7, 1) == 7
+    assert oracle_capital_n(phi1(1)) == 1
+    assert oracle_capital_n(phi1(2)) == 0
+    assert oracle_capital_n(phi1(6)) == capital_n(6) == 18
+    assert oracle_capital_n(phi1(9)) == 171
+    assert oracle_b(phi1(4)) == 2
+    assert oracle_b(phi1(7)) == 7
 
 
 @pytest.mark.parametrize("m", range(1, 15))
@@ -126,9 +131,10 @@ def test_formula_oracle_agreement_fast(m):
     # acceptance extends this to m <= 18; the slow tier to m <= 24
     ctx = default_ctx(m)
     for k in {1, coprime_residues(m)[-1]}:
-        assert len(phi_set(k, ctx)) == capital_m(m)
-        assert oracle_capital_n(m, k, ctx) == capital_n(m)
-        assert oracle_b(m, k, ctx) == b_orbits(m)
+        phi = phi_set(k, ctx)
+        assert len(phi) == capital_m(m)
+        assert oracle_capital_n(phi) == capital_n(m)
+        assert oracle_b(phi) == b_orbits(m)
 
 
 @pytest.mark.slow
@@ -140,21 +146,26 @@ def test_formula_oracle_agreement_slow_tier(m):
     ctx = default_ctx(m)
     ks = {1, next(k for k in coprime_residues(m) if k > 1)}
     for k in ks:
-        assert len(phi_set(k, ctx)) == capital_m(m)
-        assert oracle_capital_n(m, k, ctx) == capital_n(m)
-        assert oracle_b(m, k, ctx) == b_orbits(m)
+        phi = phi_set(k, ctx)
+        assert len(phi) == capital_m(m)
+        assert oracle_capital_n(phi) == capital_n(m)
+        assert oracle_b(phi) == b_orbits(m)
 
 
 def test_oracle_k_independence():
     for m in range(1, 13):
-        base = oracle_b(m, 1)
+        base = oracle_b(phi1(m))
         for k in coprime_residues(m):
-            assert oracle_b(m, k) == base
+            assert oracle_b(phi_set(k, default_ctx(m))) == base
 
 
 def test_oracle_guard():
-    with pytest.raises(TooLarge):
-        oracle_b(25, 1)
+    # a hand-built set: enumerating Phi(25) would be the cost the guard avoids
+    phi = BetaSet(ctx=FieldCtx(25), k=1, elements=np.zeros(0, dtype=np.uint32))
+    assert phi.m == 25
+    for oracle in (oracle_capital_n, oracle_b):
+        with pytest.raises(TooLarge):
+            oracle(phi)
 
 
 def test_lemma_3k_never_divides():
@@ -175,8 +186,7 @@ def test_modulus_independence():
         for k in {1, coprime_residues(m)[-1]}:
             pa, pb = phi_set(k, ctx_a), phi_set(k, ctx_b)
             assert len(pa) == len(pb)
-            assert (frobenius_orbits(pa, ctx_a).lengths()
-                    == frobenius_orbits(pb, ctx_b).lengths())
+            assert frobenius_orbits(pa).lengths() == frobenius_orbits(pb).lengths()
 
 
 def test_count_report_round_trip():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taniapn import counting, equivalence, families
+from taniapn import equivalence, families
 from taniapn.errors import InvalidParams, ZeroInput, ZeroInverse
 from taniapn.families import PottZhouParams, TaniguchiParams
 from taniapn.gf2m import (
@@ -241,8 +241,6 @@ TP = TaniguchiParams(m=5, k=1, alpha=1, beta=1)  # X^3 + X + 1 has no root in GF
 PZ = PottZhouParams(m=4, k=1, s=2, alpha=2)
 ENTRY_POINTS = {  # name -> (degree, call with a context)
     "resolve_ctx": (5, lambda c: resolve_ctx(5, c)),
-    "oracle_capital_n": (5, lambda c: counting.oracle_capital_n(5, 1, c)),
-    "oracle_b": (5, lambda c: counting.oracle_b(5, 1, c)),
     "TaniguchiFunction": (5, lambda c: families.TaniguchiFunction(TP, c)),
     "PottZhouFunction": (4, lambda c: families.PottZhouFunction(PZ, c)),
     "taniguchi": (5, lambda c: families.taniguchi(TP, c)),

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from taniapn import poly_roots
 from taniapn.counting import capital_m
 from taniapn.errors import InvalidK, NotFrobeniusClosed, ZeroAlpha
 from taniapn.gf2m import FieldCtx, coprime_residues, default_ctx
 from taniapn.poly_roots import (
+    BetaSet,
     count_roots,
     frobenius_orbits,
     orbit_length,
@@ -92,6 +94,27 @@ def test_phi_basics():
             assert sq <= set(phi)            # Frobenius closure
 
 
+def test_beta_set_carries_its_field():
+    # x^6 + x^3 + 1 against the default modulus of degree 6
+    other, default = phi_set(1, FieldCtx(6, 0x49)), phi_set(1, default_ctx(6))
+    assert other.ctx.modulus == 0x49 and other.m == default.m == 6
+    assert other != default
+    assert BetaSet(other.ctx, 1, default.elements) != default
+    assert BetaSet(default.ctx, 1, default.elements.copy()) == default
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_chunked_root_scans_match_one_pass(m, monkeypatch):
+    ctx = default_ctx(m)
+    betas = range(0, ctx.order, max(1, ctx.order // 16))
+    whole = [(phi_set(k, ctx), [count_roots(k, 1, b, ctx) for b in betas])
+             for k in coprime_residues(m)]
+    monkeypatch.setattr(poly_roots, "_SCAN_CHUNK", 1 << 4)
+    chunked = [(phi_set(k, ctx), [count_roots(k, 1, b, ctx) for b in betas])
+               for k in coprime_residues(m)]
+    assert chunked == whole
+
+
 def test_phi_k_negation_symmetry():
     for m in range(2, 11):
         ctx = default_ctx(m)
@@ -105,36 +128,29 @@ def test_phi_orbit_profile_independent_of_k():
     for m in range(1, 13):
         ctx = default_ctx(m)
         ks = coprime_residues(m)
-        base = frobenius_orbits(phi_set(ks[0], ctx), ctx).lengths()
+        base = frobenius_orbits(phi_set(ks[0], ctx)).lengths()
         for k in ks[1:]:
-            assert frobenius_orbits(phi_set(k, ctx), ctx).lengths() == base
+            assert frobenius_orbits(phi_set(k, ctx)).lengths() == base
     assert set(phi_set(2, default_ctx(5))) != set(phi_set(1, default_ctx(5)))
 
 
 def test_frobenius_orbits_examples():
-    dec3 = frobenius_orbits(phi_set(1, GF8), GF8)
+    dec3 = frobenius_orbits(phi_set(1, GF8))
     assert dec3.orbits == [(2, 3)] and dec3.total == 3
-    dec4 = frobenius_orbits(phi_set(1, GF16), GF16)
+    dec4 = frobenius_orbits(phi_set(1, GF16))
     assert dec4.lengths() == [1, 4] and dec4.total == 5
     assert dec4.orbits[0] == (1, 1)
-    single = frobenius_orbits({1}, GF8)
-    assert single.orbits == [(1, 1)]
 
 
 def test_frobenius_orbits_properties():
     for m in (4, 6, 9):
         ctx = default_ctx(m)
-        dec = frobenius_orbits(phi_set(1, ctx), ctx)
+        dec = frobenius_orbits(phi_set(1, ctx))
         assert sum(length for _, length in dec.orbits) == dec.total
         for rep, length in dec.orbits:
             assert m % length == 0
             assert orbit_min(rep, ctx) == rep
             assert orbit_length(rep, ctx) == length
-
-
-def test_frobenius_orbits_rejects_open_set():
-    with pytest.raises(NotFrobeniusClosed):
-        frobenius_orbits({2}, GF8)           # 2^2 = 4 escapes
 
 
 @pytest.mark.parametrize("m", range(1, 15))
@@ -157,8 +173,6 @@ def test_orbit_minima_closure_and_empty_set():
         orbit_minima(np.array([2, 4], dtype=np.uint32), GF8)
     empty = orbit_minima(np.zeros(0, dtype=np.uint32), GF8)
     assert empty.dtype == np.uint32 and empty.size == 0
-    empty_dec = frobenius_orbits(set(), GF8)
-    assert empty_dec.orbits == [] and empty_dec.total == 0
 
 
 def test_orbit_minima_makes_one_field_pass(monkeypatch):
@@ -253,7 +267,7 @@ def test_beta_set_serialization():
 
 
 def test_orbit_serialization():
-    dec = frobenius_orbits(phi_set(1, GF16), GF16)
+    dec = frobenius_orbits(phi_set(1, GF16))
     data = dec.to_json()
     assert data["total"] == 5
     assert data["orbits"][0] == {"representative": "0x1", "length": 1}
@@ -263,7 +277,7 @@ def test_json_round_trips():
     phi = phi_set(1, GF16)
     assert json.loads(json.dumps(phi.to_json())) == {
         "m": 4, "k": 1, "elements": [f"0x{b:X}" for b in phi]}
-    dec = frobenius_orbits(phi, GF16)
+    dec = frobenius_orbits(phi)
     assert json.loads(json.dumps(dec.to_json())) == {
         "total": len(phi),
         "orbits": [{"representative": f"0x{r:X}", "length": n} for r, n in dec.orbits]}
