@@ -12,7 +12,12 @@ m = 15, k = 7, classes at m = 12, and enumerate-beta at m = 9 under the
 modulus 0x211) were recorded from the code that still built the log table
 with m shift-and-XOR passes per doubling step and took orbit minima with
 m - 1 squaring passes; they cover odd m, a degree that is not a power of
-two, several orbit lengths and a non-default modulus.  The earlier
+two, several orbit lengths and a non-default modulus.  The three
+--modulus 6=0x49 rows for check-apn, aut and witness were recorded from
+the code that still held a member's parameters apart from its field;
+f_(1, 1, 0x2) is APN over 0x49 but not over the default 0x43 (exit 3, 2
+and 2 without the override), so they fail if a member loses its field
+on the way to a verdict, an automorphism order or a witness.  The earlier
 commands run in each of the three formats (commands without a CSV form
 fall back to their pretty output); all run on inputs small enough for the
 default suite.
@@ -85,6 +90,9 @@ GOLDEN = [
     ("--format csv enumerate-beta --m 15 --k 7", 0, "f1a0c0922c3951cfff54b81e49b7b860b04f7510240535bf519c0800f731890c"),
     ("--format json classes --m 12", 0, "2489438f7f3e12c2172fcf67b9855c1b0ec5875c3469a9457b61d4c0aaa069b8"),
     ("--modulus 9=0x211 --format csv enumerate-beta --m 9 --k 2", 0, "3b0520c57eee33d09294a47fa29ccebab98f53a77b9a883f8e3f63e55852c176"),
+    ("--modulus 6=0x49 --format json check-apn taniguchi --m 6 --k 1 --alpha 1 --beta 2", 0, "5db1475dc5a29790169b828a419d030014766ef7be939c0213c05fcf01572d06"),
+    ("--modulus 6=0x49 --format json aut --m 6 --k 1 --alpha 1 --beta 2", 0, "ce2d1c66a272919eda7ec4e26f009b034582a3bbc2b3d2058119329d7ee6500e"),
+    ("--modulus 6=0x49 --format json witness --from 6,1,1,2 --to 6,5,2A,18", 0, "7b7d5e5b949832867eb4ba0a46ba60c113b9616a5dc6c27c76281b6f6030e2be"),
 ]
 
 
