@@ -62,9 +62,7 @@ from .families import (
     gold,
     load_function,
     materialize,
-    pott_zhou,
     save_function,
-    taniguchi,
 )
 from .gf2m import MODULUS_TABLE, FieldCtx, default_ctx
 from .poly_roots import (

@@ -34,15 +34,7 @@ import numpy as np
 from . import counting, diffanalysis, equivalence, poly_roots
 from .counting import CSV_HEADER, count_report
 from .errors import InvalidParams, TaniapnError
-from .families import (
-    PottZhouParams,
-    TaniguchiParams,
-    gold,
-    load_function,
-    pott_zhou,
-    save_function,
-    taniguchi,
-)
+from .families import PottZhouParams, TaniguchiParams, gold, load_function, save_function
 from .gf2m import FieldCtx, coprime_residues, default_ctx
 
 EXIT_OK = 0
@@ -105,13 +97,13 @@ def _parse_modulus_override(pairs: list[str]) -> dict[int, FieldCtx]:
     return out
 
 
-def _parse_params_spec(spec: str) -> TaniguchiParams:
+def _parse_params_spec(spec: str, cfg: RunConfig) -> TaniguchiParams:
     parts = spec.split(",")
     if len(parts) != 4:
         raise ValueError(f"expected m,k,alpha,beta, got {spec!r}")
     m, k = int(parts[0]), int(parts[1])
     return TaniguchiParams(m=m, k=k, alpha=_parse_element(parts[2]),
-                           beta=_parse_element(parts[3]))
+                           beta=_parse_element(parts[3]), ctx=cfg.ctx(m))
 
 
 def _emit_json(obj) -> None:
@@ -209,33 +201,29 @@ def cmd_audit(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _build_function(args, cfg: RunConfig):
-    """(function, params-dict, criterion verdict or None) for a family spec."""
+    """(function, params-dict) for a family spec."""
     fam = args.family
     if fam == "taniguchi":
         if None in (args.m, args.k, args.alpha, args.beta):
             raise TaniapnError("taniguchi needs --m --k --alpha --beta")
-        p = TaniguchiParams(m=args.m, k=args.k, alpha=args.alpha, beta=args.beta)
-        f = taniguchi(p, cfg.ctx(args.m))
-        desc = {"m": p.m, "k": p.k, "alpha": f"0x{p.alpha:X}", "beta": f"0x{p.beta:X}"}
-        return f, desc, f.is_apn_criterion()
+        f = TaniguchiParams(m=args.m, k=args.k, alpha=args.alpha, beta=args.beta,
+                            ctx=cfg.ctx(args.m))
+        return f, {"m": f.m, "k": f.k, "alpha": f"0x{f.alpha:X}", "beta": f"0x{f.beta:X}"}
     if fam == "pott-zhou":
         if None in (args.m, args.k, args.s, args.alpha):
             raise TaniapnError("pott-zhou needs --m --k --s --alpha")
-        p = PottZhouParams(m=args.m, k=args.k, s=args.s, alpha=args.alpha)
-        f = pott_zhou(p, cfg.ctx(args.m))
-        desc = {"m": p.m, "k": p.k, "s": p.s, "alpha": f"0x{p.alpha:X}"}
-        return f, desc, f.is_apn_criterion()
+        f = PottZhouParams(m=args.m, k=args.k, s=args.s, alpha=args.alpha, ctx=cfg.ctx(args.m))
+        return f, {"m": f.m, "k": f.k, "s": f.s, "alpha": f"0x{f.alpha:X}"}
     if fam == "gold":
         if None in (args.n, args.i):
             raise TaniapnError("gold needs --n --i")
-        f = gold(args.n, args.i, cfg.ctx(args.n))
-        desc = {"n": args.n, "i": args.i}
-        return f, desc, True  # valid Gold parameters are known APN
+        return gold(args.n, args.i, cfg.ctx(args.n)), {"n": args.n, "i": args.i}
     raise TaniapnError(f"unknown family {fam!r}")
 
 
 def cmd_check_apn(args, cfg: RunConfig) -> int:
-    f, desc, criterion = _build_function(args, cfg)
+    f, desc = _build_function(args, cfg)
+    criterion = f.is_apn_criterion()
     scan = None
     spectrum = None
     if args.exhaustive:
@@ -277,7 +265,7 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
     elif args.family is None:
         raise InvalidParams("spectrum needs a family or --table PATH")
     else:
-        f, _, _ = _build_function(args, cfg)
+        f, _ = _build_function(args, cfg)
     spec = diffanalysis.differential_spectrum(f)
     if cfg.fmt == "json":
         _emit_json(spec.to_json())
@@ -361,14 +349,13 @@ def cmd_classes(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_witness(args, cfg: RunConfig) -> int:
-    p1 = _parse_params_spec(getattr(args, "from"))
-    p2 = _parse_params_spec(args.to)
-    ctx = cfg.ctx(p1.m)
-    w = equivalence.equivalence_witness(p1, p2, ctx)
+    p1 = _parse_params_spec(getattr(args, "from"), cfg)
+    p2 = _parse_params_spec(args.to, cfg)
+    w = equivalence.equivalence_witness(p1, p2)
     if w is None:
         # None also covers equivalent alpha = 0 members with no constructive
         # path, so the verdict comes from the canonical triples.
-        equivalent = equivalence.are_ccz_equivalent(p1, p2, ctx)
+        equivalent = equivalence.are_ccz_equivalent(p1, p2)
         if cfg.fmt == "json":
             _emit_json({"witness": None, "equivalent": equivalent})
         elif equivalent:
@@ -376,19 +363,19 @@ def cmd_witness(args, cfg: RunConfig) -> int:
         else:
             print("no witness: members are CCZ-inequivalent")
         return EXIT_OK if equivalent else EXIT_NEGATIVE
-    ok = equivalence.verify_witness(
-        w, taniguchi(p1, ctx), taniguchi(p2, ctx))
+    ok = equivalence.verify_witness(w, p1, p2)
     if cfg.fmt == "json":
-        _emit_json({"witness": w.to_json(ctx), "verified": ok})
+        _emit_json({"witness": w.to_json(p1.ctx), "verified": ok})
     else:
-        _emit_json(w.to_json(ctx))
+        _emit_json(w.to_json(p1.ctx))
         print(f"verified: {ok}")
     return EXIT_OK if ok else EXIT_AUDIT_FAIL
 
 
 def cmd_aut(args, cfg: RunConfig) -> int:
-    p = TaniguchiParams(m=args.m, k=args.k, alpha=args.alpha, beta=args.beta)
-    orders = equivalence.aut_orders(p, cfg.ctx(args.m))
+    p = TaniguchiParams(m=args.m, k=args.k, alpha=args.alpha, beta=args.beta,
+                        ctx=cfg.ctx(args.m))
+    orders = equivalence.aut_orders(p)
     note = "reported constant (single class)" if args.m in (2, 3) else None
     if cfg.fmt == "json":
         out = {"aut_el": orders.aut_el, "aut_ea": orders.aut_ea, "aut": orders.aut}

@@ -11,6 +11,13 @@ CCZ-equivalent exactly when their canonical triples
 coincide; all alpha = 0 members with the same k* form a single class,
 marked (k*, 0, 0).
 
+The classification functions take members (families.TaniguchiParams)
+and no separate context: a member holds the field its alpha and beta are
+read in.  Two operands must share one field (DegreeMismatch otherwise),
+and the members a witness leads to are built in the source's field.  An
+APN check reads the member's own verdict, so a member is scanned once
+however many of these functions it passes through.
+
 Witnesses.  Equivalences are produced constructively as (L, N, M) with
 f(L(x, y)) = N(g(x, y)) + M(x, y), composed from the elementary maps
 (alpha-normalization, Frobenius twist, k-negation, and the alpha = 0
@@ -52,17 +59,13 @@ from .errors import (
 )
 from .families import (
     BivariateFunction,
-    PottZhouFunction,
     PottZhouParams,
-    TaniguchiFunction,
     TaniguchiParams,
     TruthTableFunction,
-    taniguchi,
 )
-from .gf2m import FieldCtx, resolve_ctx
+from .gf2m import FieldCtx
 from .linmaps import PairMap, gf2_apply_vec, gf2_rank, low_weight_values
 from .poly_roots import (
-    count_roots,
     frobenius_orbit,
     orbit_length,
     orbit_min,
@@ -142,29 +145,28 @@ class AutOrders(NamedTuple):
 # Canonicalization and the equivalence decision
 # ---------------------------------------------------------------------------
 
-def _require_apn(p: TaniguchiParams, ctx: FieldCtx) -> None:
-    if count_roots(p.k, p.alpha, p.beta, ctx) != 0:
+def _require_apn(p: TaniguchiParams) -> None:
+    if not p.is_apn_criterion():
         raise NotApn(f"f_(k={p.k}, alpha=0x{p.alpha:X}, beta=0x{p.beta:X}) is not APN")
 
 
-def canonicalize(p: TaniguchiParams, ctx: FieldCtx | None = None) -> CanonicalTriple:
+def canonicalize(p: TaniguchiParams) -> CanonicalTriple:
     """Canonical triple of an APN member; defined for m >= 3."""
-    ctx = resolve_ctx(p.m, ctx)
     if p.m < 3:
         raise InvalidParams("canonical form is defined for m >= 3")
-    _require_apn(p, ctx)
+    _require_apn(p)
     k_star = min(p.k, p.m - p.k)
     if p.alpha == 0:
         return CanonicalTriple(k_star, 0, 0)
-    beta1 = transform_beta(p.k, p.alpha, p.beta, ctx)
-    return CanonicalTriple(k_star, 1, orbit_min(beta1, ctx))
+    beta1 = transform_beta(p.k, p.alpha, p.beta, p.ctx)
+    return CanonicalTriple(k_star, 1, orbit_min(beta1, p.ctx))
 
 
-def are_ccz_equivalent(p1: TaniguchiParams, p2: TaniguchiParams,
-                       ctx: FieldCtx | None = None) -> bool:
-    if p1.m != p2.m:
-        raise DegreeMismatch(f"m={p1.m} vs m={p2.m}")
-    return canonicalize(p1, ctx) == canonicalize(p2, ctx)
+def are_ccz_equivalent(p1: TaniguchiParams, p2: TaniguchiParams) -> bool:
+    if p1.ctx != p2.ctx:
+        raise DegreeMismatch(f"m={p1.m} vs m={p2.m}" if p1.m != p2.m else
+                             f"modulus 0x{p1.ctx.modulus:X} vs 0x{p2.ctx.modulus:X}")
+    return canonicalize(p1) == canonicalize(p2)
 
 
 # ---------------------------------------------------------------------------
@@ -222,22 +224,21 @@ def invert_witness(w: LinearWitness) -> LinearWitness:
 # Constructive canonicalization
 # ---------------------------------------------------------------------------
 
-def canonical_witness(p: TaniguchiParams, ctx: FieldCtx | None = None
-                      ) -> tuple[LinearWitness, TaniguchiParams]:
+def canonical_witness(p: TaniguchiParams) -> tuple[LinearWitness, TaniguchiParams]:
     """Composed witness f_p <- f_canonical for alpha != 0 members.
 
     Chains the elementary reductions: alpha -> 1, then k -> m-k when
     k > m/2 (via the 3k-Frobenius swap, which reintroduces an alpha to
-    normalize), then a Frobenius twist down to the orbit minimum.
+    normalize), then a Frobenius twist down to the orbit minimum.  The
+    canonical target lives in p's field.
     """
-    ctx = resolve_ctx(p.m, ctx)
     if p.alpha == 0:
         raise InvalidParams("constructive canonicalization needs alpha != 0")
     if p.m < 3:
         raise InvalidParams("canonical form is defined for m >= 3")
-    _require_apn(p, ctx)
+    _require_apn(p)
 
-    m = ctx.m
+    ctx, m = p.ctx, p.m
     w = identity_witness(m)
     k, beta = p.k, p.beta
 
@@ -260,23 +261,20 @@ def canonical_witness(p: TaniguchiParams, ctx: FieldCtx | None = None
     if i:
         w = compose_witness(w, _w_frob(i, ctx))
 
-    target = TaniguchiParams(m=m, k=k, alpha=1, beta=beta_star)
+    target = TaniguchiParams(m=m, k=k, alpha=1, beta=beta_star, ctx=ctx)
     return w, target
 
 
-def equivalence_witness(p1: TaniguchiParams, p2: TaniguchiParams,
-                        ctx: FieldCtx | None = None) -> LinearWitness | None:
+def equivalence_witness(p1: TaniguchiParams, p2: TaniguchiParams) -> LinearWitness | None:
     """Witness with f_{p1}(L(x,y)) = N(f_{p2}(x,y)) + M(x,y), or None.
 
     None means no constructive path: the members are inequivalent, or
     both have alpha = 0 with betas in different Frobenius orbits (their
     equivalence routes through pott-zhou maps not restated here).
     """
-    if p1.m != p2.m:
-        raise DegreeMismatch(f"m={p1.m} vs m={p2.m}")
-    ctx = resolve_ctx(p1.m, ctx)
-    if not are_ccz_equivalent(p1, p2, ctx):
+    if not are_ccz_equivalent(p1, p2):
         return None
+    ctx = p1.ctx
     if p1 == p2:
         return identity_witness(ctx.m)
     if p1.alpha == 0:
@@ -287,23 +285,22 @@ def equivalence_witness(p1: TaniguchiParams, p2: TaniguchiParams,
             return None  # same class but different orbit: no direct map here
         i = orbit.index(p1.beta)  # p1.beta = p2.beta^(2^i)
         return _w_frob(i, ctx) if i else identity_witness(ctx.m)
-    w1, c1 = canonical_witness(p1, ctx)
-    w2, c2 = canonical_witness(p2, ctx)
+    w1, c1 = canonical_witness(p1)
+    w2, c2 = canonical_witness(p2)
     assert c1 == c2
     return compose_witness(w1, invert_witness(w2))
 
 
-def pott_zhou_bridge_witness(p: TaniguchiParams, ctx: FieldCtx | None = None
-                             ) -> tuple[LinearWitness, PottZhouParams]:
-    """Witness f_{k,0,beta} <- g_{k,2k,1/beta} (even m, non-cube beta, k < m/2)."""
-    ctx = resolve_ctx(p.m, ctx)
+def pott_zhou_bridge_witness(p: TaniguchiParams) -> tuple[LinearWitness, PottZhouParams]:
+    """Witness f_{k,0,beta} <- g_{k,2k,1/beta} (even m, non-cube beta, k < m/2),
+    with g in p's field."""
     if p.alpha != 0:
         raise InvalidParams("bridge witness is for alpha = 0 members")
     if not 0 < p.k < p.m / 2:
         raise InvalidParams("bridge witness needs 0 < k < m/2")
-    _require_apn(p, ctx)
-    pz = PottZhouParams(m=p.m, k=p.k, s=2 * p.k, alpha=ctx.inverse(p.beta))
-    return _w_swap(0, p.beta, ctx), pz
+    _require_apn(p)
+    pz = PottZhouParams(m=p.m, k=p.k, s=2 * p.k, alpha=p.ctx.inverse(p.beta), ctx=p.ctx)
+    return _w_swap(0, p.beta, p.ctx), pz
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +312,7 @@ def _require_quadratic(f: BivariateFunction) -> None:
     if isinstance(f, TruthTableFunction):
         quadratic = _is_quadratic(f.table, f.dimension)
     else:
-        quadratic = isinstance(f, (TaniguchiFunction, PottZhouFunction))
+        quadratic = isinstance(f, (TaniguchiParams, PottZhouParams))
     if not quadratic:
         raise InvalidParams("witness check needs operands of algebraic degree <= 2")
 
@@ -351,15 +348,14 @@ def verify_witness(w: LinearWitness, f: BivariateFunction, g: BivariateFunction)
 _KNOWN_AUT_ORDERS = {2: 5760, 3: 896}  # |Aut| of the single class at m = 2, 3
 
 
-def aut_orders(p: TaniguchiParams, ctx: FieldCtx | None = None) -> AutOrders:
+def aut_orders(p: TaniguchiParams) -> AutOrders:
     """(|Aut_EL|, |Aut_EA|, |Aut|) of an APN member.
 
     m in {2, 3} returns the known single-class orders (5760, 896 for |Aut|),
     with |Aut_EL| = |Aut| / 2^(2m) from the translation factorization.
     """
-    ctx = resolve_ctx(p.m, ctx)
-    _require_apn(p, ctx)
-    m = p.m
+    _require_apn(p)
+    ctx, m = p.ctx, p.m
     if m in _KNOWN_AUT_ORDERS:
         aut = _KNOWN_AUT_ORDERS[m]
         return AutOrders(aut >> (2 * m), aut, aut)
@@ -383,8 +379,7 @@ def pott_zhou_aut_order(m: int, s: int) -> int:
     return base << (2 * m - 1)
 
 
-def monomial_el_automorphisms(p: TaniguchiParams, ctx: FieldCtx | None = None
-                              ) -> list[AutWitness]:
+def monomial_el_automorphisms(p: TaniguchiParams) -> list[AutWitness]:
     """Every self-witness of the monomial shape, by exhaustion.
 
     Enumerates (u, a_u), derives b_bar_u = a_u^(2^(2k)), c_u = b_bar_u^(2^k+1),
@@ -395,16 +390,15 @@ def monomial_el_automorphisms(p: TaniguchiParams, ctx: FieldCtx | None = None
     is checked as in verify_witness, on the points of weight <= 2, for all
     2^m - 1 values of a_u in one pass per u.
     """
-    ctx = resolve_ctx(p.m, ctx)
     if p.alpha != 1:
         raise InvalidParams("monomial enumeration is stated for alpha = 1")
     if p.m > _MONOMIAL_DEGREE_LIMIT:
         raise TooLarge(f"monomial enumeration capped at m={_MONOMIAL_DEGREE_LIMIT}")
-    _require_apn(p, ctx)
-    f = taniguchi(p, ctx)
+    _require_apn(p)
+    ctx = p.ctx
     shift, mask = np.uint32(ctx.m), np.uint32(ctx.order - 1)
     points = low_weight_values(PairMap.identity(ctx.m).images())
-    f_points = f.eval_packed_vec(points)
+    f_points = p.eval_packed_vec(points)
     a_u = np.arange(1, ctx.order, dtype=np.uint32)
     b_bar = ctx.pow2k_vec(a_u, 2 * p.k)
     c_u = ctx.pow_vec(b_bar, (1 << p.k) + 1)
@@ -417,13 +411,12 @@ def monomial_el_automorphisms(p: TaniguchiParams, ctx: FieldCtx | None = None
         lx, ly, n1, n2 = (ctx.mul_vec(coeff[:, None], ctx.pow2k_vec(v, u)) for coeff, v in (
             (a_u, points >> shift), (b_bar, points & mask),
             (c_u, f_points >> shift), (n4, f_points & mask)))
-        same = f.eval_packed_vec((lx << shift) | ly) == ((n1 << shift) | n2)
+        same = p.eval_packed_vec((lx << shift) | ly) == ((n1 << shift) | n2)
         found += [AutWitness(u=u, a_u=int(a_u[i]), b_bar_u=int(b_bar[i]), c_u=int(c_u[i]))
                   for i in np.flatnonzero(bijective & same.all(axis=1))]
     return found
 
 
-def count_monomial_el_automorphisms(p: TaniguchiParams,
-                                    ctx: FieldCtx | None = None) -> int:
+def count_monomial_el_automorphisms(p: TaniguchiParams) -> int:
     """|Aut_EL| recomputed by the monomial exhaustion (alpha = 1, m <= 11)."""
-    return len(monomial_el_automorphisms(p, ctx))
+    return len(monomial_el_automorphisms(p))

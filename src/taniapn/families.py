@@ -17,6 +17,12 @@ way.  The families:
 plus the univariate Gold power map x -> x^(2^i+1), gcd(i, n) = 1, kept as
 a known-APN fixture for the differential checker.
 
+A family member is one frozen object, TaniguchiParams(m, k, alpha, beta,
+ctx) or PottZhouParams(m, k, s, alpha, ctx): its parameters, the field
+ctx they are bit patterns in (None means default_ctx(m)), its evaluation
+and its APN criterion.  A Taniguchi member decides its criterion by one
+root scan and keeps the verdict.
+
 Truth-table file format (import/export):
     header  = magic "APNT" | u8 version (=1) | u16 m (LE) | u8 kind
     payload = 2^(2m) little-endian (u32 first-coordinate, u32 second-coordinate)
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from math import gcd
 from pathlib import Path
@@ -49,69 +55,14 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
 # ---------------------------------------------------------------------------
-# Parameter triples
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TaniguchiParams:
-    """(m, k, alpha, beta) with 0 < k < m, gcd(k, m) = 1, beta != 0."""
-
-    m: int
-    k: int
-    alpha: int
-    beta: int
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise InvalidParams("taniguchi family needs m >= 2")
-        if not 0 < self.k < self.m:
-            raise InvalidParams(f"k={self.k} out of range (0, {self.m})")
-        if gcd(self.k, self.m) != 1:
-            raise InvalidParams(f"k={self.k} not coprime to m={self.m}")
-        if not 0 <= self.alpha < (1 << self.m):
-            raise InvalidParams("alpha out of field range")
-        if not 0 < self.beta < (1 << self.m):
-            raise InvalidParams("beta must be a nonzero field element")
-
-
-@dataclass(frozen=True)
-class PottZhouParams:
-    """(m, k, s, alpha) with m even, 0 < k < m coprime, 0 <= s <= m, alpha != 0.
-
-    The structural constraints above make the function well defined; the
-    APN criterion (s even and alpha a non-cube) is checked separately so
-    the non-APN members stay constructible for negative tests.
-    """
-
-    m: int
-    k: int
-    s: int
-    alpha: int
-
-    def __post_init__(self):
-        if self.m < 2 or self.m % 2:
-            raise InvalidParams("pott-zhou family needs even m >= 2")
-        if not 0 < self.k < self.m:
-            raise InvalidParams(f"k={self.k} out of range (0, {self.m})")
-        if gcd(self.k, self.m) != 1:
-            raise InvalidParams(f"k={self.k} not coprime to m={self.m}")
-        if not 0 <= self.s <= self.m:
-            raise InvalidParams(f"s={self.s} out of range [0, {self.m}]")
-        if not 0 < self.alpha < (1 << self.m):
-            raise InvalidParams("alpha must be a nonzero field element")
-
-
-# ---------------------------------------------------------------------------
 # Evaluatable functions
 # ---------------------------------------------------------------------------
 
 class BivariateFunction:
-    """A map GF(2^m)^2 -> GF(2^m)^2, family-parametric or a truth table."""
+    """A map GF(2^m)^2 -> GF(2^m)^2, a family member or a truth table."""
 
     kind: str = "abstract"
-
-    def __init__(self, ctx: FieldCtx):
-        self.ctx = ctx
+    ctx: FieldCtx
 
     @property
     def dimension(self) -> int:
@@ -142,81 +93,135 @@ class BivariateFunction:
         return self._table
 
 
-class TaniguchiFunction(BivariateFunction):
+# ---------------------------------------------------------------------------
+# Family members: parameters plus the field they live in
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TaniguchiParams(BivariateFunction):
+    """f_{k,alpha,beta} over ctx: 0 < k < m, gcd(k, m) = 1, beta != 0.
+
+    ctx=None means default_ctx(m).  alpha and beta are bit patterns in
+    ctx, so the member keeps its field: two members are equal only over
+    the same modulus.
+    """
+
+    m: int
+    k: int
+    alpha: int
+    beta: int
+    ctx: FieldCtx | None = None
+
     kind = "taniguchi"
 
-    def __init__(self, params: TaniguchiParams, ctx: FieldCtx | None = None):
-        super().__init__(resolve_ctx(params.m, ctx))
-        self.params = params
+    def __post_init__(self):
+        if self.m < 2:
+            raise InvalidParams("taniguchi family needs m >= 2")
+        if not 0 < self.k < self.m:
+            raise InvalidParams(f"k={self.k} out of range (0, {self.m})")
+        if gcd(self.k, self.m) != 1:
+            raise InvalidParams(f"k={self.k} not coprime to m={self.m}")
+        if not 0 <= self.alpha < (1 << self.m):
+            raise InvalidParams("alpha out of field range")
+        if not 0 < self.beta < (1 << self.m):
+            raise InvalidParams("beta must be a nonzero field element")
+        object.__setattr__(self, "ctx", resolve_ctx(self.m, self.ctx))
 
     def evaluate(self, x: int, y: int) -> tuple[int, int]:
-        ctx, p = self.ctx, self.params
-        x2k2 = ctx.pow2k(x, 2 * p.k)
-        yk = ctx.pow2k(y, p.k)
-        f1 = ctx.mul(ctx.pow2k(x, 3 * p.k), x2k2)          # x^(2^(2k)(2^k+1))
-        f1 ^= ctx.mul(p.alpha, ctx.mul(x2k2, yk))
-        f1 ^= ctx.mul(p.beta, ctx.mul(yk, y))
+        ctx = self.ctx
+        x2k2 = ctx.pow2k(x, 2 * self.k)
+        yk = ctx.pow2k(y, self.k)
+        f1 = ctx.mul(ctx.pow2k(x, 3 * self.k), x2k2)          # x^(2^(2k)(2^k+1))
+        f1 ^= ctx.mul(self.alpha, ctx.mul(x2k2, yk))
+        f1 ^= ctx.mul(self.beta, ctx.mul(yk, y))
         return f1, ctx.mul(x, y)
 
     def eval_packed_vec(self, v: np.ndarray) -> np.ndarray:
-        ctx, p = self.ctx, self.params
+        ctx = self.ctx
         m = ctx.m
         x, y = v >> m, v & np.uint32((1 << m) - 1)
-        x2k2 = ctx.pow2k_vec(x, 2 * p.k)
-        yk = ctx.pow2k_vec(y, p.k)
-        f1 = ctx.mul_vec(ctx.pow2k_vec(x, 3 * p.k), x2k2)
-        f1 ^= ctx.mul_vec(ctx.mul_vec(x2k2, yk), p.alpha)
-        f1 ^= ctx.mul_vec(ctx.mul_vec(yk, y), p.beta)
+        x2k2 = ctx.pow2k_vec(x, 2 * self.k)
+        yk = ctx.pow2k_vec(y, self.k)
+        f1 = ctx.mul_vec(ctx.pow2k_vec(x, 3 * self.k), x2k2)
+        f1 ^= ctx.mul_vec(ctx.mul_vec(x2k2, yk), self.alpha)
+        f1 ^= ctx.mul_vec(ctx.mul_vec(yk, y), self.beta)
         return (f1 << np.uint32(m)) | ctx.mul_vec(x, y)
+
+    @cached_property
+    def _rootless(self) -> bool:
+        return count_roots(self.k, self.alpha, self.beta, self.ctx) == 0
 
     def is_apn_criterion(self) -> bool:
         """APN criterion: the trinomial X^(2^k+1)+alpha*X+beta is rootless.
 
         For alpha = 0 this is equivalent to (m even and beta a non-cube).
+        The root scan runs once per member; later calls read its verdict.
         """
-        p = self.params
-        return count_roots(p.k, p.alpha, p.beta, self.ctx) == 0
+        return self._rootless
 
 
-class PottZhouFunction(BivariateFunction):
+@dataclass(frozen=True)
+class PottZhouParams(BivariateFunction):
+    """g_{k,s,alpha} over ctx: m even, 0 < k < m coprime, 0 <= s <= m, alpha != 0.
+
+    ctx=None means default_ctx(m).  The structural constraints above make
+    the function well defined; the APN criterion (s even and alpha a
+    non-cube) is checked separately so the non-APN members stay
+    constructible for negative tests.
+    """
+
+    m: int
+    k: int
+    s: int
+    alpha: int
+    ctx: FieldCtx | None = None
+
     kind = "pott-zhou"
 
-    def __init__(self, params: PottZhouParams, ctx: FieldCtx | None = None):
-        super().__init__(resolve_ctx(params.m, ctx))
-        self.params = params
+    def __post_init__(self):
+        if self.m < 2 or self.m % 2:
+            raise InvalidParams("pott-zhou family needs even m >= 2")
+        if not 0 < self.k < self.m:
+            raise InvalidParams(f"k={self.k} out of range (0, {self.m})")
+        if gcd(self.k, self.m) != 1:
+            raise InvalidParams(f"k={self.k} not coprime to m={self.m}")
+        if not 0 <= self.s <= self.m:
+            raise InvalidParams(f"s={self.s} out of range [0, {self.m}]")
+        if not 0 < self.alpha < (1 << self.m):
+            raise InvalidParams("alpha must be a nonzero field element")
+        object.__setattr__(self, "ctx", resolve_ctx(self.m, self.ctx))
 
     def evaluate(self, x: int, y: int) -> tuple[int, int]:
-        ctx, p = self.ctx, self.params
-        f1 = ctx.mul(ctx.pow2k(x, p.k), x)                         # x^(2^k+1)
-        yterm = ctx.pow2k(ctx.mul(ctx.pow2k(y, p.k), y), p.s)      # y^(2^s(2^k+1))
-        f1 ^= ctx.mul(p.alpha, yterm)
+        ctx = self.ctx
+        f1 = ctx.mul(ctx.pow2k(x, self.k), x)                            # x^(2^k+1)
+        yterm = ctx.pow2k(ctx.mul(ctx.pow2k(y, self.k), y), self.s)      # y^(2^s(2^k+1))
+        f1 ^= ctx.mul(self.alpha, yterm)
         return f1, ctx.mul(x, y)
 
     def eval_packed_vec(self, v: np.ndarray) -> np.ndarray:
-        ctx, p = self.ctx, self.params
+        ctx = self.ctx
         m = ctx.m
         x, y = v >> m, v & np.uint32((1 << m) - 1)
-        f1 = ctx.mul_vec(ctx.pow2k_vec(x, p.k), x)
-        yterm = ctx.pow2k_vec(ctx.mul_vec(ctx.pow2k_vec(y, p.k), y), p.s)
-        f1 ^= ctx.mul_vec(yterm, p.alpha)
+        f1 = ctx.mul_vec(ctx.pow2k_vec(x, self.k), x)
+        yterm = ctx.pow2k_vec(ctx.mul_vec(ctx.pow2k_vec(y, self.k), y), self.s)
+        f1 ^= ctx.mul_vec(yterm, self.alpha)
         return (f1 << np.uint32(m)) | ctx.mul_vec(x, y)
 
     def is_apn_criterion(self) -> bool:
         """APN criterion: s even and alpha a non-cube."""
-        p = self.params
-        return p.s % 2 == 0 and not self.ctx.is_cube(p.alpha)
+        return self.s % 2 == 0 and not self.ctx.is_cube(self.alpha)
 
 
 class TruthTableFunction(BivariateFunction):
     kind = "truth-table"
 
     def __init__(self, table: np.ndarray, ctx: FieldCtx, source_kind: str | None = None):
-        super().__init__(ctx)
         n = 2 * ctx.m
         if table.shape != (1 << n,):
             raise InvalidParams(f"truth table must have 2^{n} entries")
         if table.size and int(table.max()) >= 1 << n:
             raise InvalidParams(f"truth table entry exceeds the 2^{n} point space")
+        self.ctx = ctx
         self.table = np.ascontiguousarray(table, dtype=np.uint32)
         self.source_kind = source_kind
 
@@ -250,6 +255,11 @@ class GoldFunction:
     def evaluate(self, x: int) -> int:
         return self.ctx.mul(self.ctx.pow2k(x, self.i), x)
 
+    def is_apn_criterion(self) -> bool:
+        """Always True: the constructor refuses gcd(i, n) != 1, and every
+        other Gold map is APN."""
+        return True
+
     @cached_property
     def _table(self) -> np.ndarray:
         x = self.ctx.elements()
@@ -262,14 +272,6 @@ class GoldFunction:
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
-
-def taniguchi(params: TaniguchiParams, ctx: FieldCtx | None = None) -> TaniguchiFunction:
-    return TaniguchiFunction(params, ctx)
-
-
-def pott_zhou(params: PottZhouParams, ctx: FieldCtx | None = None) -> PottZhouFunction:
-    return PottZhouFunction(params, ctx)
-
 
 def gold(n: int, i: int, ctx_n: FieldCtx | None = None) -> GoldFunction:
     return GoldFunction(resolve_ctx(n, ctx_n), i)
@@ -308,12 +310,10 @@ def save_function(f: BivariateFunction, path: str | Path) -> Path:
         "kind": f.kind,
         "modulus": f"0x{f.ctx.modulus:X}",
     }
-    params = getattr(f, "params", None)
-    if params is not None:
-        manifest["params"] = {
-            field: (value if field in ("m", "k", "s") else f"0x{value:X}")
-            for field, value in vars(params).items()
-        }
+    if is_dataclass(f):
+        params = {fld.name: getattr(f, fld.name) for fld in fields(f) if fld.name != "ctx"}
+        manifest["params"] = {name: (value if name in ("m", "k", "s") else f"0x{value:X}")
+                              for name, value in params.items()}
     manifest_path = path.with_name(path.name + ".json")
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path

@@ -14,8 +14,9 @@ numerically smallest members.  orbit_minima finds them for a whole set
 with one squaring pass and ceil(log2 m) pointer-doubling steps over
 positions in the sorted set.
 
-count_roots() stays a literal exhaustive scan on purpose: it is the
-independent oracle the closed-form counting module is checked against.
+count_roots() stays a literal exhaustive scan on purpose: it decides a
+single member's APN criterion (families.TaniguchiParams), and it is the
+independent oracle the tests check phi_set against.
 """
 
 from __future__ import annotations
@@ -130,7 +131,15 @@ def phi_set(k: int, ctx: FieldCtx) -> BetaSet:
     rootless = np.ones(ctx.order, dtype=bool)
     for x in _scan_chunks(ctx):
         rootless[ctx.mul_vec(ctx.pow2k_vec(x, k), x) ^ x] = False
-    return BetaSet(ctx=ctx, k=k, elements=np.flatnonzero(rootless).astype(np.uint32))
+    # indexed batch by batch into a uint32 array of the final size, so no
+    # int64 index array of |Phi| entries is ever built
+    elements = np.empty(np.count_nonzero(rootless), dtype=np.uint32)
+    n = 0
+    for lo in range(0, ctx.order, _SCAN_CHUNK):
+        idx = np.flatnonzero(rootless[lo:lo + _SCAN_CHUNK])
+        elements[n:n + idx.size] = idx + lo
+        n += idx.size
+    return BetaSet(ctx=ctx, k=k, elements=elements)
 
 
 def frobenius_orbits(phi: BetaSet) -> OrbitDecomposition:

@@ -29,7 +29,7 @@ from taniapn.equivalence import (
     pott_zhou_bridge_witness,
     verify_witness,
 )
-from taniapn.families import TaniguchiParams, pott_zhou, taniguchi
+from taniapn.families import PottZhouParams, TaniguchiParams
 from taniapn.gf2m import FieldCtx, coprime_residues, default_ctx, irreducibles
 from taniapn.poly_roots import count_roots, frobenius_orbits, phi_set
 
@@ -86,8 +86,7 @@ def test_criterion_3_apn_criterion_both_directions():
         for k in coprime_residues(m):
             for alpha in (0, 1):
                 for beta in range(1, ctx.order):
-                    f = taniguchi(
-                        TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta), ctx)
+                    f = TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta)
                     criterion = count_roots(k, alpha, beta, ctx) == 0
                     assert f.is_apn_criterion() == criterion
                     assert is_apn(f) == criterion, (m, k, alpha, beta)
@@ -102,20 +101,16 @@ def test_criterion_4_witness_verification():
     verified = 0
     for m in (4, 5, 6):
         ctx = default_ctx(m)
-        canon_funcs = {}
         for k in coprime_residues(m):
             for alpha in range(1, ctx.order):
                 for beta in range(1, ctx.order):
                     if count_roots(k, alpha, beta, ctx) != 0:
                         continue
                     p = TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta)
-                    w, canon = canonical_witness(p, ctx)
-                    trip = canonicalize(p, ctx)
+                    w, canon = canonical_witness(p)
+                    trip = canonicalize(p)
                     assert (canon.k, canon.beta) == (trip.k_star, trip.beta_star)
-                    if canon not in canon_funcs:
-                        canon_funcs[canon] = taniguchi(canon, ctx)
-                    assert verify_witness(w, taniguchi(p, ctx),
-                                          canon_funcs[canon]), p
+                    assert verify_witness(w, p, canon), p
                     verified += 1
     bridges = 0
     for m in (4, 6):
@@ -125,9 +120,8 @@ def test_criterion_4_witness_verification():
                 if ctx.is_cube(beta):
                     continue
                 p = TaniguchiParams(m=m, k=k, alpha=0, beta=beta)
-                w, pz = pott_zhou_bridge_witness(p, ctx)
-                assert verify_witness(w, taniguchi(p, ctx),
-                                      pott_zhou(pz, ctx)), p
+                w, pz = pott_zhou_bridge_witness(p)
+                assert verify_witness(w, p, pz), p
                 bridges += 1
     assert verified == 150 + 1364 + 2646  # per-m APN (k, alpha != 0, beta) counts
     assert bridges == 10 + 42
@@ -140,16 +134,15 @@ def test_criterion_5_automorphism_oracle():
     assert aut_orders(TaniguchiParams(m=2, k=1, alpha=1, beta=1)).aut == 5760
     ctx3 = default_ctx(3)
     beta3 = next(iter(phi_set(1, ctx3)))
-    assert aut_orders(TaniguchiParams(m=3, k=1, alpha=1, beta=beta3),
-                      ctx3).aut == 896
+    assert aut_orders(TaniguchiParams(m=3, k=1, alpha=1, beta=beta3)).aut == 896
     swept = 0
     for m in (5, 6, 7):
         ctx = default_ctx(m)
         for k in coprime_residues(m):
             for beta in phi_set(k, ctx):
                 p = TaniguchiParams(m=m, k=k, alpha=1, beta=beta)
-                assert count_monomial_el_automorphisms(p, ctx) == \
-                    aut_orders(p, ctx).aut_el, p
+                assert count_monomial_el_automorphisms(p) == \
+                    aut_orders(p).aut_el, p
                 swept += 1
     assert swept == 4 * 11 + 2 * 21 + 6 * 43
     _pass_line(5, f"monomial oracle on {swept} functions + constants 5760/896",
@@ -166,8 +159,7 @@ def test_criterion_6_class_accounting():
                 for beta in range(1, ctx.order):
                     if count_roots(k, alpha, beta, ctx) == 0:
                         triples.add(canonicalize(
-                            TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta),
-                            ctx))
+                            TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta)))
         assert len(triples) == n_taniguchi(m), m
     _pass_line(6, "class accounting m=4..8 equals n(m)",
                time.perf_counter() - t0, 60.0)
@@ -204,12 +196,9 @@ def test_criterion_7_property_suites():
 
     # spectrum mass conservation on freshly computed spectra
     specs = [
-        differential_spectrum(taniguchi(
-            TaniguchiParams(m=4, k=1, alpha=1, beta=9))),
-        differential_spectrum(taniguchi(
-            TaniguchiParams(m=4, k=1, alpha=1, beta=3))),  # non-APN member
-        differential_spectrum(pott_zhou(
-            __import__("taniapn").PottZhouParams(m=4, k=1, s=2, alpha=2))),
+        differential_spectrum(TaniguchiParams(m=4, k=1, alpha=1, beta=9)),
+        differential_spectrum(TaniguchiParams(m=4, k=1, alpha=1, beta=3)),  # non-APN member
+        differential_spectrum(PottZhouParams(m=4, k=1, s=2, alpha=2)),
     ]
     for spec in specs:
         size = 1 << spec.n

@@ -270,6 +270,28 @@ def test_witness_degree_mismatch(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("src, dst", [("5,4,13,1F", "5,4,9,C"), ("4,1,0,2", "4,3,0,2")])
+def test_witness_scans_each_member_once(capsys, monkeypatch, src, dst):
+    # the canonical-witness path and the no-witness path both pass each
+    # member through the APN check more than once; the member keeps its verdict
+    import sys
+
+    from taniapn import poly_roots
+    orig, calls = poly_roots.count_roots, []
+
+    def counted(k, alpha, beta, ctx):
+        calls.append((k, alpha, beta))
+        return orig(k, alpha, beta, ctx)
+
+    for name, module in list(sys.modules.items()):  # wherever taniapn binds it
+        if name.startswith("taniapn") and getattr(module, "count_roots", None) is orig:
+            monkeypatch.setattr(module, "count_roots", counted)
+    code, _, _ = run(capsys, "--format", "json", "witness", "--from", src, "--to", dst)
+    assert code == EXIT_OK
+    assert sorted(calls) == sorted((int(k), int(a, 16), int(b, 16)) for _, k, a, b in
+                                   (spec.split(",") for spec in (src, dst)))
+
+
 def test_save_table_rejects_gold(capsys, tmp_path):
     code, _, err = run(capsys, "check-apn", "gold", "--n", "5", "--i", "1",
                        "--save-table", str(tmp_path / "g.apnt"))

@@ -19,8 +19,6 @@ from taniapn.families import (
     TaniguchiParams,
     TruthTableFunction,
     gold,
-    pott_zhou,
-    taniguchi,
 )
 from taniapn.gf2m import default_ctx
 from taniapn.poly_roots import phi_set
@@ -39,7 +37,7 @@ def test_linear_map_has_maximal_uniformity():
 def test_taniguchi_m4_uniformity_two():
     ctx = default_ctx(4)
     for beta in phi_set(1, ctx):
-        f = taniguchi(TaniguchiParams(m=4, k=1, alpha=1, beta=beta), ctx)
+        f = TaniguchiParams(m=4, k=1, alpha=1, beta=beta)
         spec = differential_spectrum(f)
         assert spec.uniformity == 2
 
@@ -60,7 +58,7 @@ def test_gold_spectrum_gf32():
 
 def test_apn_histogram_shape():
     # any APN on n bits: exactly 2^(n-1) b-values with 2 solutions per a
-    for f in (gold(5, 1), taniguchi(TaniguchiParams(m=3, k=1, alpha=1, beta=2))):
+    for f in (gold(5, 1), TaniguchiParams(m=3, k=1, alpha=1, beta=2)):
         spec = differential_spectrum(f)
         n = spec.n
         assert spec.histogram[2] == ((1 << n) - 1) * (1 << (n - 1))
@@ -69,19 +67,18 @@ def test_apn_histogram_shape():
 def test_pott_zhou_m4():
     ctx = default_ctx(4)
     noncube = next(a for a in range(2, 16) if not ctx.is_cube(a))
-    good = pott_zhou(PottZhouParams(m=4, k=1, s=2, alpha=noncube), ctx)
+    good = PottZhouParams(m=4, k=1, s=2, alpha=noncube)
     assert good.is_apn_criterion() and is_apn(good)
-    odd_s = pott_zhou(PottZhouParams(m=4, k=1, s=1, alpha=noncube), ctx)
+    odd_s = PottZhouParams(m=4, k=1, s=1, alpha=noncube)
     assert not odd_s.is_apn_criterion() and not is_apn(odd_s)
     cube = next(a for a in range(2, 16) if ctx.is_cube(a))
-    cube_alpha = pott_zhou(PottZhouParams(m=4, k=1, s=2, alpha=cube), ctx)
+    cube_alpha = PottZhouParams(m=4, k=1, s=2, alpha=cube)
     assert not cube_alpha.is_apn_criterion() and not is_apn(cube_alpha)
 
 
 def test_is_apn_short_circuit_agrees_with_spectrum():
-    ctx = default_ctx(3)
     for beta in range(1, 8):
-        f = taniguchi(TaniguchiParams(m=3, k=1, alpha=1, beta=beta), ctx)
+        f = TaniguchiParams(m=3, k=1, alpha=1, beta=beta)
         assert is_apn(f) == (differential_spectrum(f).uniformity == 2)
 
 
@@ -91,13 +88,12 @@ def test_non_admissible_beta_has_four_solution_derivative():
     admissible = set(phi_set(1, ctx))
     for beta in range(1, 8):
         if beta not in admissible:
-            f = taniguchi(TaniguchiParams(m=3, k=1, alpha=1, beta=beta), ctx)
+            f = TaniguchiParams(m=3, k=1, alpha=1, beta=beta)
             assert differential_spectrum(f).uniformity >= 4
 
 
 def test_scan_guard():
-    ctx = default_ctx(9)  # n = 18 > 16
-    f = taniguchi(TaniguchiParams(m=9, k=1, alpha=1, beta=1), ctx)
+    f = TaniguchiParams(m=9, k=1, alpha=1, beta=1)  # n = 18 > 16
     with pytest.raises(TooLarge):
         is_apn(f)
     with pytest.raises(TooLarge):
@@ -137,7 +133,7 @@ def test_fast_path_matches_oracle_taniguchi(m):
             continue
         for alpha in (0, 1):
             for beta in range(1, ctx.order):
-                f = taniguchi(TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta), ctx)
+                f = TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta)
                 assert _is_quadratic(f.packed_table(), f.dimension)
                 assert_matches_oracle(f)
 
@@ -149,7 +145,7 @@ def test_fast_path_matches_oracle_pott_zhou(m):
     noncube = next(a for a in range(2, ctx.order) if not ctx.is_cube(a))
     for s in range(m + 1):
         for alpha in (cube, noncube):
-            assert_matches_oracle(pott_zhou(PottZhouParams(m=m, k=1, s=s, alpha=alpha), ctx))
+            assert_matches_oracle(PottZhouParams(m=m, k=1, s=s, alpha=alpha))
 
 
 @pytest.mark.parametrize("n", range(3, 14))

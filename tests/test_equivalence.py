@@ -32,10 +32,8 @@ from taniapn.families import (
     TaniguchiParams,
     TruthTableFunction,
     materialize,
-    pott_zhou,
-    taniguchi,
 )
-from taniapn.gf2m import coprime_residues, default_ctx
+from taniapn.gf2m import FieldCtx, coprime_residues, default_ctx
 from taniapn.linmaps import PairMap
 from taniapn.poly_roots import count_roots, orbit_min, phi_set, transform_beta
 
@@ -57,7 +55,7 @@ def apn_params(m, ks=None, alphas=(1,), ctx=None):
         for alpha in alphas:
             for beta in range(1, ctx.order):
                 if count_roots(k, alpha, beta, ctx) == 0:
-                    yield TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta)
+                    yield TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta, ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +65,7 @@ def apn_params(m, ks=None, alphas=(1,), ctx=None):
 def test_canonicalize_k_negation():
     ctx = default_ctx(5)
     beta = next(iter(phi_set(4, ctx)))
-    trip = canonicalize(TaniguchiParams(m=5, k=4, alpha=1, beta=beta), ctx)
+    trip = canonicalize(TaniguchiParams(m=5, k=4, alpha=1, beta=beta))
     assert trip.k_star == 1
 
 
@@ -82,14 +80,14 @@ def test_canonicalize_alpha_reduction_consistency():
         for p in apn_params(m, alphas=range(1, ctx.order)):
             q = TaniguchiParams(m=m, k=p.k, alpha=1,
                                 beta=transform_beta(p.k, p.alpha, p.beta, ctx))
-            assert canonicalize(p, ctx) == canonicalize(q, ctx)
+            assert canonicalize(p) == canonicalize(q)
 
 
 def test_canonicalize_requires_apn():
     ctx = default_ctx(4)
     bad = next(b for b in range(1, 16) if count_roots(1, 1, b, ctx) > 0)
     with pytest.raises(NotApn):
-        canonicalize(TaniguchiParams(m=4, k=1, alpha=1, beta=bad), ctx)
+        canonicalize(TaniguchiParams(m=4, k=1, alpha=1, beta=bad))
 
 
 def test_ccz_equivalence_examples():
@@ -97,22 +95,29 @@ def test_ccz_equivalence_examples():
     beta = 9
     p = TaniguchiParams(m=4, k=1, alpha=1, beta=beta)
     p_sq = TaniguchiParams(m=4, k=1, alpha=1, beta=ctx.mul(beta, beta))
-    assert are_ccz_equivalent(p, p_sq, ctx)
+    assert are_ccz_equivalent(p, p_sq)
 
     noncube = next(b for b in range(2, 16) if not ctx.is_cube(b))
     p_zero = TaniguchiParams(m=4, k=1, alpha=0, beta=noncube)
-    assert not are_ccz_equivalent(p_zero, p, ctx)   # alpha=0 vs alpha!=0
+    assert not are_ccz_equivalent(p_zero, p)   # alpha=0 vs alpha!=0
 
     unit = TaniguchiParams(m=4, k=1, alpha=1, beta=1)
-    assert not are_ccz_equivalent(unit, p, ctx)     # the two m=4 classes
+    assert not are_ccz_equivalent(unit, p)     # the two m=4 classes
 
     with pytest.raises(DegreeMismatch):
         are_ccz_equivalent(unit, TaniguchiParams(m=5, k=1, alpha=1, beta=6))
 
 
+def test_equivalence_refuses_members_over_different_moduli():
+    p = TaniguchiParams(m=6, k=1, alpha=1, beta=0x2, ctx=FieldCtx(6, 0x49))
+    q = next(apn_params(6, ks=[1]))
+    for decide in (are_ccz_equivalent, equivalence_witness):
+        with pytest.raises(DegreeMismatch, match="modulus 0x49 vs 0x43"):
+            decide(p, q)
+
+
 def test_m4_has_two_alpha1_classes():
-    ctx = default_ctx(4)
-    triples = {canonicalize(p, ctx) for p in apn_params(4, ks=[1])}
+    triples = {canonicalize(p) for p in apn_params(4, ks=[1])}
     assert triples == {CanonicalTriple(1, 1, 1), CanonicalTriple(1, 1, 9)}
 
 
@@ -121,15 +126,13 @@ def test_m4_has_two_alpha1_classes():
 # ---------------------------------------------------------------------------
 
 def test_identity_witness_verifies():
-    ctx = default_ctx(4)
-    f = taniguchi(TaniguchiParams(m=4, k=1, alpha=1, beta=9), ctx)
+    f = TaniguchiParams(m=4, k=1, alpha=1, beta=9)
     assert verify_witness(identity_witness(4), f, f)
 
 
 def test_wrong_witness_rejected():
-    ctx = default_ctx(4)
-    f = taniguchi(TaniguchiParams(m=4, k=1, alpha=1, beta=1), ctx)
-    g = taniguchi(TaniguchiParams(m=4, k=1, alpha=1, beta=9), ctx)
+    f = TaniguchiParams(m=4, k=1, alpha=1, beta=1)
+    g = TaniguchiParams(m=4, k=1, alpha=1, beta=9)
     assert not verify_witness(identity_witness(4), f, g)
 
 
@@ -137,15 +140,26 @@ def test_canonical_witness_sweep_m4_m5():
     # acceptance extends this sweep to m=6
     for m in (4, 5):
         ctx = default_ctx(m)
-        cache = {}
         for p in apn_params(m, alphas=range(1, ctx.order), ctx=ctx):
-            w, canon = canonical_witness(p, ctx)
-            trip = canonicalize(p, ctx)
+            w, canon = canonical_witness(p)
+            trip = canonicalize(p)
             assert (canon.k, canon.alpha, canon.beta) == \
                 (trip.k_star, 1, trip.beta_star)
-            if canon not in cache:
-                cache[canon] = taniguchi(canon, ctx)
-            assert verify_witness(w, taniguchi(p, ctx), cache[canon])
+            assert verify_witness(w, p, canon)
+
+
+def test_canonical_target_keeps_the_field():
+    # f_(1, 1, 0x2) is APN over 0x49 but not over the default 0x43, so the
+    # target is usable only if it carries the source's field
+    ctx = FieldCtx(6, 0x49)
+    p = TaniguchiParams(m=6, k=5, alpha=1, beta=0x2, ctx=ctx)
+    w, target = canonical_witness(p)
+    assert target == TaniguchiParams(m=6, k=1, alpha=1, beta=0x2, ctx=ctx)
+    assert not TaniguchiParams(m=6, k=1, alpha=1, beta=0x2).is_apn_criterion()
+    assert target.is_apn_criterion()
+    assert canonicalize(target) == canonicalize(p) == CanonicalTriple(1, 1, 0x2)
+    assert aut_orders(target) == aut_orders(p)
+    assert verify_witness(w, p, target)
 
 
 def test_pair_witness_uses_inversion():
@@ -156,16 +170,15 @@ def test_pair_witness_uses_inversion():
     b2 = ctx.mul(target, target)                    # same orbit, not minimal
     beta2 = ctx.mul(b2, ctx.pow(7, (1 << 4) + 1))   # undo alpha=7 reduction
     p2 = TaniguchiParams(m=5, k=1, alpha=7, beta=beta2)
-    assert are_ccz_equivalent(p1, p2, ctx)
-    w = equivalence_witness(p1, p2, ctx)
-    assert verify_witness(w, taniguchi(p1, ctx), taniguchi(p2, ctx))
+    assert are_ccz_equivalent(p1, p2)
+    w = equivalence_witness(p1, p2)
+    assert verify_witness(w, p1, p2)
 
 
 def test_witness_none_for_inequivalent():
-    ctx = default_ctx(4)
     p1 = TaniguchiParams(m=4, k=1, alpha=1, beta=1)
     p2 = TaniguchiParams(m=4, k=1, alpha=1, beta=9)
-    assert equivalence_witness(p1, p2, ctx) is None
+    assert equivalence_witness(p1, p2) is None
 
 
 def test_decision_completeness_invariants():
@@ -177,13 +190,13 @@ def test_decision_completeness_invariants():
         ctx = default_ctx(m)
         reps = {}
         for p in apn_params(m, alphas=(0, 1), ctx=ctx):
-            reps.setdefault(canonicalize(p, ctx), p)
+            reps.setdefault(canonicalize(p), p)
         reps = list(reps.values())
-        spectra = [differential_spectrum(taniguchi(p, ctx)) for p in reps]
+        spectra = [differential_spectrum(p) for p in reps]
         for i, p1 in enumerate(reps):
             for j in range(i + 1, len(reps)):
-                assert equivalence_witness(p1, reps[j], ctx) is None
-                auts_differ = aut_orders(p1, ctx) != aut_orders(reps[j], ctx)
+                assert equivalence_witness(p1, reps[j]) is None
+                auts_differ = aut_orders(p1) != aut_orders(reps[j])
                 assert auts_differ or spectra[i] == spectra[j]
 
 
@@ -195,30 +208,30 @@ def test_pair_witnesses_within_classes():
         ctx = default_ctx(m)
         by_class = {}
         for p in apn_params(m, alphas=range(1, ctx.order), ctx=ctx):
-            by_class.setdefault(canonicalize(p, ctx), []).append(p)
+            by_class.setdefault(canonicalize(p), []).append(p)
         pairs = []
         for members in by_class.values():
             for _ in range(3):
                 pairs.append((rng.choice(members), rng.choice(members)))
         for p1, p2 in rng.sample(pairs, min(len(pairs), 12)):
-            w = equivalence_witness(p1, p2, ctx)
+            w = equivalence_witness(p1, p2)
             assert w is not None
-            assert verify_witness(w, taniguchi(p1, ctx), taniguchi(p2, ctx))
+            assert verify_witness(w, p1, p2)
 
 
 def test_witness_alpha_zero_frobenius_path():
     ctx = default_ctx(4)
     p1 = TaniguchiParams(m=4, k=1, alpha=0, beta=2)
     p2 = TaniguchiParams(m=4, k=1, alpha=0, beta=4)
-    w = equivalence_witness(p1, p2, ctx)
+    w = equivalence_witness(p1, p2)
     assert w is not None
-    assert verify_witness(w, taniguchi(p1, ctx), taniguchi(p2, ctx))
+    assert verify_witness(w, p1, p2)
     # equivalent (same class) but different orbits: no constructive path
     p3 = TaniguchiParams(m=4, k=1, alpha=0, beta=next(
         b for b in range(2, 16)
         if not ctx.is_cube(b) and orbit_min(b, ctx) != orbit_min(2, ctx)))
-    assert are_ccz_equivalent(p1, p3, ctx)
-    assert equivalence_witness(p1, p3, ctx) is None
+    assert are_ccz_equivalent(p1, p3)
+    assert equivalence_witness(p1, p3) is None
 
 
 def test_pott_zhou_bridge_m4():
@@ -227,35 +240,41 @@ def test_pott_zhou_bridge_m4():
         if ctx.is_cube(beta):
             continue
         p = TaniguchiParams(m=4, k=1, alpha=0, beta=beta)
-        w, pz = pott_zhou_bridge_witness(p, ctx)
+        w, pz = pott_zhou_bridge_witness(p)
         assert pz.s == 2 and pz.alpha == ctx.inverse(beta)
-        assert verify_witness(w, taniguchi(p, ctx), pott_zhou(pz, ctx))
+        assert verify_witness(w, p, pz)
+
+
+def test_pott_zhou_bridge_keeps_the_field():
+    ctx = FieldCtx(6, 0x49)
+    beta = next(b for b in range(2, ctx.order) if not ctx.is_cube(b))
+    p = TaniguchiParams(m=6, k=1, alpha=0, beta=beta, ctx=ctx)
+    w, pz = pott_zhou_bridge_witness(p)
+    assert pz.ctx == ctx and pz.alpha == ctx.inverse(beta) and pz.is_apn_criterion()
+    assert verify_witness(w, p, pz)
 
 
 def test_witness_composition_and_inversion_round_trip():
     ctx = default_ctx(4)
     p = TaniguchiParams(m=4, k=3, alpha=5, beta=11)
     assert count_roots(3, 5, 11, ctx) == 0
-    w, canon = canonical_witness(p, ctx)
+    w, canon = canonical_witness(p)
     w_inv = invert_witness(w)
-    assert verify_witness(w_inv, taniguchi(canon, ctx), taniguchi(p, ctx))
+    assert verify_witness(w_inv, canon, p)
     # composing a witness with its inverse gives a self-witness of f_p
     w_id = compose_witness(w, w_inv)
-    f = taniguchi(p, ctx)
-    assert verify_witness(w_id, f, f)
+    assert verify_witness(w_id, p, p)
 
 
 def test_witness_verify_guard():
-    ctx = default_ctx(17)  # 2m = 34 exceeds the uint32 packing
-    f = taniguchi(TaniguchiParams(m=17, k=1, alpha=1, beta=1), ctx)
+    f = TaniguchiParams(m=17, k=1, alpha=1, beta=1)  # 2m = 34 exceeds the uint32 packing
     with pytest.raises(TooLarge):
         verify_witness(identity_witness(17), f, f)
 
 
 def test_witness_verify_rejects_context_mismatch():
-    from taniapn.gf2m import FieldCtx
-    f = taniguchi(TaniguchiParams(m=3, k=1, alpha=1, beta=2), FieldCtx(3, 0xB))
-    g = taniguchi(TaniguchiParams(m=3, k=1, alpha=1, beta=3), FieldCtx(3, 0xD))
+    f = TaniguchiParams(m=3, k=1, alpha=1, beta=2, ctx=FieldCtx(3, 0xB))
+    g = TaniguchiParams(m=3, k=1, alpha=1, beta=3, ctx=FieldCtx(3, 0xD))
     with pytest.raises(DegreeMismatch):
         verify_witness(identity_witness(3), f, g)
 
@@ -284,18 +303,16 @@ def test_verify_witness_matches_full_grid_oracle():
     cases = []
     for m in (3, 4, 5, 6):
         ctx = default_ctx(m)
-        canon_funcs = {}
+        canons = {}  # one object per class, so its truth table is built once
         for p in apn_params(m, alphas=range(1, ctx.order), ctx=ctx):
-            w, canon = canonical_witness(p, ctx)
-            if canon not in canon_funcs:
-                canon_funcs[canon] = taniguchi(canon, ctx)
-            cases.append((w, taniguchi(p, ctx), canon_funcs[canon]))
+            w, canon = canonical_witness(p)
+            cases.append((w, p, canons.setdefault(canon, canon)))
     for m in (4, 6):
         ctx = default_ctx(m)
         for p in apn_params(m, ks=[k for k in coprime_residues(m) if k < m / 2],
                             alphas=(0,), ctx=ctx):
-            w, pz = pott_zhou_bridge_witness(p, ctx)
-            cases.append((w, taniguchi(p, ctx), pott_zhou(pz, ctx)))
+            w, pz = pott_zhou_bridge_witness(p)
+            cases.append((w, p, pz))
     for w, f, g in cases:
         assert verify_witness(w, f, g) and full_grid_verify(w, f, g)
     for w, f, g in rng.sample(cases, 100):
@@ -306,8 +323,8 @@ def test_verify_witness_matches_full_grid_oracle():
 def test_verify_witness_accepts_quadratic_tables_only():
     ctx = default_ctx(4)
     p = TaniguchiParams(m=4, k=3, alpha=5, beta=11)
-    w, canon = canonical_witness(p, ctx)
-    f, g = materialize(taniguchi(p, ctx)), materialize(taniguchi(canon, ctx))
+    w, canon = canonical_witness(p)
+    f, g = materialize(p), materialize(canon)
     assert verify_witness(w, f, g)
     points = np.arange(1 << 8, dtype=np.uint32)
     cubic = TruthTableFunction(  # adds x_0 x_1 x_2 to output bit 0
@@ -324,18 +341,17 @@ def test_witness_verify_at_the_cap():
     beta = 0x1003  # in Phi for k = 15
     p1 = TaniguchiParams(m=16, k=15, alpha=1, beta=beta)
     p2 = TaniguchiParams(m=16, k=1, alpha=ctx.inverse(beta), beta=ctx.inverse(beta))
-    f1, f2 = taniguchi(p1, ctx), taniguchi(p2, ctx)
-    w = equivalence_witness(p1, p2, ctx)
-    assert verify_witness(w, f1, f2)
+    w = equivalence_witness(p1, p2)
+    assert verify_witness(w, p1, p2)
     for bad in _corrupted(w, random.Random(16)):
-        assert not verify_witness(bad, f1, f2)
+        assert not verify_witness(bad, p1, p2)
 
 
 def test_witness_json_round_trip():
     ctx = default_ctx(4)
     p1 = TaniguchiParams(m=4, k=1, alpha=1, beta=9)
     p2 = TaniguchiParams(m=4, k=1, alpha=1, beta=13)
-    w = equivalence_witness(p1, p2, ctx)
+    w = equivalence_witness(p1, p2)
     data = json.loads(json.dumps(w.to_json(ctx)))
     l_xx, l_xy, l_yx, l_yy = w.l_map.blocks(ctx)
     n_xx, n_xy, n_yx, n_yy = w.n_map.blocks(ctx)
@@ -347,7 +363,7 @@ def test_witness_json_round_trip():
     n_blocks = {"n1": n_xx, "n2": n_yx, "n3": n_xy, "n4": n_yy}
     for name, coeffs in n_blocks.items():
         assert data[name] == [f"0x{c:X}" for c in coeffs]
-    assert verify_witness(w, taniguchi(p1, ctx), taniguchi(p2, ctx))
+    assert verify_witness(w, p1, p2)
 
 
 def test_apn_invariant_under_witness():
@@ -356,9 +372,9 @@ def test_apn_invariant_under_witness():
     p1 = TaniguchiParams(m=4, k=1, alpha=1, beta=9)
     p2 = TaniguchiParams(m=4, k=3, alpha=7, beta=transform_beta(
         1, ctx.inverse(7), 9, ctx))
-    if count_roots(3, 7, p2.beta, ctx) == 0 and are_ccz_equivalent(p1, p2, ctx):
-        assert is_apn(taniguchi(p1, ctx)) == is_apn(taniguchi(p2, ctx))
-    assert is_apn(taniguchi(p1, ctx))
+    if count_roots(3, 7, p2.beta, ctx) == 0 and are_ccz_equivalent(p1, p2):
+        assert is_apn(p1) == is_apn(p2)
+    assert is_apn(p1)
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +385,23 @@ def test_apn_invariant_under_witness():
 def test_class_accounting_small(m):
     # full m in {4..8} runs in the acceptance gate
     ctx = default_ctx(m)
-    triples = {canonicalize(p, ctx)
+    triples = {canonicalize(p)
                for p in apn_params(m, alphas=(0, 1), ctx=ctx)}
     assert len(triples) == n_taniguchi(m)
 
 
 def test_self_witness_is_identity():
-    ctx = default_ctx(4)
     p = TaniguchiParams(m=4, k=1, alpha=1, beta=9)
-    w = equivalence_witness(p, p, ctx)
+    w = equivalence_witness(p, p)
     assert w == identity_witness(4)
-    assert verify_witness(w, taniguchi(p, ctx), taniguchi(p, ctx))
+    assert verify_witness(w, p, p)
 
 
 def test_per_k_class_count():
     # for fixed k: b(m) alpha=1 classes, plus one alpha=0 class when m even
     for m in (4, 5, 6, 7, 8):
         ctx = default_ctx(m)
-        triples = {canonicalize(p, ctx)
+        triples = {canonicalize(p)
                    for p in apn_params(m, ks=[1], alphas=(0, 1), ctx=ctx)}
         assert len(triples) == b_orbits(m) + (1 if m % 2 == 0 else 0)
 
@@ -398,7 +413,7 @@ def test_per_k_class_count():
 def test_aut_constants_m2_m3():
     ctx3 = default_ctx(3)
     beta = next(iter(phi_set(1, ctx3)))
-    orders = aut_orders(TaniguchiParams(m=3, k=1, alpha=1, beta=beta), ctx3)
+    orders = aut_orders(TaniguchiParams(m=3, k=1, alpha=1, beta=beta))
     assert orders == AutOrders(14, 896, 896)
     assert aut_orders(TaniguchiParams(m=2, k=1, alpha=1, beta=1)) == \
         AutOrders(360, 5760, 5760)
@@ -407,20 +422,19 @@ def test_aut_constants_m2_m3():
 def test_aut_alpha_zero():
     ctx = default_ctx(4)
     noncube = next(b for b in range(2, 16) if not ctx.is_cube(b))
-    orders = aut_orders(TaniguchiParams(m=4, k=1, alpha=0, beta=noncube), ctx)
+    orders = aut_orders(TaniguchiParams(m=4, k=1, alpha=0, beta=noncube))
     assert orders.aut_el == 3 * 4 * 15 == 180
     assert orders.aut == orders.aut_ea == 180 << 8
     ctx6 = default_ctx(6)
     noncube6 = next(b for b in range(2, 64) if not ctx6.is_cube(b))
-    orders6 = aut_orders(TaniguchiParams(m=6, k=1, alpha=0, beta=noncube6), ctx6)
+    orders6 = aut_orders(TaniguchiParams(m=6, k=1, alpha=0, beta=noncube6))
     assert orders6.aut_el == 3 * 6 * 63 // 2
 
 
 def test_aut_alpha_one_m5():
-    ctx = default_ctx(5)
-    full = aut_orders(TaniguchiParams(m=5, k=1, alpha=1, beta=6), ctx)
+    full = aut_orders(TaniguchiParams(m=5, k=1, alpha=1, beta=6))
     assert full.aut_el == 31          # full-length orbit: 5*31/5
-    unit = aut_orders(TaniguchiParams(m=5, k=1, alpha=1, beta=1), ctx)
+    unit = aut_orders(TaniguchiParams(m=5, k=1, alpha=1, beta=1))
     assert unit.aut_el == 155         # beta'=1 has orbit length 1
     assert unit.aut == 155 << 10
 
@@ -431,8 +445,8 @@ def test_aut_invariant_on_classes():
         ctx = default_ctx(m)
         by_class = {}
         for p in apn_params(m, alphas=(0, 1), ctx=ctx):
-            by_class.setdefault(canonicalize(p, ctx), set()).add(
-                aut_orders(p, ctx))
+            by_class.setdefault(canonicalize(p), set()).add(
+                aut_orders(p))
         for trip, orders in by_class.items():
             assert len(orders) == 1, trip
 
@@ -441,7 +455,7 @@ def test_aut_requires_apn():
     with pytest.raises(NotApn):
         ctx = default_ctx(4)
         bad = next(b for b in range(1, 16) if count_roots(1, 1, b, ctx) > 0)
-        aut_orders(TaniguchiParams(m=4, k=1, alpha=1, beta=bad), ctx)
+        aut_orders(TaniguchiParams(m=4, k=1, alpha=1, beta=bad))
 
 
 def test_taniguchi_aut_below_pott_zhou_floor():
@@ -453,7 +467,7 @@ def test_taniguchi_aut_below_pott_zhou_floor():
         floor = 3 * m * (1 << (2 * m - 1)) * (ctx.order - 1)
         assert min(pott_zhou_aut_order(m, s) for s in range(0, m + 1, 2)) >= floor
         for p in apn_params(m, ks=[1], alphas=(1,), ctx=ctx):
-            assert aut_orders(p, ctx).aut < floor
+            assert aut_orders(p).aut < floor
 
 
 # ---------------------------------------------------------------------------
@@ -461,27 +475,23 @@ def test_taniguchi_aut_below_pott_zhou_floor():
 # ---------------------------------------------------------------------------
 
 def test_monomial_identity_always_present():
-    ctx = default_ctx(4)
-    wits = monomial_el_automorphisms(
-        TaniguchiParams(m=4, k=1, alpha=1, beta=9), ctx)
+    wits = monomial_el_automorphisms(TaniguchiParams(m=4, k=1, alpha=1, beta=9))
     assert any(w.u == 0 and w.a_u == 1 and w.b_bar_u == 1 and w.c_u == 1
                for w in wits)
 
 
 def test_monomial_counts_m5_spot():
     # acceptance sweeps all (k, beta) for m in {5,6,7}
-    ctx = default_ctx(5)
     for beta in (1, 6):
         p = TaniguchiParams(m=5, k=1, alpha=1, beta=beta)
-        assert count_monomial_el_automorphisms(p, ctx) == \
-            aut_orders(p, ctx).aut_el
+        assert count_monomial_el_automorphisms(p) == \
+            aut_orders(p).aut_el
 
 
 def test_monomial_witness_internal_consistency():
     ctx = default_ctx(5)
     beta = max(phi_set(2, ctx))
-    for w in monomial_el_automorphisms(
-            TaniguchiParams(m=5, k=2, alpha=1, beta=beta), ctx):
+    for w in monomial_el_automorphisms(TaniguchiParams(m=5, k=2, alpha=1, beta=beta)):
         assert w.b_bar_u == ctx.pow2k(w.a_u, 4)
         assert w.c_u == ctx.pow(w.b_bar_u, (1 << 2) + 1)
         assert ctx.pow2k(beta, w.u) == beta    # beta'^(2^u) = beta'
@@ -489,16 +499,14 @@ def test_monomial_witness_internal_consistency():
 
 def test_monomial_guards():
     with pytest.raises(InvalidParams):
-        count_monomial_el_automorphisms(
-            TaniguchiParams(m=5, k=1, alpha=3, beta=6))
+        count_monomial_el_automorphisms(TaniguchiParams(m=5, k=1, alpha=3, beta=6))
     with pytest.raises(TooLarge):
-        count_monomial_el_automorphisms(
-            TaniguchiParams(m=12, k=1, alpha=1, beta=1))
+        count_monomial_el_automorphisms(TaniguchiParams(m=12, k=1, alpha=1, beta=1))
 
 
-def monomial_by_full_grid(p, ctx):
+def monomial_by_full_grid(p):
     """Slow oracle: each monomial candidate built as a witness, checked on every point."""
-    f = taniguchi(p, ctx)
+    ctx = p.ctx
     found = []
     for u in range(ctx.m):
         for a_u in range(1, ctx.order):
@@ -509,7 +517,7 @@ def monomial_by_full_grid(p, ctx):
                 n_map=PairMap.monomial(ctx, xx=(c_u, u), yy=(ctx.mul(a_u, b_bar), u)),
                 m_map=PairMap.zero(ctx.m),
             )
-            if full_grid_verify(w, f, f):
+            if full_grid_verify(w, p, p):
                 found.append(AutWitness(u=u, a_u=a_u, b_bar_u=b_bar, c_u=c_u))
     return found
 
@@ -521,7 +529,7 @@ def test_monomial_matches_full_grid_oracle(m):
         phi = phi_set(k, ctx)
         for beta in {min(phi), max(phi)}:
             p = TaniguchiParams(m=m, k=k, alpha=1, beta=beta)
-            assert monomial_el_automorphisms(p, ctx) == monomial_by_full_grid(p, ctx)
+            assert monomial_el_automorphisms(p) == monomial_by_full_grid(p)
 
 
 @pytest.mark.slow
@@ -531,7 +539,7 @@ def test_monomial_counts_above_old_cap(m):
     phi = phi_set(1, ctx)
     for beta in (min(phi), max(phi)):
         p = TaniguchiParams(m=m, k=1, alpha=1, beta=beta)
-        assert count_monomial_el_automorphisms(p, ctx) == aut_orders(p, ctx).aut_el
+        assert count_monomial_el_automorphisms(p) == aut_orders(p).aut_el
 
 
 def test_canonical_triple_json_round_trip():

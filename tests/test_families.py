@@ -1,5 +1,7 @@
 """Family constructors, evaluation, materialization, and the table file format."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,7 @@ from taniapn.families import (
     gold,
     load_function,
     materialize,
-    pott_zhou,
     save_function,
-    taniguchi,
 )
 from taniapn.gf2m import default_ctx
 from taniapn.poly_roots import phi_set
@@ -40,7 +40,7 @@ def test_pott_zhou_params_validation():
     with pytest.raises(InvalidParams):
         PottZhouParams(m=4, k=1, s=2, alpha=0)
     # odd s is constructible; only the APN criterion rejects it
-    f = pott_zhou(PottZhouParams(m=4, k=1, s=1, alpha=2))
+    f = PottZhouParams(m=4, k=1, s=1, alpha=2)
     assert not f.is_apn_criterion()
 
 
@@ -52,24 +52,24 @@ def test_gold_params_validation():
 
 
 def test_zero_maps_to_zero():
-    f = taniguchi(TaniguchiParams(m=4, k=1, alpha=3, beta=5))
+    f = TaniguchiParams(m=4, k=1, alpha=3, beta=5)
     assert f.evaluate(0, 0) == (0, 0)
-    g = pott_zhou(PottZhouParams(m=4, k=1, s=2, alpha=2))
+    g = PottZhouParams(m=4, k=1, s=2, alpha=2)
     assert g.evaluate(0, 0) == (0, 0)
 
 
 def test_taniguchi_y_zero_reduces_to_power():
     # first coordinate at y=0 is x^(2^(2k)(2^k+1)): for m=3, k=1 that is x^12
     ctx = default_ctx(3)
-    f = taniguchi(TaniguchiParams(m=3, k=1, alpha=1, beta=2), ctx)
+    f = TaniguchiParams(m=3, k=1, alpha=1, beta=2)
     for x in range(8):
         assert f.evaluate(x, 0) == (ctx.pow(x, 12), 0)
 
 
 def test_second_coordinate_is_product():
     ctx = default_ctx(4)
-    f = taniguchi(TaniguchiParams(m=4, k=3, alpha=7, beta=9), ctx)
-    g = pott_zhou(PottZhouParams(m=4, k=3, s=4, alpha=2), ctx)
+    f = TaniguchiParams(m=4, k=3, alpha=7, beta=9)
+    g = PottZhouParams(m=4, k=3, s=4, alpha=2)
     for x in range(16):
         for y in range(16):
             assert f.evaluate(x, y)[1] == ctx.mul(x, y)
@@ -80,7 +80,7 @@ def test_taniguchi_criterion_matches_phi():
     ctx = default_ctx(4)
     phi = phi_set(1, ctx)
     for beta in range(1, 16):
-        f = taniguchi(TaniguchiParams(m=4, k=1, alpha=1, beta=beta), ctx)
+        f = TaniguchiParams(m=4, k=1, alpha=1, beta=beta)
         assert f.is_apn_criterion() == (beta in phi)
 
 
@@ -88,18 +88,17 @@ def test_taniguchi_alpha_zero_criterion():
     # alpha = 0: APN iff m even and beta a non-cube
     ctx = default_ctx(4)
     for beta in range(1, 16):
-        f = taniguchi(TaniguchiParams(m=4, k=1, alpha=0, beta=beta), ctx)
+        f = TaniguchiParams(m=4, k=1, alpha=0, beta=beta)
         assert f.is_apn_criterion() == (not ctx.is_cube(beta))
-    ctx5 = default_ctx(5)
     for beta in range(1, 32):
-        f = taniguchi(TaniguchiParams(m=5, k=1, alpha=0, beta=beta), ctx5)
+        f = TaniguchiParams(m=5, k=1, alpha=0, beta=beta)
         assert not f.is_apn_criterion()
 
 
 def test_materialize_round_trip():
     for m, k, alpha, beta in [(3, 1, 1, 2), (4, 3, 5, 9)]:
         ctx = default_ctx(m)
-        f = taniguchi(TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta), ctx)
+        f = TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta)
         tab = materialize(f)
         assert tab.table.shape == (1 << (2 * m),)
         for x in range(ctx.order):
@@ -108,8 +107,7 @@ def test_materialize_round_trip():
 
 
 def test_materialize_spot_checks_m8():
-    ctx = default_ctx(8)
-    f = taniguchi(TaniguchiParams(m=8, k=3, alpha=17, beta=77), ctx)
+    f = TaniguchiParams(m=8, k=3, alpha=17, beta=77)
     tab = materialize(f)
     rng = np.random.default_rng(0)
     for v in rng.integers(0, 1 << 16, size=1000):
@@ -118,8 +116,7 @@ def test_materialize_spot_checks_m8():
 
 
 def test_materialize_guard():
-    ctx = default_ctx(15)  # 2m = 30 > 28
-    f = taniguchi(TaniguchiParams(m=15, k=1, alpha=1, beta=1), ctx)
+    f = TaniguchiParams(m=15, k=1, alpha=1, beta=1)  # 2m = 30 > 28
     with pytest.raises(TooLarge):
         f.packed_table()
 
@@ -138,9 +135,9 @@ def _derivative_is_additive(tab, a, n):
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_families_are_quadratic_exhaustive(m):
     ctx = default_ctx(m)
-    fs = [taniguchi(TaniguchiParams(m=m, k=1, alpha=1, beta=ctx.order - 1), ctx)]
+    fs = [TaniguchiParams(m=m, k=1, alpha=1, beta=ctx.order - 1)]
     if m % 2 == 0:
-        fs.append(pott_zhou(PottZhouParams(m=m, k=1, s=2, alpha=2), ctx))
+        fs.append(PottZhouParams(m=m, k=1, s=2, alpha=2))
     for f in fs:
         tab = f.packed_table()
         assert int(tab[0]) == 0
@@ -150,8 +147,7 @@ def test_families_are_quadratic_exhaustive(m):
 
 @pytest.mark.parametrize("m", [6, 7, 8])
 def test_families_are_quadratic_sampled(m):
-    ctx = default_ctx(m)
-    f = taniguchi(TaniguchiParams(m=m, k=1, alpha=1, beta=3), ctx)
+    f = TaniguchiParams(m=m, k=1, alpha=1, beta=3)
     tab = f.packed_table()
     rng = np.random.default_rng(m)
     for a in rng.integers(1, 1 << (2 * m), size=50):
@@ -166,7 +162,7 @@ def test_truth_table_function_validation():
 
 def test_save_load_round_trip(tmp_path):
     ctx = default_ctx(4)
-    f = taniguchi(TaniguchiParams(m=4, k=1, alpha=1, beta=9), ctx)
+    f = TaniguchiParams(m=4, k=1, alpha=1, beta=9)
     path = tmp_path / "f419.apnt"
     manifest = save_function(f, path)
     raw = path.read_bytes()
@@ -175,7 +171,9 @@ def test_save_load_round_trip(tmp_path):
     assert int.from_bytes(raw[5:7], "little") == 4
     assert raw[7] == 1                         # taniguchi kind code
     assert len(raw) == 8 + (1 << 8) * 8
-    assert manifest.exists()
+    # the member's field is recorded as "modulus", not among its parameters
+    assert json.loads(manifest.read_text())["params"] == \
+        {"m": 4, "k": 1, "alpha": "0x1", "beta": "0x9"}
 
     back = load_function(path)
     assert back.ctx == ctx
@@ -188,7 +186,7 @@ def test_load_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + bytes(16))
     with pytest.raises(InvalidParams):
         load_function(path)
-    f = taniguchi(TaniguchiParams(m=3, k=1, alpha=1, beta=2), default_ctx(3))
+    f = TaniguchiParams(m=3, k=1, alpha=1, beta=2)
     manifest = save_function(f, path)
     good = path.read_bytes()
     for raw in (good[:6], good[:-1], good + bytes(8)):   # short header, short/long payload

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taniapn import equivalence, families
 from taniapn.errors import InvalidParams, ZeroInput, ZeroInverse
-from taniapn.families import PottZhouParams, TaniguchiParams
+from taniapn.families import PottZhouParams, TaniguchiParams, gold
 from taniapn.gf2m import (
     MODULUS_TABLE,
     FieldCtx,
@@ -237,20 +236,11 @@ def test_coprime_residues():
 
 
 
-TP = TaniguchiParams(m=5, k=1, alpha=1, beta=1)  # X^3 + X + 1 has no root in GF(2^5)
-PZ = PottZhouParams(m=4, k=1, s=2, alpha=2)
 ENTRY_POINTS = {  # name -> (degree, call with a context)
     "resolve_ctx": (5, lambda c: resolve_ctx(5, c)),
-    "TaniguchiFunction": (5, lambda c: families.TaniguchiFunction(TP, c)),
-    "PottZhouFunction": (4, lambda c: families.PottZhouFunction(PZ, c)),
-    "taniguchi": (5, lambda c: families.taniguchi(TP, c)),
-    "pott_zhou": (4, lambda c: families.pott_zhou(PZ, c)),
-    "gold": (5, lambda c: families.gold(5, 1, c)),
-    "canonicalize": (5, lambda c: equivalence.canonicalize(TP, c)),
-    "canonical_witness": (5, lambda c: equivalence.canonical_witness(TP, c)),
-    "equivalence_witness": (5, lambda c: equivalence.equivalence_witness(TP, TP, c)),
-    "aut_orders": (5, lambda c: equivalence.aut_orders(TP, c)),
-    "monomial_el_automorphisms": (5, lambda c: equivalence.monomial_el_automorphisms(TP, c)),
+    "TaniguchiParams": (5, lambda c: TaniguchiParams(m=5, k=1, alpha=1, beta=1, ctx=c)),
+    "PottZhouParams": (4, lambda c: PottZhouParams(m=4, k=1, s=2, alpha=2, ctx=c)),
+    "gold": (5, lambda c: gold(5, 1, c)),
 }
 
 
