@@ -17,7 +17,14 @@ two, several orbit lengths and a non-default modulus.  The three
 the code that still held a member's parameters apart from its field;
 f_(1, 1, 0x2) is APN over 0x49 but not over the default 0x43 (exit 3, 2
 and 2 without the override), so they fail if a member loses its field
-on the way to a verdict, an automorphism order or a witness.  The earlier
+on the way to a verdict, an automorphism order or a witness.  The five
+rows after them (enumerate-beta in JSON at m = 1, k = 1 and m = 17, k = 3,
+in pretty at m = 12, k = 5; classes in CSV at m = 12 and in pretty at
+m = 16, k = 3) were recorded from the code that still formatted every
+element, orbit and class row as a Python string and encoded the JSON with
+json.dumps; they cover a single-element list (no trailing comma), hex
+values of five digits, the pretty orbit lines and the even-m beta_star
+null ("" in CSV, "*" in pretty) next to the per-orbit rows.  The earlier
 commands run in each of the three formats (commands without a CSV form
 fall back to their pretty output); all run on inputs small enough for the
 default suite.
@@ -93,6 +100,11 @@ GOLDEN = [
     ("--modulus 6=0x49 --format json check-apn taniguchi --m 6 --k 1 --alpha 1 --beta 2", 0, "5db1475dc5a29790169b828a419d030014766ef7be939c0213c05fcf01572d06"),
     ("--modulus 6=0x49 --format json aut --m 6 --k 1 --alpha 1 --beta 2", 0, "ce2d1c66a272919eda7ec4e26f009b034582a3bbc2b3d2058119329d7ee6500e"),
     ("--modulus 6=0x49 --format json witness --from 6,1,1,2 --to 6,5,2A,18", 0, "7b7d5e5b949832867eb4ba0a46ba60c113b9616a5dc6c27c76281b6f6030e2be"),
+    ("--format json enumerate-beta --m 1 --k 1", 0, "e095868e7c68634982cff9cdbe40d8a5eac0c6b877000a0c40fc2304eccc9277"),
+    ("--format json enumerate-beta --m 17 --k 3", 0, "8314da5e3ecb9f37fd6f0378ca1f3d87f43124d35333c39d2860cec8df418c54"),
+    ("--format pretty enumerate-beta --m 12 --k 5", 0, "3be707a34c9dfc5a519a6dd98ffa356c205fc74ca7d711f17534af0d9d2f1e88"),
+    ("--format csv classes --m 12", 0, "6ffab21b1a91916df2942cf755fc3e59875f76dd7e87d309315d1d496e8fa231"),
+    ("--format pretty classes --m 16 --k 3", 0, "347c67905870fac39e256c58a4421762458d5505640934ba418145ce210a05ef"),
 ]
 
 
