@@ -18,6 +18,17 @@ Field elements are read and printed as hex bit-patterns relative to the
 modulus in use; with a --modulus override, cross-run comparisons require
 matching moduli (a warning is printed).  All output is deterministic for
 fixed flags.
+
+enumerate-beta and classes print their per-element rows (the elements of
+Phi, the orbits, the alpha = 1 class rows) in every format with numpy:
+_write_rows renders _RENDER_BATCH rows at a time into a byte matrix and
+writes each batch to sys.stdout, so neither its temporaries nor the text
+grow with |Phi|.  In JSON, json.dumps still encodes the small skeleton
+and the rendered lists are spliced in at their indent level.  The bytes
+are those of the objects' to_json() through json.dumps(indent=2,
+sort_keys=True) and of the earlier f-string rows; the tests keep both as
+the renderer's oracle.  The other commands print through _emit_json,
+_emit_csv and print.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from math import gcd
@@ -120,6 +132,134 @@ def _emit_aligned(rows: list[tuple]) -> None:
     widths = [max(len(str(r[i])) for r in rows) for i in range(len(rows[0]))]
     for row in rows:
         print("  ".join(str(v).rjust(w) for v, w in zip(row, widths)))
+
+
+# ---------------------------------------------------------------------------
+# Per-element output, rendered by numpy
+# ---------------------------------------------------------------------------
+
+_DIGITS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
+_RENDER_BATCH = 1 << 16  # rows per batch: bounds the temporaries and each write
+_SLOT = re.compile(r'"\\u0000(\d+)"')  # a placeholder string as json.dumps encodes it
+
+
+@dataclass(frozen=True)
+class _Col:
+    """One uint32 value per row, printed in upper-case hex without a prefix
+    (base 16) or in decimal (base 10)."""
+
+    values: np.ndarray
+    base: int = 16
+
+    def render(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(text, keep) for rows lo..hi: a uint8 matrix of the values right-
+        aligned at the widest one's width, and the mask of the bytes that
+        print (a digit prints when the value reaches its place; the last
+        one always does)."""
+        v = self.values[lo:hi, None]
+        width = len(format(int(v.max()), "X" if self.base == 16 else "d"))
+        powers = np.arange(width - 1, -1, -1, dtype=np.uint32)
+        place = np.uint32(self.base) ** powers
+        digits = (v >> 4 * powers) & 15 if self.base == 16 else v // place % 10
+        keep = v >= place
+        keep[:, -1] = True
+        return _DIGITS.take(digits), keep
+
+
+def _row_count(template: list) -> int:
+    cols = [p for p in template if isinstance(p, _Col)]
+    return cols[0].values.size if cols else 1
+
+
+def _write_rows(template: list, sep: bytes = b"") -> None:
+    """Write one row per value of the template's _Col columns (a template
+    without columns is one row), rows joined by sep.
+
+    A row is the template's pieces in order: bytes as they are, a _Col as
+    its value in that row.  Each batch of _RENDER_BATCH rows fills one
+    uint8 matrix, drops the leading zeros by one boolean compaction and goes
+    to sys.stdout, looked up here so that redirections of stdout see it.
+    """
+    n = _row_count(template)
+    for lo in range(0, n, _RENDER_BATCH):
+        hi = min(n, lo + _RENDER_BATCH)
+        parts = [p.render(lo, hi) if isinstance(p, _Col) else p for p in template + [sep]]
+        widths = [p[0].shape[1] if isinstance(p, tuple) else len(p) for p in parts]
+        text = np.empty((hi - lo, sum(widths)), dtype=np.uint8)
+        keep = np.ones(text.shape, dtype=bool)
+        at = 0
+        for p, w in zip(parts, widths):
+            if isinstance(p, tuple):
+                text[:, at:at + w], keep[:, at:at + w] = p
+            else:
+                text[:, at:at + w] = np.frombuffer(p, dtype=np.uint8)
+            at += w
+        out = text[keep].tobytes()
+        if hi == n and sep:
+            out = out[:-len(sep)]
+        sys.stdout.write(out.decode("ascii"))
+
+
+def _json_pieces(obj) -> list:
+    """json.dumps(obj, indent=2, sort_keys=True) split around the values
+    json cannot encode (the _Col and _JsonList ones): text and those values
+    alternate."""
+    slots = []
+
+    def slot(value) -> str:
+        slots.append(value)
+        return f"\0{len(slots) - 1}"
+
+    text = json.dumps(obj, indent=2, sort_keys=True, default=slot)
+    pieces = _SLOT.split(text)
+    pieces[1::2] = [slots[int(i)] for i in pieces[1::2]]
+    return pieces
+
+
+@dataclass(frozen=True)
+class _JsonList:
+    """A JSON list given as groups of items.  A group is one item template:
+    a JSON value whose _Col values make one item per row (_write_rows); a
+    hex column is a "0x..." string, a decimal one a number."""
+
+    groups: list
+
+    def write(self, pad: str) -> None:
+        inner = pad + "  "
+        templates = []
+        for group in self.groups:
+            pieces = _json_pieces(group)
+            pieces[0] = inner + pieces[0]
+            template = []
+            for i, piece in enumerate(pieces):
+                if i % 2 == 0:
+                    template.append(piece.replace("\n", "\n" + inner).encode())
+                else:
+                    template += [b'"0x', piece, b'"'] if piece.base == 16 else [piece]
+            if _row_count(template):
+                templates.append(template)
+        if not templates:
+            sys.stdout.write("[]")
+            return
+        sys.stdout.write("[\n")
+        for i, template in enumerate(templates):
+            sys.stdout.write(",\n" if i else "")
+            _write_rows(template, b",\n")
+        sys.stdout.write(f"\n{pad}]")
+
+
+def _emit_json_rows(obj) -> None:
+    """Print obj byte for byte as _emit_json does, where obj may hold
+    _JsonList values: json.dumps encodes the rest, and each list is spliced
+    in at its indent level with its items rendered by numpy."""
+    pieces = _json_pieces(obj)
+    for i, piece in enumerate(pieces):
+        if i % 2 == 0:
+            sys.stdout.write(piece)
+        else:
+            line = pieces[i - 1].rsplit("\n", 1)[-1]
+            piece.write(" " * (len(line) - len(line.lstrip(" "))))
+    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +425,24 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
 
 def cmd_enumerate_beta(args, cfg: RunConfig) -> int:
     phi = poly_roots.phi_set(args.k, cfg.ctx(args.m))
-    if cfg.fmt == "csv":
-        reps = poly_roots.orbit_minima(phi.elements, phi.ctx)
-        _, orbit, lengths = np.unique(reps, return_inverse=True, return_counts=True)
-        rows = [(f"0x{beta:X}", f"0x{rep:X}", length) for beta, rep, length
-                in zip(phi.elements.tolist(), reps.tolist(), lengths[orbit].tolist())]
-        _emit_csv(("beta", "orbit_representative", "orbit_length"), rows)
-        return EXIT_OK
     dec = poly_roots.frobenius_orbits(phi)
+    reps, lengths = _Col(dec.representatives), _Col(dec.lengths, base=10)
     if cfg.fmt == "json":
-        _emit_json({"phi": phi.to_json(), "orbits": dec.to_json()})
+        _emit_json_rows({
+            "phi": {"m": phi.m, "k": phi.k, "elements": _JsonList([_Col(phi.elements)])},
+            "orbits": {"total": dec.total,
+                       "orbits": _JsonList([{"representative": reps, "length": lengths}])},
+        })
+    elif cfg.fmt == "csv":
+        print("beta,orbit_representative,orbit_length")
+        _write_rows([b"0x", _Col(phi.elements), b",0x", _Col(dec.representatives[dec.orbit_of]),
+                     b",", _Col(dec.lengths[dec.orbit_of], base=10), b"\n"])
     else:
         print(f"m={args.m} k={args.k} |Phi|={len(phi)} orbits={len(dec)}")
-        print("phi: " + " ".join(f"0x{b:X}" for b in phi))
-        for rep, length in dec.orbits:
-            print(f"orbit 0x{rep:X} length {length}")
+        sys.stdout.write("phi: ")
+        _write_rows([b"0x", _Col(phi.elements)], b" ")
+        sys.stdout.write("\n")
+        _write_rows([b"orbit 0x", reps, b" length ", lengths, b"\n"])
     return EXIT_OK
 
 
@@ -318,29 +461,37 @@ def cmd_classes(args, cfg: RunConfig) -> int:
         k_stars = [min(args.k % m, m - args.k % m)]
     else:
         k_stars = [k for k in coprime_residues(m) if k < m / 2]
-    rows = []
-    for k in k_stars:
-        if m % 2 == 0:
-            noncubes = 2 * (ctx.order - 1) // 3
-            rows.append({"k_star": k, "alpha_star": 0, "beta_star": None,
-                         "members": noncubes})
-        dec = poly_roots.frobenius_orbits(poly_roots.phi_set(k, ctx))
-        for rep, length in dec.orbits:
-            rows.append({"k_star": k, "alpha_star": 1,
-                         "beta_star": f"0x{rep:X}", "members": length})
+    # even m: per k_star one alpha = 0 class, its members the non-cube betas
+    noncubes = 2 * (ctx.order - 1) // 3 if m % 2 == 0 else None
+    decs = {k: poly_roots.frobenius_orbits(poly_roots.phi_set(k, ctx)) for k in k_stars}
+    count = sum(len(dec) + (noncubes is not None) for dec in decs.values())
     if cfg.fmt == "json":
-        _emit_json({"m": m, "classes": rows, "count": len(rows)})
-    elif cfg.fmt == "csv":
-        _emit_csv(("k_star", "alpha_star", "beta_star", "members"),
-                  [(r["k_star"], r["alpha_star"], r["beta_star"] or "", r["members"])
-                   for r in rows])
+        groups = []
+        for k, dec in decs.items():
+            if noncubes is not None:
+                groups.append({"k_star": k, "alpha_star": 0, "beta_star": None,
+                               "members": noncubes})
+            groups.append({"k_star": k, "alpha_star": 1, "beta_star": _Col(dec.representatives),
+                           "members": _Col(dec.lengths, base=10)})
+        _emit_json_rows({"m": m, "classes": _JsonList(groups), "count": count})
+        return EXIT_OK
+    if cfg.fmt == "csv":
+        print("k_star,alpha_star,beta_star,members")
     else:
-        print(f"m={m}: {len(rows)} classes" +
+        print(f"m={m}: {count} classes" +
               ("" if args.k is not None else f" (n(m)={counting.n_taniguchi(m)})"))
-        for r in rows:
-            beta = r["beta_star"] if r["beta_star"] else "*"
-            print(f"  (k={r['k_star']}, alpha={r['alpha_star']}, beta={beta})"
-                  f"  members {r['members']}")
+    for k, dec in decs.items():
+        reps, lengths = _Col(dec.representatives), _Col(dec.lengths, base=10)
+        if cfg.fmt == "csv":
+            alpha0 = f"{k},0,,{noncubes}"
+            alpha1 = [f"{k},1,0x".encode(), reps, b",", lengths, b"\n"]
+        else:
+            alpha0 = f"  (k={k}, alpha=0, beta=*)  members {noncubes}"
+            alpha1 = [f"  (k={k}, alpha=1, beta=0x".encode(), reps, b")  members ", lengths,
+                      b"\n"]
+        if noncubes is not None:
+            print(alpha0)
+        _write_rows(alpha1)
     return EXIT_OK
 
 

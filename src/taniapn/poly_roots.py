@@ -12,7 +12,8 @@ closed under the squaring map and decomposes into Frobenius orbits
 {b, b^2, b^4, ...} whose lengths divide m; orbit representatives are the
 numerically smallest members.  orbit_minima finds them for a whole set
 with one squaring pass and ceil(log2 m) pointer-doubling steps over
-positions in the sorted set.
+positions in the sorted set; frobenius_orbits keeps the result as arrays
+(representatives, lengths, the orbit of each element).
 
 count_roots() stays a literal exhaustive scan on purpose: it decides a
 single member's APN criterion (families.TaniguchiParams), and it is the
@@ -62,10 +63,13 @@ class BetaSet:
         return i < self.elements.size and int(self.elements[i]) == beta
 
     def to_json(self) -> dict:
+        """The set as a JSON-ready dict.  The CLI prints the elements with
+        its numpy renderer instead; this dict through json.dumps is that
+        renderer's slow oracle in the tests."""
         return {
             "m": self.m,
             "k": self.k,
-            "elements": [f"0x{int(b):X}" for b in self.elements],
+            "elements": [f"0x{b:X}" for b in self.elements.tolist()],
         }
 
     def __eq__(self, other) -> bool:
@@ -76,25 +80,31 @@ class BetaSet:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitDecomposition:
-    """Frobenius-orbit partition: (smallest member, orbit length) pairs."""
+    """Frobenius-orbit partition of one Phi(m), held as arrays: per orbit its
+    smallest member and its length, per element of Phi its orbit."""
 
-    orbits: list[tuple[int, int]]  # sorted by representative
-    total: int
+    representatives: np.ndarray  # sorted uint32, the smallest member of each orbit
+    lengths: np.ndarray  # uint32, the length of each orbit, aligned with representatives
+    orbit_of: np.ndarray  # int32, per element of Phi (sorted) the index of its orbit
+
+    @property
+    def total(self) -> int:
+        return int(self.orbit_of.size)
 
     def __len__(self) -> int:
-        return len(self.orbits)
-
-    def lengths(self) -> list[int]:
-        return sorted(length for _, length in self.orbits)
+        return int(self.representatives.size)
 
     def to_json(self) -> dict:
+        """The orbits as a JSON-ready dict.  The CLI prints them with its
+        numpy renderer instead; this dict through json.dumps is that
+        renderer's slow oracle in the tests."""
         return {
             "total": self.total,
             "orbits": [
                 {"representative": f"0x{r:X}", "length": length}
-                for r, length in self.orbits
+                for r, length in zip(self.representatives.tolist(), self.lengths.tolist())
             ],
         }
 
@@ -143,15 +153,28 @@ def phi_set(k: int, ctx: FieldCtx) -> BetaSet:
 
 
 def frobenius_orbits(phi: BetaSet) -> OrbitDecomposition:
-    """Partition Phi(m) into Frobenius orbits {b, b^2, b^4, ...}."""
-    uniq, counts = np.unique(orbit_minima(phi.elements, phi.ctx), return_counts=True)
-    orbits = [(int(r), int(c)) for r, c in zip(uniq, counts)]
-    return OrbitDecomposition(orbits=orbits, total=len(phi))
+    """Partition Phi(m) into Frobenius orbits {b, b^2, b^4, ...}.
+
+    Each orbit's smallest member sits at the one position that is its own
+    orbit minimum, so the orbits come in sorted order without a sort.
+    """
+    pos = _orbit_min_positions(phi.elements, phi.ctx)
+    is_rep = pos == np.arange(pos.size, dtype=np.int32)
+    orbit_of = (np.cumsum(is_rep, dtype=np.int32) - 1)[pos]
+    return OrbitDecomposition(representatives=phi.elements[is_rep],
+                              lengths=np.bincount(orbit_of).astype(np.uint32),
+                              orbit_of=orbit_of)
 
 
 def orbit_minima(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Per element of the sorted, squaring-closed arr, the smallest member
-    of its Frobenius orbit.
+    of its Frobenius orbit."""
+    return arr[_orbit_min_positions(arr, ctx)]
+
+
+def _orbit_min_positions(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Per element of the sorted, squaring-closed arr, the int32 position in
+    arr of the smallest member of its Frobenius orbit.
 
     One squaring pass and a search give nxt, the squaring map on positions
     in arr.  Pointer doubling then takes the minimum over 1, 2, 4, ... steps
@@ -160,7 +183,7 @@ def orbit_minima(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     smallest member.
     """
     if arr.size == 0:
-        return arr.copy()
+        return np.zeros(0, dtype=np.int32)
     sq = ctx.square_vec(arr)
     nxt = np.minimum(np.searchsorted(arr, sq), arr.size - 1).astype(np.int32)
     escaped = arr[nxt] != sq
@@ -170,7 +193,7 @@ def orbit_minima(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     for _ in range((ctx.m - 1).bit_length()):
         reps = np.minimum(reps, reps[nxt])
         nxt = nxt[nxt]
-    return arr[reps]
+    return reps
 
 
 def transform_beta(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:

@@ -186,7 +186,8 @@ def test_modulus_independence():
         for k in {1, coprime_residues(m)[-1]}:
             pa, pb = phi_set(k, ctx_a), phi_set(k, ctx_b)
             assert len(pa) == len(pb)
-            assert frobenius_orbits(pa).lengths() == frobenius_orbits(pb).lengths()
+            assert (sorted(frobenius_orbits(pa).lengths.tolist())
+                    == sorted(frobenius_orbits(pb).lengths.tolist()))
 
 
 def test_count_report_round_trip():

@@ -128,29 +128,34 @@ def test_phi_orbit_profile_independent_of_k():
     for m in range(1, 13):
         ctx = default_ctx(m)
         ks = coprime_residues(m)
-        base = frobenius_orbits(phi_set(ks[0], ctx)).lengths()
+        base = sorted(frobenius_orbits(phi_set(ks[0], ctx)).lengths.tolist())
         for k in ks[1:]:
-            assert frobenius_orbits(phi_set(k, ctx)).lengths() == base
+            assert sorted(frobenius_orbits(phi_set(k, ctx)).lengths.tolist()) == base
     assert set(phi_set(2, default_ctx(5))) != set(phi_set(1, default_ctx(5)))
 
 
 def test_frobenius_orbits_examples():
     dec3 = frobenius_orbits(phi_set(1, GF8))
-    assert dec3.orbits == [(2, 3)] and dec3.total == 3
-    dec4 = frobenius_orbits(phi_set(1, GF16))
-    assert dec4.lengths() == [1, 4] and dec4.total == 5
-    assert dec4.orbits[0] == (1, 1)
+    assert dec3.representatives.tolist() == [2] and dec3.lengths.tolist() == [3]
+    assert dec3.orbit_of.tolist() == [0, 0, 0] and dec3.total == 3
+    dec4 = frobenius_orbits(phi_set(1, GF16))  # Phi = 0x1, 0x9, 0xB, 0xD, 0xE
+    assert dec4.representatives.tolist() == [1, 9] and dec4.lengths.tolist() == [1, 4]
+    assert dec4.orbit_of.tolist() == [0, 1, 1, 1, 1] and dec4.total == 5
 
 
 def test_frobenius_orbits_properties():
     for m in (4, 6, 9):
         ctx = default_ctx(m)
-        dec = frobenius_orbits(phi_set(1, ctx))
-        assert sum(length for _, length in dec.orbits) == dec.total
-        for rep, length in dec.orbits:
+        phi = phi_set(1, ctx)
+        dec = frobenius_orbits(phi)
+        assert dec.representatives.dtype == dec.lengths.dtype == np.uint32
+        assert int(dec.lengths.sum()) == dec.total == len(phi)
+        for rep, length in zip(dec.representatives.tolist(), dec.lengths.tolist()):
             assert m % length == 0
             assert orbit_min(rep, ctx) == rep
             assert orbit_length(rep, ctx) == length
+        for b, i in zip(phi, dec.orbit_of.tolist()):
+            assert orbit_min(b, ctx) == dec.representatives[i]
 
 
 @pytest.mark.parametrize("m", range(1, 15))
@@ -280,4 +285,5 @@ def test_json_round_trips():
     dec = frobenius_orbits(phi)
     assert json.loads(json.dumps(dec.to_json())) == {
         "total": len(phi),
-        "orbits": [{"representative": f"0x{r:X}", "length": n} for r, n in dec.orbits]}
+        "orbits": [{"representative": f"0x{r:X}", "length": n}
+                   for r, n in zip(dec.representatives.tolist(), dec.lengths.tolist())]}
