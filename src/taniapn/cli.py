@@ -5,7 +5,8 @@ witness, aut.  Global flags (before the command): --format, --modulus.
 
 Exit codes: 0 success / APN / verified; 1 audit or consistency failure;
 2 usage error (including bad parameters and oversize requests);
-3 negative verdict (not APN, not equivalent).
+3 negative verdict (not APN, not equivalent); 141 (128 + SIGPIPE) when
+the reader closed stdout before the output was written, with no message.
 
 witness prints a verified witness when it can construct one.  Two alpha = 0
 members whose betas lie in different Frobenius orbits (or whose k differ)
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NEGATIVE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer the signal ended
 
 
 @dataclass
@@ -628,7 +631,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = RunConfig(fmt=args.format,
                         modulus_overrides=_parse_modulus_override(args.modulus))
-        return args.func(args, cfg)
+        code = args.func(args, cfg)
+        sys.stdout.flush()  # a closed pipe shows at the last flush as well
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to the null device
+        # at exit, so no second error is printed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (TaniapnError, ValueError, OSError) as exc:  # OSError: --table, --save-table paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,12 +8,17 @@ Every operation flows through a FieldCtx, which is immutable after
 construction and safe to share.  Scalar operations use the raw
 shift-and-XOR path and never touch a table, so they are the oracle for
 the bulk (numpy) operations.  Those take and return uint32 element
-arrays.  mul_vec adds logs; square_vec, pow2k_vec and pow_vec are one
-power kernel that multiplies a log by the exponent.  Both run on a lazily
-built log/antilog pair for m <= 24 (uint32 antilog, int32 log, int64 only
-for the exponent products), and on the shift-and-XOR product beyond.  The
-antilog table is built by doubling, each step a multiplication by a fixed
-element done as one 256-entry table gather per byte of the operand.
+arrays.  Maps that are GF(2)-linear share one kernel: _byte_tables
+takes the basis images L(X^i), and _apply_linear applies L as the XOR
+of one 256-entry table gather per byte of the operand.  The Frobenius
+powers square_vec and pow2k_vec are such maps (x -> x^(2^k), tables
+cached per k on the context), for every m; so is multiplication by a
+fixed element, which _powers uses to build a geometric sequence c^0,
+c^1, ... by doubling.  mul_vec adds logs and pow_vec multiplies a log by
+the exponent (_pow), on a lazily built log/antilog pair for m <= 24
+(uint32 antilog, which is _powers of the generator; int32 log; int64
+only for the exponent products), and on the shift-and-XOR product
+beyond.
 
 The default modulus for each degree is the lexicographically smallest
 irreducible polynomial (smallest when the coefficient bit-vector is read
@@ -81,7 +86,10 @@ MODULUS_TABLE: dict[int, int] = {
 }
 
 MAX_DEGREE = 32
-_TABLE_DEGREE_LIMIT = 24  # log/antilog pair built only up to here (~128 MB at 24)
+# The log/antilog pair serves only mul_vec and pow_vec, and is built only up
+# to here (~128 MB at 24); Frobenius powers and Phi(m) use no log table.
+_TABLE_DEGREE_LIMIT = 24
+_BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint32)  # bit i of v
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +160,27 @@ def irreducibles(m: int):
         c += 2
 
 
+def _byte_tables(imgs: list[int]) -> np.ndarray:
+    """The GF(2)-linear map L with basis images imgs[i] = L(X^i), as one
+    256-entry table per byte of the operand: tables[j][v] is the XOR of
+    imgs[8j + i] over the set bits i of v."""
+    padded = np.zeros(-(-len(imgs) // 8) * 8, dtype=np.uint32)
+    padded[:len(imgs)] = imgs
+    return np.bitwise_xor.reduce(_BYTE_BITS * padded.reshape(-1, 1, 8), axis=2)
+
+
+def _apply_linear(tables: np.ndarray, a) -> np.ndarray:
+    """L(a) for uint32 element arrays, 0-d arrays or ints: the XOR of one
+    table gather per byte of the operand."""
+    shape = np.shape(a)
+    # byte j of entry i sits at 4i + j of the little-endian bytes
+    b = np.ascontiguousarray(a, dtype="<u4").reshape(-1).view(np.uint8)
+    out = tables[0][b[0::4]]
+    for j in range(1, len(tables)):
+        out ^= tables[j][b[j::4]]
+    return out.reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # Field context
 # ---------------------------------------------------------------------------
@@ -177,6 +206,7 @@ class FieldCtx:
         self.m = m
         self.modulus = modulus
         self.order = 1 << m
+        self._frobenius_tables: dict[int, np.ndarray] = {}
 
     def __repr__(self) -> str:
         return f"FieldCtx(m={self.m}, modulus=0x{self.modulus:X})"
@@ -263,35 +293,46 @@ class FieldCtx:
     @cached_property
     def _logexp(self) -> tuple[np.ndarray, np.ndarray]:
         # antilog[i] = g^i for 0 <= i < 2^m - 1; log[0] = -1 sentinel.
-        # Built by doubling: block i + 2^j is block i times c = g^(2^j).
-        # Times a fixed c is GF(2)-linear, so each block is the XOR of one
-        # gather per byte of the operand, from a table of c * (v << lo)
-        # built by linearity doubling on the images c * X^i.
         n1 = self.order - 1
-        exp = np.empty(n1, dtype=np.uint32)
-        exp[0] = 1
-        c, size = self.generator, 1
-        while size < n1:
-            dst = exp[size:2 * size]
-            src = exp[:dst.size]
-            dst[...] = 0
-            for lo in range(0, self.m, 8):
-                tab = np.zeros(1, dtype=np.uint32)
-                for i in range(lo, min(lo + 8, self.m)):
-                    tab = np.concatenate([tab, tab ^ np.uint32(self.mul(c, 1 << i))])
-                dst ^= tab[(src >> np.uint32(lo)) & np.uint32(0xFF)]
-            c, size = self.mul(c, c), 2 * size
+        exp = self._powers(self.generator, n1)
         log = np.full(self.order, -1, dtype=np.int32)
         log[exp] = np.arange(n1, dtype=np.int32)
         return exp, log
 
+    def _times(self, a, c: int) -> np.ndarray:
+        """c*a for a fixed element c, as a linear map of a."""
+        imgs = [c]
+        for _ in range(self.m - 1):
+            imgs.append(self.mul(imgs[-1], 2))
+        return _apply_linear(_byte_tables(imgs), a)
+
+    def _powers(self, c: int, n: int) -> np.ndarray:
+        """c^0, c^1, ..., c^(n-1) as uint32, for n >= 1.
+
+        Built by doubling: block i + 2^j is block i times c^(2^j).
+        """
+        out = np.empty(n, dtype=np.uint32)
+        out[0] = 1
+        size = 1
+        while size < n:
+            dst = out[size:2 * size]
+            dst[...] = self._times(out[:dst.size], c)
+            c, size = self.mul(c, c), 2 * size
+        return out
+
+    def _frobenius(self, a, k: int) -> np.ndarray:
+        """a^(2^k) for 0 <= k < m, a linear map whose tables are built once per k."""
+        if k not in self._frobenius_tables:
+            self._frobenius_tables[k] = _byte_tables([self.pow2k(1 << i, k) for i in range(self.m)])
+        return _apply_linear(self._frobenius_tables[k], a)
+
     # -- bulk (numpy) operations ---------------------------------------------
     #
     # Arguments are arrays of valid elements, 0-d arrays or Python ints;
-    # results are uint32.  Operands index the log table as they are.  Logs
-    # are int32: a sum of two stays below 2^25, and only the exponent
-    # products in _pow, which can pass 2^32, are int64.  Every power goes
-    # through _pow.
+    # results are uint32.  Frobenius powers are linear maps; mul_vec and
+    # every other power (_pow) go through the log table, which operands
+    # index as they are.  Logs are int32: a sum of two stays below 2^25, and
+    # only the exponent products in _pow, which can pass 2^32, are int64.
 
     def elements(self) -> np.ndarray:
         return np.arange(self.order, dtype=np.uint32)
@@ -334,10 +375,10 @@ class FieldCtx:
         return np.where((la < 0) | (lb < 0), np.uint32(0), exp[(la + lb) % (self.order - 1)])
 
     def square_vec(self, a) -> np.ndarray:
-        return self._pow(a, 2)
+        return self._frobenius(a, 1 % self.m)
 
     def pow2k_vec(self, a, k: int) -> np.ndarray:
-        return self._pow(a, 1 << (k % self.m))
+        return self._frobenius(a, k % self.m)
 
     def pow_vec(self, a, e: int) -> np.ndarray:
         if e < 0:

@@ -7,13 +7,17 @@ The admissible set
 is enumerated by the image-complement trick: beta has a root iff
 beta = x^(2^k+1) + x for some x, so one O(2^m) pass over x marks every
 rooted beta and the unmarked values are Phi(m), a BetaSet that holds the
-field it was enumerated in, so its readers take it alone.  Phi(m) is
-closed under the squaring map and decomposes into Frobenius orbits
-{b, b^2, b^4, ...} whose lengths divide m; orbit representatives are the
-numerically smallest members.  orbit_minima finds them for a whole set
-with one squaring pass and ceil(log2 m) pointer-doubling steps over
-positions in the sorted set; frobenius_orbits keeps the result as arrays
-(representatives, lengths, the orbit of each element).
+field it was enumerated in, so its readers take it alone.  The pass walks
+x in exponent order: for x = g^i (g the generator) the rooted beta is
+g^i + h^i with h = g^(2^k+1), so it needs two geometric sequences and no
+log table or bulk product.  Phi(m) is closed under the squaring map and
+decomposes into Frobenius orbits {b, b^2, b^4, ...} whose lengths divide
+m; orbit representatives are the numerically smallest members.
+orbit_minima finds them for a whole set with one squaring pass, a rank
+lookup of each square in a packed membership bitmap of the set, and
+ceil(log2 m) pointer-doubling steps over positions in the sorted set;
+frobenius_orbits keeps the result as arrays (representatives, lengths,
+the orbit of each element).
 
 count_roots() stays a literal exhaustive scan on purpose: it decides a
 single member's APN criterion (families.TaniguchiParams), and it is the
@@ -38,6 +42,7 @@ from .gf2m import FieldCtx
 
 _SCAN_DEGREE_LIMIT = 28  # 2^m-element scans stay feasible up to here
 _SCAN_CHUNK = 1 << 22  # x values per batch of a root scan; one batch up to m = 22
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,6 +121,19 @@ def _check_k(k: int, ctx: FieldCtx) -> int:
     return k
 
 
+def _batches(n: int):
+    """Slices that cover range(n) in batches of _SCAN_CHUNK."""
+    return [slice(lo, lo + _SCAN_CHUNK) for lo in range(0, n, _SCAN_CHUNK)]
+
+
+def _take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """a[idx], gathered batch by batch, so no intp copy of all of idx is made."""
+    out = np.empty(idx.size, dtype=a.dtype)
+    for s in _batches(idx.size):
+        out[s] = a[idx[s]]
+    return out
+
+
 def _scan_chunks(ctx: FieldCtx):
     """Every element of the field, in uint32 batches of _SCAN_CHUNK."""
     for lo in range(0, ctx.order, _SCAN_CHUNK):
@@ -134,13 +152,27 @@ def count_roots(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:
 
 
 def phi_set(k: int, ctx: FieldCtx) -> BetaSet:
-    """Phi(m) via the image complement of x -> x^(2^k+1) + x."""
+    """Phi(m) via the image complement of x -> x^(2^k+1) + x.
+
+    x runs over 0 and g^i in exponent order: x^(2^k+1) = h^i with
+    h = g^(2^k+1), so the rooted betas are 0 and g^i + h^i, two geometric
+    sequences.  A later batch is the first one times g^lo and h^lo.
+    """
     k = _check_k(k, ctx)
     if ctx.m > _SCAN_DEGREE_LIMIT:
         raise TooLarge(f"phi_set scan capped at m={_SCAN_DEGREE_LIMIT}")
+    g = ctx.generator
+    h = ctx.pow(g, (1 << k) + 1)
+    n1 = ctx.order - 1
     rootless = np.ones(ctx.order, dtype=bool)
-    for x in _scan_chunks(ctx):
-        rootless[ctx.mul_vec(ctx.pow2k_vec(x, k), x) ^ x] = False
+    rootless[0] = False  # x = 0
+    g_run, h_run = ctx._powers(g, min(_SCAN_CHUNK, n1)), ctx._powers(h, min(_SCAN_CHUNK, n1))
+    for lo in range(0, n1, _SCAN_CHUNK):
+        n = min(_SCAN_CHUNK, n1 - lo)
+        g_lo, h_lo = g_run[:n], h_run[:n]
+        if lo:
+            g_lo, h_lo = ctx._times(g_lo, ctx.pow(g, lo)), ctx._times(h_lo, ctx.pow(h, lo))
+        rootless[g_lo ^ h_lo] = False
     # indexed batch by batch into a uint32 array of the final size, so no
     # int64 index array of |Phi| entries is ever built
     elements = np.empty(np.count_nonzero(rootless), dtype=np.uint32)
@@ -160,7 +192,7 @@ def frobenius_orbits(phi: BetaSet) -> OrbitDecomposition:
     """
     pos = _orbit_min_positions(phi.elements, phi.ctx)
     is_rep = pos == np.arange(pos.size, dtype=np.int32)
-    orbit_of = (np.cumsum(is_rep, dtype=np.int32) - 1)[pos]
+    orbit_of = _take(np.cumsum(is_rep, dtype=np.int32) - 1, pos)
     return OrbitDecomposition(representatives=phi.elements[is_rep],
                               lengths=np.bincount(orbit_of).astype(np.uint32),
                               orbit_of=orbit_of)
@@ -176,24 +208,47 @@ def _orbit_min_positions(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Per element of the sorted, squaring-closed arr, the int32 position in
     arr of the smallest member of its Frobenius orbit.
 
-    One squaring pass and a search give nxt, the squaring map on positions
-    in arr.  Pointer doubling then takes the minimum over 1, 2, 4, ... steps
-    of the map; every orbit length divides m, so ceil(log2 m) doublings
-    cover each orbit.  arr is sorted, so the smallest position holds the
-    smallest member.
+    Pointer doubling over the squaring map on positions takes the minimum
+    over 1, 2, 4, ... steps of the map; every orbit length divides m, so
+    ceil(log2 m) doublings cover each orbit.  arr is sorted, so the
+    smallest position holds the smallest member.
     """
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.int32)
-    sq = ctx.square_vec(arr)
-    nxt = np.minimum(np.searchsorted(arr, sq), arr.size - 1).astype(np.int32)
-    escaped = arr[nxt] != sq
-    if escaped.any():
-        raise NotFrobeniusClosed(f"square 0x{int(sq[escaped][0]):X} escapes the set")
+    nxt = _squaring_positions(arr, ctx)
     reps = np.arange(arr.size, dtype=np.int32)
     for _ in range((ctx.m - 1).bit_length()):
-        reps = np.minimum(reps, reps[nxt])
-        nxt = nxt[nxt]
+        ahead = _take(reps, nxt)
+        reps = np.minimum(reps, ahead, out=ahead)
+        nxt = _take(nxt, nxt)
     return reps
+
+
+def _squaring_positions(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Per element of the sorted arr, the int32 position in arr of its square.
+
+    One squaring pass and a rank lookup: the rank of v is the number of
+    members below it, read from a membership bitmap of arr packed 8 to a
+    byte, as a prefix count per byte plus the popcount of the bits below v
+    in its byte.  A square outside arr raises NotFrobeniusClosed.
+    """
+    if ctx.m > _SCAN_DEGREE_LIMIT:
+        raise TooLarge(f"orbit pass capped at m={_SCAN_DEGREE_LIMIT}: its bitmap spans the field")
+    member = np.zeros(ctx.order, dtype=bool)
+    for s in _batches(arr.size):
+        member[arr[s]] = True
+    bitmap = np.packbits(member, bitorder="little")
+    del member
+    counts = _POPCOUNT8[bitmap]
+    below = np.cumsum(counts, dtype=np.int32) - counts  # members in the earlier bytes
+    nxt = np.empty(arr.size, dtype=np.int32)
+    for s in _batches(arr.size):
+        sq = ctx.square_vec(arr[s])
+        byte, bit = sq >> np.uint32(3), sq & np.uint32(7)
+        word = bitmap[byte]
+        escaped = (word >> bit) & 1 == 0
+        if escaped.any():
+            raise NotFrobeniusClosed(f"square 0x{int(sq[escaped][0]):X} escapes the set")
+        nxt[s] = below[byte] + _POPCOUNT8[word & ((1 << bit) - 1)]
+    return nxt
 
 
 def transform_beta(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:

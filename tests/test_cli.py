@@ -2,13 +2,17 @@
 
 import functools
 import json
+import os
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from taniapn.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, build_parser, main
+from taniapn.cli import EXIT_BROKEN_PIPE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, build_parser, main
 
 TABLE_2_TO_16 = [1, 1, 3, 6, 5, 21, 26, 57, 74, 315, 234, 1266, 1185, 2916, 5492]
 
@@ -464,3 +468,43 @@ def test_determinism_byte_identical(capsys):
                         "--full")
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_closed_stdout_pipe_exits_141_without_a_message():
+    # 227 KB of output in four batches of ~57 KB, one per k*.  When the
+    # reader closes, at most a pipe's capacity (64 KB on Linux) plus the
+    # reader's one buffer have been written, so a later batch meets the
+    # closed pipe.  (With --k 3 the rows go out in one write, and a write
+    # that the close cuts short is not reported by Python's text layer.)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "taniapn.cli", "--format", "pretty", "classes", "--m", "16"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"m=16: 5492 classes (n(m)=5492)\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ("--format", "json", "enumerate-beta", "--m", "12", "--k", "5"),
+    ("--format", "csv", "enumerate-beta", "--m", "12", "--k", "5"),
+    ("--format", "pretty", "enumerate-beta", "--m", "12", "--k", "5"),
+    ("--format", "json", "classes", "--m", "12"),
+    ("--format", "pretty", "classes", "--m", "9", "--k", "2"),
+    ("--format", "json", "audit", "--m-max", "10"),
+], ids=" ".join)
+def test_phi_commands_build_no_log_table(capsys, monkeypatch, argv):
+    # Phi, the orbit pass and the counting oracles run on linear maps alone:
+    # no context they touch builds its log/antilog pair or multiplies in bulk
+    from taniapn.gf2m import FieldCtx
+
+    def refuse(name):
+        return lambda *a: pytest.fail(f"{' '.join(argv)} called {name}")
+
+    monkeypatch.setattr(FieldCtx, "_logexp", property(refuse("_logexp")))
+    monkeypatch.setattr(FieldCtx, "mul_vec", refuse("mul_vec"))
+    monkeypatch.setattr(FieldCtx, "_mul_vec_raw", refuse("_mul_vec_raw"))
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and out

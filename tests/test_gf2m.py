@@ -12,6 +12,7 @@ from taniapn.gf2m import (
     FieldCtx,
     coprime_residues,
     default_ctx,
+    factorize,
     irreducibles,
     is_irreducible,
     resolve_ctx,
@@ -217,6 +218,36 @@ def test_vector_ops_match_scalar(m):
                 assert r.dtype == np.uint32 and r.shape == ()
                 assert int(r) == scalar(x, y)
     assert ctx.pow_vec(0, 0) == 1 and ctx.pow_vec(np.zeros(3, np.uint32), 0).tolist() == [1] * 3
+
+
+@pytest.mark.parametrize("m", range(1, 33))
+def test_frobenius_map_matches_scalar(m):
+    # the byte-gather linear map against the scalar squaring loop, at every
+    # degree, with 0, 1, the top element and every basis vector among the inputs
+    ctx = default_ctx(m)
+    rng = np.random.default_rng(100 + m)
+    a = np.concatenate([np.array([0, 1, ctx.order - 1], dtype=np.uint32),
+                        np.left_shift(np.uint32(1), np.arange(m, dtype=np.uint32)),
+                        rng.integers(0, ctx.order, size=100, dtype=np.uint32)])
+    for k in (0, 1, m - 1, -1, -m - 1):
+        r = ctx.pow2k_vec(a, k)
+        assert r.dtype == np.uint32 and r.shape == a.shape
+        assert r.tolist() == [ctx.pow2k(x, k) for x in a.tolist()]
+    assert ctx.square_vec(a).tolist() == [ctx.mul(x, x) for x in a.tolist()]
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 6, 9, 12])
+def test_powers_match_scalar_pow(m):
+    ctx = default_ctx(m)
+    n1 = ctx.order - 1
+    # g^d for the smallest prime d dividing 2^m - 1 generates a proper subgroup
+    # (for m >= 2); 0 and 1 are the degenerate bases
+    c = ctx.pow(ctx.generator, factorize(n1)[0][0]) if n1 > 1 else 1
+    for base in (c, 0, 1, ctx.generator):
+        for n in (1, 2, 5, 7, n1, 2 * n1 + 3):
+            r = ctx._powers(base, n)
+            assert r.dtype == np.uint32
+            assert r.tolist() == [ctx.pow(base, i) for i in range(n)]
 
 
 def test_irreducibles_generator():

@@ -7,7 +7,7 @@ import pytest
 
 from taniapn import poly_roots
 from taniapn.counting import capital_m
-from taniapn.errors import InvalidK, NotFrobeniusClosed, ZeroAlpha
+from taniapn.errors import InvalidK, NotFrobeniusClosed, TooLarge, ZeroAlpha
 from taniapn.gf2m import FieldCtx, coprime_residues, default_ctx
 from taniapn.poly_roots import (
     BetaSet,
@@ -178,6 +178,53 @@ def test_orbit_minima_closure_and_empty_set():
         orbit_minima(np.array([2, 4], dtype=np.uint32), GF8)
     empty = orbit_minima(np.zeros(0, dtype=np.uint32), GF8)
     assert empty.dtype == np.uint32 and empty.size == 0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_orbit_minima_in_fields_of_fewer_than_8_elements(m):
+    # the membership bitmap is a single, partly used byte
+    ctx = default_ctx(m)
+    field = ctx.elements()
+    for arr in [field, field[:1], field[1:2], phi_set(1, ctx).elements]:
+        assert orbit_minima(arr, ctx).tolist() == [orbit_min(b, ctx) for b in arr.tolist()]
+    if m == 2:  # GF(4): 2 and 3 = 2^2 form one orbit
+        for arr, escapes in (([2], "0x3"), ([3], "0x2"), ([0, 1, 3], "0x2")):
+            with pytest.raises(NotFrobeniusClosed, match=escapes):
+                orbit_minima(np.array(arr, dtype=np.uint32), ctx)
+
+
+def test_orbit_pass_is_capped_with_the_scans():
+    # the membership bitmap spans the field, so the cap of the root scans holds
+    ctx = default_ctx(29)
+    with pytest.raises(TooLarge, match="m=28"):
+        orbit_minima(np.array([1], dtype=np.uint32), ctx)
+    with pytest.raises(TooLarge, match="m=28"):
+        frobenius_orbits(BetaSet(ctx, 1, np.array([1], dtype=np.uint32)))
+
+
+def test_orbit_minima_escape_in_a_later_batch(monkeypatch):
+    # in GF(8) the orbit of 7 is {7, 3, 5}; with batches of 2, 7 is in the third
+    monkeypatch.setattr(poly_roots, "_SCAN_CHUNK", 2)
+    assert orbit_minima(np.array([1, 2, 3, 4, 5, 6, 7], dtype=np.uint32), GF8).tolist() \
+        == [1, 2, 3, 2, 3, 2, 3]
+    with pytest.raises(NotFrobeniusClosed, match="0x3"):
+        orbit_minima(np.array([1, 2, 4, 6, 7], dtype=np.uint32), GF8)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m, k", [(23, 1), (24, 5)])
+def test_phi_membership_against_root_count_sampled(m, k):
+    # the exponent-order walk against the literal root scan, on 100 betas
+    # in Phi and 100 outside it
+    ctx = default_ctx(m)
+    rng = np.random.default_rng(m)
+    phi = phi_set(k, ctx)
+    rootless = np.zeros(ctx.order, dtype=bool)
+    rootless[phi.elements] = True
+    inside = rng.choice(phi.elements, size=100, replace=False)
+    outside = rng.choice(np.flatnonzero(~rootless), size=100, replace=False)
+    assert all(count_roots(k, 1, int(b), ctx) == 0 for b in inside)
+    assert all(count_roots(k, 1, int(b), ctx) > 0 for b in outside)
 
 
 def test_orbit_minima_makes_one_field_pass(monkeypatch):
