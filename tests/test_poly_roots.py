@@ -1,5 +1,6 @@
 """Trinomial root analysis: scan oracle, Phi enumeration, orbits, subfield lifts."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -209,6 +210,42 @@ def test_orbit_minima_escape_in_a_later_batch(monkeypatch):
         == [1, 2, 3, 2, 3, 2, 3]
     with pytest.raises(NotFrobeniusClosed, match="0x3"):
         orbit_minima(np.array([1, 2, 4, 6, 7], dtype=np.uint32), GF8)
+
+
+# SHA-256 of the bytes of phi_set(k, default_ctx(m)).elements and of the
+# representatives, lengths and orbit_of arrays of its frobenius_orbits;
+# m > 22 runs the batched path at its real batch size.
+PHI_DIGESTS = {
+    (20, 1): ("d84219a3db983c1fde6018a4741bf47d6d166e1e5cfa4e2165bf84d01ff796b8",
+              "dc36dc8bd5204cf94151e861d4a285e90bff317159ecf19abddf5b5397d748ff",
+              "032e1ad0eacfa3163e4f592e2ebcfaa8878ba889a4317eab2401694e707ba9b7",
+              "76cbdf17d61f2f23b6a7ea42de6d888ee442a8549d20ebb97906bbce2a6e6d55"),
+    (22, 21): ("ec48b0f7b68b105e544da32aee6c2f4f0d663922abbc60a5d9a41cb64d32bf71",
+               "9d5b34940e49086a3f0d90ca95c6aced1153509a6d2d4ee49669d1190587f412",
+               "1987bf79d926d77382c63c7290dca9bf39804a84ac2614e82c7bb24d76197921",
+               "615a60a089bc5c87282a0c9a5de3e5d7a2358b880ff04fa00da1ca4b8683ce46"),
+    (23, 6): ("f064ee682bf9d88098a5745b7ada451aa250402a9a90ae4602327caf5dd9d9cd",
+              "fe0a94ce9b433ee0ec77ae8fe1d394d4bfa37c4c5ac7efa547b65ccd0b6e0b4f",
+              "049f390713775505b1cd11cf6ba620c08602a6aa3e3b122daace23547f1388f2",
+              "a92006bc1b3ad8614c4be671ad83fbc88cb1c9af650ac98075605d7b9f36e704"),
+    (24, 5): ("f9df19ffd3ea8906a4c9cf01050243c9d7f55e5181d506f4f8580eb6c5a88eba",
+              "6a263b386c2d170a3b470726514616ee37a2866c7a795e30ddfc3f53546f8d0b",
+              "f7326b5233297156e6c0e49679cf515dbaa57db631237f91cb0d54f690a58927",
+              "c6898d439ac7bbddb8fe4e1de25c53886fd5a95210fc225bbcfd2434e797e63f"),
+    (25, 2): ("d57ff9597574ef6159483102b3606454e86c4231c6bfbd9ccfd7889618a2ab47",
+              "f6ca5fa3d0350c789de860e3c8ad65003f81e3b04b98fb0e8cf431a8d3c37568",
+              "31a857b18ea348593b0b9a7f1d2ecf36fa4844f1023be9918b3cee38228270f7",
+              "62ba93c033476bae705b6ebc19fbb5a453e8f81d315fdb5a5cdd5833bb8ddd41"),
+}
+
+
+@pytest.mark.parametrize("m, k", sorted(PHI_DIGESTS))
+def test_phi_and_orbit_digests(m, k):
+    phi = phi_set(k, default_ctx(m))
+    dec = frobenius_orbits(phi)
+    arrays = (phi.elements, dec.representatives, dec.lengths, dec.orbit_of)
+    assert [a.dtype.str for a in arrays] == ["<u4", "<u4", "<u4", "<i4"]
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == PHI_DIGESTS[m, k]
 
 
 @pytest.mark.slow
