@@ -47,7 +47,7 @@ import numpy as np
 
 from . import counting, diffanalysis, equivalence, poly_roots
 from .counting import CSV_HEADER, count_report
-from .errors import InvalidParams, TaniapnError
+from .errors import InvalidParams, TaniapnError, TooLarge
 from .families import PottZhouParams, TaniguchiParams, gold, load_function, save_function
 from .gf2m import FieldCtx, coprime_residues, default_ctx
 
@@ -56,6 +56,8 @@ EXIT_AUDIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NEGATIVE = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer the signal ended
+# the largest m whose M(m) fits Python's default 4,300-digit int-to-str limit
+_TABLE_M_LIMIT = 14285
 
 
 @dataclass
@@ -83,15 +85,17 @@ class RunConfig:
 # Argument helpers
 # ---------------------------------------------------------------------------
 
-def _parse_m_spec(spec: str) -> list[int]:
+def _parse_m_spec(spec: str, m_max: int) -> list[int]:
+    """The m values of a list like 2..16 or 3,5,7..9.  Each token's bounds
+    are checked against m_max before its range is expanded."""
     out: list[int] = []
     for token in spec.split(","):
         token = token.strip()
-        if ".." in token:
-            lo, hi = token.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(token))
+        lo, hi = token.split("..") if ".." in token else (token, token)
+        lo, hi = int(lo), int(hi)
+        if max(lo, hi) > m_max:
+            raise TooLarge(f"table capped at m={m_max}")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError("empty m list")
     return out
@@ -270,7 +274,7 @@ def _emit_json_rows(obj) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_table(args, cfg: RunConfig) -> int:
-    m_list = _parse_m_spec(args.m)
+    m_list = _parse_m_spec(args.m, _TABLE_M_LIMIT)
     if any(m < 2 for m in m_list):
         raise InvalidParams("table needs m >= 2")
     reports = [count_report(m) for m in m_list]

@@ -8,17 +8,17 @@ Every operation flows through a FieldCtx, which is immutable after
 construction and safe to share.  Scalar operations use the raw
 shift-and-XOR path and never touch a table, so they are the oracle for
 the bulk (numpy) operations.  Those take and return uint32 element
-arrays.  Maps that are GF(2)-linear share one kernel: _byte_tables
-takes the basis images L(X^i), and _apply_linear applies L as the XOR
-of one 256-entry table gather per byte of the operand.  The Frobenius
+arrays.  Maps that are GF(2)-linear share one kernel: xor_span tables a
+map on the span of its basis images by XOR doubling, _byte_tables uses
+it for one 256-entry table per byte of the operand, and _apply_linear
+applies the map as the XOR of one table gather per byte.  The Frobenius
 powers square_vec and pow2k_vec are such maps (x -> x^(2^k), tables
 cached per k on the context), for every m; so is multiplication by a
-fixed element, which _powers uses to build a geometric sequence c^0,
-c^1, ... by doubling.  mul_vec adds logs and pow_vec multiplies a log by
-the exponent (_pow), on a lazily built log/antilog pair for m <= 24
-(uint32 antilog, which is _powers of the generator; int32 log; int64
-only for the exponent products), and on the shift-and-XOR product
-beyond.
+fixed element, which _powers uses to build the antilog g^0, g^1, ...
+by doubling, its only use.  mul_vec adds logs and pow_vec multiplies a
+log by the exponent (_pow), on that lazily built log/antilog pair for
+m <= 24 (uint32 antilog; int32 log; int64 only for the exponent
+products), and on the shift-and-XOR product beyond.
 
 The default modulus for each degree is the lexicographically smallest
 irreducible polynomial (smallest when the coefficient bit-vector is read
@@ -89,7 +89,6 @@ MAX_DEGREE = 32
 # The log/antilog pair serves only mul_vec and pow_vec, and is built only up
 # to here (~128 MB at 24); Frobenius powers and Phi(m) use no log table.
 _TABLE_DEGREE_LIMIT = 24
-_BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint32)  # bit i of v
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +159,29 @@ def irreducibles(m: int):
         c += 2
 
 
+def xor_span(imgs, out: np.ndarray) -> np.ndarray:
+    """Fill out[x] = out[0] ^ (XOR of imgs[r] over the set bits r of x) for
+    x < 2^len(imgs), in place, by doubling: out[2^r + x] = out[x] ^ imgs[r].
+
+    With out[0] = 0 this is the table of the GF(2)-linear map with basis
+    images imgs; a nonzero out[0] adds that constant to every entry.
+    """
+    size = 1
+    for img in imgs:
+        np.bitwise_xor(out[:size], np.uint32(img), out=out[size:2 * size])
+        size *= 2
+    return out
+
+
 def _byte_tables(imgs: list[int]) -> np.ndarray:
     """The GF(2)-linear map L with basis images imgs[i] = L(X^i), as one
     256-entry table per byte of the operand: tables[j][v] is the XOR of
     imgs[8j + i] over the set bits i of v."""
-    padded = np.zeros(-(-len(imgs) // 8) * 8, dtype=np.uint32)
-    padded[:len(imgs)] = imgs
-    return np.bitwise_xor.reduce(_BYTE_BITS * padded.reshape(-1, 1, 8), axis=2)
+    padded = list(imgs) + [0] * (-len(imgs) % 8)
+    tables = np.zeros((len(padded) // 8, 256), dtype=np.uint32)
+    for j, table in enumerate(tables):
+        xor_span(padded[8 * j:8 * j + 8], table)
+    return tables
 
 
 def _apply_linear(tables: np.ndarray, a) -> np.ndarray:

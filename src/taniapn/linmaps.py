@@ -28,7 +28,7 @@ from operator import xor
 import numpy as np
 
 from .errors import InvalidParams
-from .gf2m import FieldCtx
+from .gf2m import FieldCtx, xor_span
 
 LinPoly = tuple[int, ...]
 
@@ -141,10 +141,7 @@ def low_weight_values(imgs: Sequence[int]) -> np.ndarray:
 
 def table_from_images(imgs: Sequence[int]) -> np.ndarray:
     """Values of the GF(2)-linear map on all points, by linearity doubling."""
-    tab = np.zeros(1, dtype=np.uint32)
-    for img in imgs:
-        tab = np.concatenate([tab, tab ^ np.uint32(img)])
-    return tab
+    return xor_span(imgs, np.zeros(1 << len(imgs), dtype=np.uint32))
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,24 @@ The admissible set
     Phi(m) = { beta : X^(2^k+1) + X + beta has no root in GF(2^m) }
 
 is enumerated by the image-complement trick: beta has a root iff
-beta = x^(2^k+1) + x for some x, so one O(2^m) pass over x marks every
-rooted beta and the unmarked values are Phi(m), a BetaSet that holds the
-field it was enumerated in, so its readers take it alone.  The pass walks
-x in exponent order: for x = g^i (g the generator) the rooted beta is
-g^i + h^i with h = g^(2^k+1), so it needs two geometric sequences and no
-log table or bulk product.  Phi(m) is closed under the squaring map and
-decomposes into Frobenius orbits {b, b^2, b^4, ...} whose lengths divide
-m; orbit representatives are the numerically smallest members.
-orbit_minima finds them for a whole set with one squaring pass, a rank
-lookup of each square in a packed membership bitmap of the set, and
-ceil(log2 m) pointer-doubling steps over positions in the sorted set;
-frobenius_orbits keeps the result as arrays (representatives, lengths,
-the orbit of each element).
+beta = F(x) = x^(2^k+1) + x for some x, so one O(2^m) pass over x marks
+every rooted beta and the unmarked values are Phi(m), a BetaSet that
+holds the field it was enumerated in, so its readers take it alone.  F
+is quadratic, F(u + v) = F(u) + F(v) + u*v^(2^k) + u^(2^k)*v, with a
+cross term that is GF(2)-linear in v (Nyberg, EUROCRYPT 1993).  So the
+pass builds F in natural order with XORs alone: the low batch
+x < 2^t = _SCAN_CHUNK doubles one bit at a time, and each later batch
+x = u + v (u = hi*2^t, v < 2^t) is the low batch plus F(u) plus the span
+of the cross term's t basis images.  Only those images and F(u) take
+scalar products; no generator, log table or bulk product is involved.
+
+Phi(m) is closed under the squaring map and decomposes into Frobenius
+orbits {b, b^2, b^4, ...} whose lengths divide m; orbit representatives
+are the numerically smallest members.  orbit_minima finds them for a
+whole set with one squaring pass, a rank lookup of each square in a
+packed membership bitmap of the set, and ceil(log2 m) pointer-doubling
+steps over positions in the sorted set; frobenius_orbits keeps the
+result as arrays (representatives, lengths, the orbit of each element).
 
 count_roots() stays a literal exhaustive scan on purpose: it decides a
 single member's APN criterion (families.TaniguchiParams), and it is the
@@ -38,10 +43,10 @@ from .errors import (
     TooLarge,
     ZeroAlpha,
 )
-from .gf2m import FieldCtx
+from .gf2m import FieldCtx, xor_span
 
 _SCAN_DEGREE_LIMIT = 28  # 2^m-element scans stay feasible up to here
-_SCAN_CHUNK = 1 << 22  # x values per batch of a root scan; one batch up to m = 22
+_SCAN_CHUNK = 1 << 22  # x values per batch of a root scan, a power of two; one batch up to m = 22
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
@@ -152,27 +157,38 @@ def count_roots(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:
 
 
 def phi_set(k: int, ctx: FieldCtx) -> BetaSet:
-    """Phi(m) via the image complement of x -> x^(2^k+1) + x.
+    """Phi(m) via the image complement of F(x) = x^(q+1) + x, q = 2^k.
 
-    x runs over 0 and g^i in exponent order: x^(2^k+1) = h^i with
-    h = g^(2^k+1), so the rooted betas are 0 and g^i + h^i, two geometric
-    sequences.  A later batch is the first one times g^lo and h^lo.
+    F is quadratic: F(u + v) = F(u) + F(v) + u*v^q + u^q*v, and the cross
+    term is GF(2)-linear in v.  So for v < 2^n, F(u + v) is F(u) plus the
+    span of the cross term's n basis images plus the table of F below 2^n.
+    With u = 2^s and n = s that doubles the low table, F below
+    2^t = _SCAN_CHUNK, one bit at a time; with u = hi*2^t and n = t it
+    gives each later batch.  Only the basis images and F(u) take scalar
+    products; the tables are XORs only.
     """
     k = _check_k(k, ctx)
     if ctx.m > _SCAN_DEGREE_LIMIT:
         raise TooLarge(f"phi_set scan capped at m={_SCAN_DEGREE_LIMIT}")
-    g = ctx.generator
-    h = ctx.pow(g, (1 << k) + 1)
-    n1 = ctx.order - 1
+    t = min(ctx.m, _SCAN_CHUNK.bit_length() - 1)
+    frob = [ctx.pow2k(1 << r, k) for r in range(t)]  # (X^r)^q
+    low = np.zeros(1 << t, dtype=np.uint32)  # F(v) for v < 2^t, once filled
+
+    def fill(u: int, n: int, out: np.ndarray) -> None:
+        """out[v] = F(u + v) for v < 2^n, from low[:2^n]; u has no bit below n."""
+        uq = ctx.pow2k(u, k)
+        out[0] = ctx.mul(u, uq) ^ u
+        xor_span([ctx.mul(p, u) ^ ctx.mul(uq, 1 << r) for r, p in enumerate(frob[:n])], out)
+        out ^= low[:1 << n]
+
+    for s in range(t):
+        fill(1 << s, s, low[1 << s:2 << s])
     rootless = np.ones(ctx.order, dtype=bool)
-    rootless[0] = False  # x = 0
-    g_run, h_run = ctx._powers(g, min(_SCAN_CHUNK, n1)), ctx._powers(h, min(_SCAN_CHUNK, n1))
-    for lo in range(0, n1, _SCAN_CHUNK):
-        n = min(_SCAN_CHUNK, n1 - lo)
-        g_lo, h_lo = g_run[:n], h_run[:n]
-        if lo:
-            g_lo, h_lo = ctx._times(g_lo, ctx.pow(g, lo)), ctx._times(h_lo, ctx.pow(h, lo))
-        rootless[g_lo ^ h_lo] = False
+    rootless[low] = False
+    batch = np.empty_like(low)
+    for u in range(1 << t, ctx.order, 1 << t):
+        fill(u, t, batch)
+        rootless[batch] = False
     # indexed batch by batch into a uint32 array of the final size, so no
     # int64 index array of |Phi| entries is ever built
     elements = np.empty(np.count_nonzero(rootless), dtype=np.uint32)

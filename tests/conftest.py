@@ -1,0 +1,25 @@
+"""Shared fixtures."""
+
+import pytest
+
+from taniapn.gf2m import FieldCtx
+
+
+@pytest.fixture
+def forbid_generator_walk(monkeypatch):
+    """A function that, once called, makes the generator, the geometric runs
+    (_powers, _times), the log table and both bulk products of every
+    FieldCtx raise until the test ends.  Cached values cannot hide a call:
+    the patched generator and _logexp are data descriptors, which take
+    precedence over an instance's cached copy."""
+
+    def fail(*_):
+        raise AssertionError("this path must not walk the generator or use the log table")
+
+    def arm():
+        for name in ("_powers", "_times", "mul_vec", "_mul_vec_raw"):
+            monkeypatch.setattr(FieldCtx, name, fail)
+        for name in ("generator", "_logexp"):
+            monkeypatch.setattr(FieldCtx, name, property(fail))
+
+    return arm

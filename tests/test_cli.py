@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from taniapn.cli import EXIT_BROKEN_PIPE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, build_parser, main
+from taniapn.counting import capital_m
 
 TABLE_2_TO_16 = [1, 1, 3, 6, 5, 21, 26, 57, 74, 315, 234, 1266, 1185, 2916, 5492]
 
@@ -59,6 +60,24 @@ def test_table_rejects_m1(capsys):
     code, _, err = run(capsys, "table", "--m", "1..4")
     assert code == EXIT_USAGE
     assert "m >= 2" in err
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+@pytest.mark.parametrize("spec", ["14286", "2..100000000", "3,14286..14280"])
+def test_table_refuses_m_past_the_digit_limit(capsys, fmt, spec):
+    # refused before any report is computed or any range expanded
+    assert run(capsys, "--format", fmt, "table", "--m", spec) == (
+        EXIT_USAGE, "", "error: table capped at m=14285\n")
+
+
+def test_table_cap_is_the_int_to_str_limit(capsys):
+    # M(m) is the largest value a table row prints
+    assert len(str(capital_m(14285))) == 4300
+    with pytest.raises(ValueError, match="4300 digits"):
+        str(capital_m(14286))
+    code, out, _ = run(capsys, "--format", "csv", "table", "--m", "14285", "--full")
+    assert code == EXIT_OK
+    assert out.splitlines()[1].split(",")[1] == str(capital_m(14285))
 
 
 @pytest.mark.parametrize("argv, err", [

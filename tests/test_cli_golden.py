@@ -113,3 +113,23 @@ def test_cli_output_bytes_unchanged(capsys, argv, code, digest):
     assert main(shlex.split(argv)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# audit --m-max 10 in each format, recorded from the code that still
+# enumerated Phi(m) as two geometric sequences of the generator
+AUDIT_TO_10 = [
+    ("--format pretty audit --m-max 10", 0, "a2a48c99c10dae769e10474d9ff6b285d0a67b963713d23dbe11610eb5e88fcc"),
+    ("--format json audit --m-max 10", 0, "9e996ba0ea7fc1653dde807aa8c266faf3d5095a0c2afda20c9e09089a012a6f"),
+    ("--format csv audit --m-max 10", 0, "a2a48c99c10dae769e10474d9ff6b285d0a67b963713d23dbe11610eb5e88fcc"),
+]
+
+
+def test_phi_commands_need_no_generator_or_log_table(capsys, forbid_generator_walk):
+    forbid_generator_walk()
+    phi_commands = {"enumerate-beta", "classes", "audit"}
+    rows = [g for g in GOLDEN if phi_commands & set(g[0].split())] + AUDIT_TO_10
+    assert len(rows) == 28
+    for argv, code, digest in rows:
+        assert main(shlex.split(argv)) == code, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

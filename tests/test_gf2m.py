@@ -17,7 +17,9 @@ from taniapn.gf2m import (
     is_irreducible,
     resolve_ctx,
     smallest_irreducible,
+    xor_span,
 )
+from taniapn.linmaps import gf2_apply
 
 GF8 = FieldCtx(3, 0xB)
 
@@ -248,6 +250,25 @@ def test_powers_match_scalar_pow(m):
             r = ctx._powers(base, n)
             assert r.dtype == np.uint32
             assert r.tolist() == [ctx.pow(base, i) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_xor_span_matches_gf2_apply(n):
+    # random 32-bit images with a zero and a repeated image mixed in
+    rng = np.random.default_rng(n)
+    imgs = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).tolist()
+    if n >= 2:
+        imgs[n // 2] = 0
+        imgs[-1] = imgs[0]
+    want = [gf2_apply(imgs, v) for v in range(1 << n)]
+    out = xor_span(imgs, np.zeros(1 << n, dtype=np.uint32))
+    assert out.dtype == np.uint32 and out.tolist() == want
+    # out[0] is an offset added to every entry; entries past 2^n stay as they are
+    out = np.full(2 << n, 7, dtype=np.uint32)
+    out[0] = 0xA5
+    xor_span(imgs, out)
+    assert out[:1 << n].tolist() == [0xA5 ^ w for w in want]
+    assert (out[1 << n:] == 7).all()
 
 
 def test_irreducibles_generator():

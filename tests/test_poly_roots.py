@@ -116,6 +116,33 @@ def test_chunked_root_scans_match_one_pass(m, monkeypatch):
     assert chunked == whole
 
 
+@pytest.mark.parametrize("m", range(11, 15))
+def test_phi_batches_match_one_batch(m, monkeypatch):
+    # batches of 16 put up to 1,024 values of u = hi*16 through the cross
+    # term u*v^q + u^q*v of the batched path
+    ctx = default_ctx(m)
+    whole = [phi_set(k, ctx) for k in coprime_residues(m)]
+    monkeypatch.setattr(poly_roots, "_SCAN_CHUNK", 1 << 4)
+    assert [phi_set(k, ctx) for k in coprime_residues(m)] == whole
+
+
+def test_phi_set_needs_no_generator_or_log_table(forbid_generator_walk):
+    # the oracle is the image complement through the log table, taken first
+    oracle = {}
+    for m in range(1, 13):
+        ctx = default_ctx(m)
+        x = ctx.elements()
+        for k in coprime_residues(m):
+            rooted = np.zeros(ctx.order, dtype=bool)
+            rooted[ctx.mul_vec(ctx.pow2k_vec(x, k), x) ^ x] = True
+            oracle[m, k] = np.flatnonzero(~rooted).tolist()
+    forbid_generator_walk()
+    with pytest.raises(AssertionError):
+        default_ctx(5).generator
+    for (m, k), want in oracle.items():
+        assert phi_set(k, default_ctx(m)).elements.tolist() == want
+
+
 def test_phi_k_negation_symmetry():
     for m in range(2, 11):
         ctx = default_ctx(m)
@@ -251,7 +278,7 @@ def test_phi_and_orbit_digests(m, k):
 @pytest.mark.slow
 @pytest.mark.parametrize("m, k", [(23, 1), (24, 5)])
 def test_phi_membership_against_root_count_sampled(m, k):
-    # the exponent-order walk against the literal root scan, on 100 betas
+    # the quadratic doubling against the literal root scan, on 100 betas
     # in Phi and 100 outside it
     ctx = default_ctx(m)
     rng = np.random.default_rng(m)
