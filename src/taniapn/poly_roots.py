@@ -13,16 +13,20 @@ cross term that is GF(2)-linear in v (Nyberg, EUROCRYPT 1993).  So the
 pass builds F in natural order with XORs alone: the low batch
 x < 2^t = _SCAN_CHUNK doubles one bit at a time, and each later batch
 x = u + v (u = hi*2^t, v < 2^t) is the low batch plus F(u) plus the span
-of the cross term's t basis images.  Only those images and F(u) take
-scalar products; no generator, log table or bulk product is involved.
+of the cross term's t basis images.  Those images and F(u) are XORs of
+one m x m table of X^s * (X^r)^(2^k); no scalar product, generator, log
+table or bulk product is involved.
 
 Phi(m) is closed under the squaring map and decomposes into Frobenius
 orbits {b, b^2, b^4, ...} whose lengths divide m; orbit representatives
-are the numerically smallest members.  orbit_minima finds them for a
-whole set with one squaring pass, a rank lookup of each square in a
-packed membership bitmap of the set, and ceil(log2 m) pointer-doubling
-steps over positions in the sorted set; frobenius_orbits keeps the
-result as arrays (representatives, lengths, the orbit of each element).
+are the numerically smallest members.  frobenius_orbits finds them with
+a shrinking minimum filter: one squaring of the whole set, checked
+against a packed membership bitmap of it, then further squarings of only
+the elements still below every conjugate seen so far, about H_m times
+the size of the set in all.  It keeps representatives and lengths as
+arrays; the orbit of each element (orbit_of) is walked from the
+representatives, with a rank lookup of each conjugate in the bitmap,
+only when it is first read.  orbit_minima reads the same two routines.
 
 count_roots() stays a literal exhaustive scan on purpose: it decides a
 single member's APN criterion (families.TaniguchiParams), and it is the
@@ -32,6 +36,7 @@ independent oracle the tests check phi_set against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -93,15 +98,21 @@ class BetaSet:
 @dataclass(frozen=True, eq=False)
 class OrbitDecomposition:
     """Frobenius-orbit partition of one Phi(m), held as arrays: per orbit its
-    smallest member and its length, per element of Phi its orbit."""
+    smallest member and its length, and on first read per element of Phi
+    its orbit."""
 
+    phi: BetaSet
     representatives: np.ndarray  # sorted uint32, the smallest member of each orbit
     lengths: np.ndarray  # uint32, the length of each orbit, aligned with representatives
-    orbit_of: np.ndarray  # int32, per element of Phi (sorted) the index of its orbit
+
+    @cached_property
+    def orbit_of(self) -> np.ndarray:
+        """int32, per element of Phi (sorted) the index of its orbit."""
+        return _orbit_ids(self.phi.elements, self.phi.ctx, self.representatives, self.lengths)
 
     @property
     def total(self) -> int:
-        return int(self.orbit_of.size)
+        return len(self.phi)
 
     def __len__(self) -> int:
         return int(self.representatives.size)
@@ -131,14 +142,6 @@ def _batches(n: int):
     return [slice(lo, lo + _SCAN_CHUNK) for lo in range(0, n, _SCAN_CHUNK)]
 
 
-def _take(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """a[idx], gathered batch by batch, so no intp copy of all of idx is made."""
-    out = np.empty(idx.size, dtype=a.dtype)
-    for s in _batches(idx.size):
-        out[s] = a[idx[s]]
-    return out
-
-
 def _scan_chunks(ctx: FieldCtx):
     """Every element of the field, in uint32 batches of _SCAN_CHUNK."""
     for lo in range(0, ctx.order, _SCAN_CHUNK):
@@ -164,21 +167,29 @@ def phi_set(k: int, ctx: FieldCtx) -> BetaSet:
     span of the cross term's n basis images plus the table of F below 2^n.
     With u = 2^s and n = s that doubles the low table, F below
     2^t = _SCAN_CHUNK, one bit at a time; with u = hi*2^t and n = t it
-    gives each later batch.  Only the basis images and F(u) take scalar
-    products; the tables are XORs only.
+    gives each later batch.  Both the images and F(u) are XORs of entries
+    of the m x m matrix M[s, r] = X^s * (X^r)^q: for u the sum of X^j over
+    j in J, the cross term's image at X^r is the XOR of C[j, r] = M[j, r]
+    ^ M[r, j] over J, and u^(q+1) is the XOR of M over J x J.  M takes one
+    Frobenius map of the basis and m - 1 shift-and-reduce steps of its
+    rows; no scalar product, generator or log table is involved.
     """
     k = _check_k(k, ctx)
     if ctx.m > _SCAN_DEGREE_LIMIT:
         raise TooLarge(f"phi_set scan capped at m={_SCAN_DEGREE_LIMIT}")
     t = min(ctx.m, _SCAN_CHUNK.bit_length() - 1)
-    frob = [ctx.pow2k(1 << r, k) for r in range(t)]  # (X^r)^q
+    prod = np.empty((ctx.m, ctx.m), dtype=np.uint32)  # M[s, r] = X^s * (X^r)^q
+    prod[0] = ctx.pow2k_vec(np.left_shift(np.uint32(1), np.arange(ctx.m, dtype=np.uint32)), k)
+    for s in range(1, ctx.m):
+        prod[s] = ctx.xtime_vec(prod[s - 1])
+    cross = prod ^ prod.T
     low = np.zeros(1 << t, dtype=np.uint32)  # F(v) for v < 2^t, once filled
 
     def fill(u: int, n: int, out: np.ndarray) -> None:
         """out[v] = F(u + v) for v < 2^n, from low[:2^n]; u has no bit below n."""
-        uq = ctx.pow2k(u, k)
-        out[0] = ctx.mul(u, uq) ^ u
-        xor_span([ctx.mul(p, u) ^ ctx.mul(uq, 1 << r) for r, p in enumerate(frob[:n])], out)
+        bits = [j for j in range(n, ctx.m) if u >> j & 1]
+        out[0] = np.bitwise_xor.reduce(prod[np.ix_(bits, bits)], axis=None) ^ u
+        xor_span(np.bitwise_xor.reduce(cross[bits, :n], axis=0), out)
         out ^= low[:1 << n]
 
     for s in range(t):
@@ -203,68 +214,93 @@ def phi_set(k: int, ctx: FieldCtx) -> BetaSet:
 def frobenius_orbits(phi: BetaSet) -> OrbitDecomposition:
     """Partition Phi(m) into Frobenius orbits {b, b^2, b^4, ...}.
 
-    Each orbit's smallest member sits at the one position that is its own
-    orbit minimum, so the orbits come in sorted order without a sort.
+    The representatives and lengths come from the minimum filter of
+    _orbit_representatives; the orbit of each element (orbit_of) is walked
+    from them only when it is first read.
     """
-    pos = _orbit_min_positions(phi.elements, phi.ctx)
-    is_rep = pos == np.arange(pos.size, dtype=np.int32)
-    orbit_of = _take(np.cumsum(is_rep, dtype=np.int32) - 1, pos)
-    return OrbitDecomposition(representatives=phi.elements[is_rep],
-                              lengths=np.bincount(orbit_of).astype(np.uint32),
-                              orbit_of=orbit_of)
+    return OrbitDecomposition(phi, *_orbit_representatives(phi.elements, phi.ctx))
 
 
 def orbit_minima(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Per element of the sorted, squaring-closed arr, the smallest member
     of its Frobenius orbit."""
-    return arr[_orbit_min_positions(arr, ctx)]
+    reps, lengths = _orbit_representatives(arr, ctx)
+    return reps.take(_orbit_ids(arr, ctx, reps, lengths))
 
 
-def _orbit_min_positions(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Per element of the sorted, squaring-closed arr, the int32 position in
-    arr of the smallest member of its Frobenius orbit.
+def _orbit_representatives(arr: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest member of each Frobenius orbit of the sorted arr, in
+    ascending order, and the length of that orbit, both uint32.
 
-    Pointer doubling over the squaring map on positions takes the minimum
-    over 1, 2, 4, ... steps of the map; every orbit length divides m, so
-    ceil(log2 m) doublings cover each orbit.  arr is sorted, so the
-    smallest position holds the smallest member.
+    A shrinking minimum filter: step 1 squares every element and checks
+    each square against the membership bitmap (_squares), so a set that is
+    not closed raises NotFrobeniusClosed.  Step i keeps only the x below
+    each of x^2, ..., x^(2^i); x^(2^i) = x at a step i that divides m ends
+    the orbit of a representative of length i.  Every orbit length divides
+    m, so an x still kept after step m - 1 is a representative of length
+    m.  About 1/i of the elements reach step i + 1, so the filter squares
+    about H_(m-1)*|arr| elements in all.
     """
-    nxt = _squaring_positions(arr, ctx)
-    reps = np.arange(arr.size, dtype=np.int32)
-    for _ in range((ctx.m - 1).bit_length()):
-        ahead = _take(reps, nxt)
-        reps = np.minimum(reps, ahead, out=ahead)
-        nxt = _take(nxt, nxt)
-    return reps
+    x, cur = arr, _squares(arr, ctx)
+    found = []
+    for i in range(1, ctx.m):
+        if i > 1:
+            cur = ctx.square_vec(cur)
+        if ctx.m % i == 0:
+            found.append((x.compress(cur == x), i))
+        kept = cur > x
+        x, cur = x.compress(kept), cur.compress(kept)
+    found.append((x, ctx.m))
+    reps = np.concatenate([r for r, _ in found])
+    lengths = np.concatenate([np.full(r.size, i, dtype=np.uint32) for r, i in found])
+    order = np.argsort(reps, kind="stable")
+    return reps.take(order), lengths.take(order)
 
 
-def _squaring_positions(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Per element of the sorted arr, the int32 position in arr of its square.
+def _orbit_ids(arr: np.ndarray, ctx: FieldCtx, reps: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per element of the sorted arr, the int32 index in reps of its orbit.
 
-    One squaring pass and a rank lookup: the rank of v is the number of
-    members below it, read from a membership bitmap of arr packed 8 to a
-    byte, as a prefix count per byte plus the popcount of the bits below v
-    in its byte.  A square outside arr raises NotFrobeniusClosed.
+    Walks each representative's orbit once, rep^(2^j) for j < its length,
+    and finds each conjugate's position in arr by its rank: the members
+    below it, read from the membership bitmap as a prefix count per byte
+    plus the popcount of the bits below it in its byte.
     """
+    bitmap = _bitmap(arr, ctx)
+    counts = _POPCOUNT8.take(bitmap)
+    below = np.cumsum(counts, dtype=np.int32) - counts  # members in the earlier bytes
+    ids = np.empty(arr.size, dtype=np.int32)
+    walk = np.argsort(lengths, kind="stable")[::-1].astype(np.int32)  # longest orbits first
+    cur = reps.take(walk)
+    for j in range(ctx.m):
+        if j:  # the orbits longer than j, a prefix of walk, move on to their next conjugate
+            n = np.count_nonzero(lengths > j)
+            cur, walk = ctx.square_vec(cur[:n]), walk[:n]
+        byte, bit = cur >> np.uint32(3), cur & np.uint32(7)
+        ids[below.take(byte) + _POPCOUNT8.take(bitmap.take(byte) & ((1 << bit) - 1))] = walk
+    return ids
+
+
+def _squares(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """x^2 for every x in arr, batch by batch; a square outside arr raises
+    NotFrobeniusClosed."""
+    bitmap = _bitmap(arr, ctx)
+    out = np.empty_like(arr)
+    for s in _batches(arr.size):
+        sq = out[s] = ctx.square_vec(arr[s])
+        escaped = (bitmap.take(sq >> np.uint32(3)) >> (sq & np.uint32(7))) & 1 == 0
+        if escaped.any():
+            raise NotFrobeniusClosed(f"square 0x{int(sq[escaped][0]):X} escapes the set")
+    return out
+
+
+def _bitmap(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """The membership bitmap of arr over the field, 8 elements to a byte."""
     if ctx.m > _SCAN_DEGREE_LIMIT:
         raise TooLarge(f"orbit pass capped at m={_SCAN_DEGREE_LIMIT}: its bitmap spans the field")
     member = np.zeros(ctx.order, dtype=bool)
     for s in _batches(arr.size):
         member[arr[s]] = True
-    bitmap = np.packbits(member, bitorder="little")
-    del member
-    counts = _POPCOUNT8[bitmap]
-    below = np.cumsum(counts, dtype=np.int32) - counts  # members in the earlier bytes
-    nxt = np.empty(arr.size, dtype=np.int32)
-    for s in _batches(arr.size):
-        sq = ctx.square_vec(arr[s])
-        byte, bit = sq >> np.uint32(3), sq & np.uint32(7)
-        word = bitmap[byte]
-        escaped = (word >> bit) & 1 == 0
-        if escaped.any():
-            raise NotFrobeniusClosed(f"square 0x{int(sq[escaped][0]):X} escapes the set")
-        nxt[s] = below[byte] + _POPCOUNT8[word & ((1 << bit) - 1)]
-    return nxt
+    return np.packbits(member, bitorder="little")
 
 
 def transform_beta(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:
@@ -281,8 +317,8 @@ def transform_beta(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:
 
 def frobenius_orbit(beta: int, ctx: FieldCtx) -> list[int]:
     """The orbit of beta in walk order: [beta, beta^2, beta^4, ...], so
-    entry i is beta^(2^i).  The one scalar Frobenius walk; through orbit_min
-    it is the oracle for orbit_minima."""
+    entry i is beta^(2^i).  The one scalar Frobenius walk; it is the oracle
+    for frobenius_orbits and, through orbit_min, for orbit_minima."""
     orbit = [beta]
     cur = ctx.mul(beta, beta)
     while cur != beta:

@@ -438,13 +438,15 @@ def test_enumerate_beta_csv(capsys):
 
 
 def test_enumerate_beta_csv_makes_one_orbit_pass(capsys, monkeypatch):
-    from taniapn.gf2m import FieldCtx
-    orig, calls = FieldCtx.square_vec, []
-    monkeypatch.setattr(FieldCtx, "square_vec",
-                        lambda ctx, a: calls.append(a.size) or orig(ctx, a))
+    # one vectorised decomposition serves every row; no scalar orbit walk
+    from taniapn import poly_roots
+    orig, calls = poly_roots.frobenius_orbits, []
+    monkeypatch.setattr(poly_roots, "frobenius_orbits", lambda phi: calls.append(phi) or orig(phi))
+    for name in ("orbit_min", "orbit_length", "frobenius_orbit"):
+        monkeypatch.setattr(poly_roots, name, lambda *a, name=name: pytest.fail(f"{name} called"))
     code, out, _ = run(capsys, "--format", "csv", "enumerate-beta", "--m", "12", "--k", "5")
     assert code == EXIT_OK
-    assert calls == [len(out.splitlines()) - 1]  # one squaring of the whole of Phi
+    assert len(calls) == 1 and len(calls[0]) == len(out.splitlines()) - 1
 
 
 def test_enumerate_beta_csv_matches_scalar_orbit_walk(capsys):

@@ -133,3 +133,22 @@ def test_phi_commands_need_no_generator_or_log_table(capsys, forbid_generator_wa
         assert main(shlex.split(argv)) == code, argv
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_json_phi_commands_never_walk_the_orbits(capsys, monkeypatch):
+    # JSON enumerate-beta, classes and audit print representatives and
+    # lengths only, so the per-element orbit walk behind orbit_of never runs
+    from taniapn import poly_roots
+
+    def refuse(*_):
+        raise AssertionError("the orbit walk ran")
+
+    monkeypatch.setattr(poly_roots, "_orbit_ids", refuse)
+    phi_commands = {"enumerate-beta", "classes", "audit"}
+    rows = [g for g in GOLDEN + AUDIT_TO_10
+            if "--format json" in g[0] and phi_commands & set(g[0].split())]
+    assert len(rows) == 11
+    for argv, code, digest in rows:
+        assert main(shlex.split(argv)) == code, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

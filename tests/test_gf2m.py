@@ -236,6 +236,8 @@ def test_frobenius_map_matches_scalar(m):
         assert r.dtype == np.uint32 and r.shape == a.shape
         assert r.tolist() == [ctx.pow2k(x, k) for x in a.tolist()]
     assert ctx.square_vec(a).tolist() == [ctx.mul(x, x) for x in a.tolist()]
+    # X*a by one shift-and-reduce step; at m = 1, X reduces to 1
+    assert ctx.xtime_vec(a).tolist() == [ctx.mul(x, 2) for x in a.tolist()]
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 6, 9, 12])

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from taniapn import poly_roots
 from taniapn.counting import capital_m
@@ -13,6 +15,7 @@ from taniapn.gf2m import FieldCtx, coprime_residues, default_ctx
 from taniapn.poly_roots import (
     BetaSet,
     count_roots,
+    frobenius_orbit,
     frobenius_orbits,
     orbit_length,
     orbit_min,
@@ -143,6 +146,23 @@ def test_phi_set_needs_no_generator_or_log_table(forbid_generator_walk):
         assert phi_set(k, default_ctx(m)).elements.tolist() == want
 
 
+@pytest.mark.parametrize("m", [2, 9, 14])
+def test_phi_set_takes_only_the_squaring_tables_scalar_products(m, monkeypatch):
+    # the m basis squares behind the squaring tables are the only scalar
+    # products: the Frobenius-k tables square the basis k times, and F(u)
+    # and every image of the doubling are XORs of entries of X^s * (X^r)^q;
+    # batches of 16 put the later-batch path through it too
+    want = [phi_set(k, default_ctx(m)) for k in coprime_residues(m)]
+    ctx = FieldCtx(m)
+    calls = []
+    orig = ctx.mul
+    monkeypatch.setattr(ctx, "mul", lambda a, b: calls.append(1) or orig(a, b))
+    monkeypatch.setattr(ctx, "pow2k", lambda *_: pytest.fail("scalar pow2k called"))
+    monkeypatch.setattr(poly_roots, "_SCAN_CHUNK", 1 << 4)
+    assert [phi_set(k, ctx) for k in coprime_residues(m)] == want
+    assert len(calls) == m
+
+
 def test_phi_k_negation_symmetry():
     for m in range(2, 11):
         ctx = default_ctx(m)
@@ -239,6 +259,60 @@ def test_orbit_minima_escape_in_a_later_batch(monkeypatch):
         orbit_minima(np.array([1, 2, 4, 6, 7], dtype=np.uint32), GF8)
 
 
+@st.composite
+def closed_sets(draw):
+    """(ctx, sorted uint32 array): a random union of Frobenius orbits at
+    m = 1..12, with 0, 1 and an element of a proper subfield each drawn in
+    or out."""
+    m = draw(st.integers(min_value=1, max_value=12))
+    ctx = default_ctx(m)
+    field = ctx.elements()
+    d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    subfield = field[ctx.pow2k_vec(field, d) == field]
+    seeds = draw(st.lists(st.integers(min_value=0, max_value=ctx.order - 1), max_size=40))
+    seeds += [b for b in (0, 1, int(draw(st.sampled_from(subfield.tolist())))) if draw(st.booleans())]
+    members = {c for b in seeds for c in frobenius_orbit(b, ctx)}
+    return ctx, np.array(sorted(members), dtype=np.uint32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_sets())
+def test_frobenius_orbits_match_scalar_walk_on_closed_sets(case):
+    ctx, arr = case
+    minimum = {b: min(frobenius_orbit(b, ctx)) for b in arr.tolist()}
+    reps = sorted(set(minimum.values()))
+    dec = frobenius_orbits(BetaSet(ctx, 1, arr))
+    assert dec.representatives.tolist() == reps
+    assert dec.lengths.tolist() == [len(frobenius_orbit(r, ctx)) for r in reps]
+    assert dec.orbit_of.dtype == np.int32
+    assert dec.orbit_of.tolist() == [reps.index(minimum[b]) for b in arr.tolist()]
+    assert dec.total == arr.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_sets(), st.data())
+def test_dropping_a_conjugate_names_its_square(case, data):
+    # the one member whose square is the dropped conjugate c escapes, so the
+    # message names c, as the construction's closure check always has
+    ctx, arr = case
+    moving = [b for b in arr.tolist() if len(frobenius_orbit(b, ctx)) > 1]
+    assume(moving)
+    c = data.draw(st.sampled_from(moving))
+    broken = BetaSet(ctx, 1, arr[arr != c])
+    for read in (lambda: frobenius_orbits(broken), lambda: frobenius_orbits(broken).orbit_of,
+                 lambda: orbit_minima(broken.elements, ctx)):
+        with pytest.raises(NotFrobeniusClosed, match=f"square 0x{c:X} escapes the set"):
+            read()
+
+
+def test_orbit_of_is_walked_once_on_first_read(monkeypatch):
+    dec = frobenius_orbits(phi_set(1, default_ctx(9)))
+    walks = []
+    orig = poly_roots._orbit_ids
+    monkeypatch.setattr(poly_roots, "_orbit_ids", lambda *a: walks.append(1) or orig(*a))
+    assert dec.orbit_of is dec.orbit_of and walks == [1]
+
+
 # SHA-256 of the bytes of phi_set(k, default_ctx(m)).elements and of the
 # representatives, lengths and orbit_of arrays of its frobenius_orbits;
 # m > 22 runs the batched path at its real batch size.
@@ -291,14 +365,18 @@ def test_phi_membership_against_root_count_sampled(m, k):
     assert all(count_roots(k, 1, int(b), ctx) > 0 for b in outside)
 
 
-def test_orbit_minima_makes_one_field_pass(monkeypatch):
+def test_orbit_minima_squares_a_pinned_count(monkeypatch):
+    # |Phi| = 1,365 in 116 orbits: the minimum filter squares 4,458
+    # elements (3.27 |Phi|), the walk of their orbits 1,365 - 116 more
     ctx = FieldCtx(12)
     calls = []
-    for name in ("mul_vec", "square_vec", "pow2k_vec", "pow_vec"):
+    for name in ("mul_vec", "square_vec", "pow2k_vec", "pow_vec", "xtime_vec"):
         orig = getattr(ctx, name)
-        monkeypatch.setattr(ctx, name, lambda *a, name=name, orig=orig: calls.append(name) or orig(*a))
+        monkeypatch.setattr(ctx, name,
+                            lambda a, *r, name=name, orig=orig: calls.append((name, a.size)) or orig(a, *r))
     orbit_minima(phi_set(5, default_ctx(12)).elements, ctx)
-    assert calls == ["square_vec"]
+    assert {name for name, _ in calls} == {"square_vec"}
+    assert sum(size for _, size in calls) == 5707
 
 
 def test_transform_beta():
