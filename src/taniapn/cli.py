@@ -102,7 +102,10 @@ def _parse_m_spec(spec: str, m_max: int) -> list[int]:
 
 
 def _parse_element(s: str) -> int:
-    return int(s, 16)
+    try:
+        return int(s, 16)
+    except ValueError:  # argparse prints this message; for a ValueError it names the function
+        raise argparse.ArgumentTypeError(f"expected a hex field element, got {s!r}") from None
 
 
 def _parse_modulus_override(pairs: list[str]) -> dict[int, FieldCtx]:
@@ -643,7 +646,8 @@ def main(argv: list[str] | None = None) -> int:
         # at exit, so no second error is printed
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (TaniapnError, ValueError, OSError) as exc:  # OSError: --table, --save-table paths
+    # OSError: --table, --save-table paths; ArgumentTypeError: a bad element in --from, --to
+    except (TaniapnError, ValueError, argparse.ArgumentTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

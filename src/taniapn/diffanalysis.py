@@ -10,8 +10,9 @@ Solutions pair up as x <-> x+a, so every count is even; summed over the
 histogram the counts account for all (a, x) pairs, i.e. (2^n - 1) * 2^n.
 f is APN exactly when no count exceeds 2.
 
-Works on anything exposing packed_table() and dimension: the bivariate
-families (n = 2m) and the univariate Gold fixture alike.
+Works on anything exposing packed_table(), dimension and is_quadratic:
+the bivariate families (n = 2m), truth tables and the univariate Gold
+fixture alike.
 
 Kernel-rank method.  When every coordinate of f has algebraic degree at
 most 2 (all shipped families are quadratic), the map
@@ -27,12 +28,12 @@ bit-packed Gaussian elimination batched over a chunk of a values, on the
 n x n matrices with rows L_a(e_j); that is O(2^n n^2) work instead of
 O(2^(2n)).
 
-Which path runs is decided by the table alone: a Moebius transform gives
-its algebraic normal form, and the table is quadratic iff no ANF
-coefficient with index weight >= 3 is nonzero.  Tables of higher degree
-(a saved truth table can hold anything) go through the generic scan,
-which buckets f(x + a) + f(x) over all x for every a.  That scan is also
-the oracle the kernel-rank path is tested against.
+Which path runs is decided by f.is_quadratic (families): the family
+members declare it, and a truth table reads it from its algebraic normal
+form.  Tables of higher degree (a saved truth table can hold anything)
+go through the generic scan, which buckets f(x + a) + f(x) over all x
+for every a.  That scan is also the oracle the kernel-rank path is
+tested against.
 """
 
 from __future__ import annotations
@@ -71,17 +72,6 @@ def _checked_table(f) -> tuple[np.ndarray, int]:
     return f.packed_table(), n
 
 
-def _is_quadratic(tab: np.ndarray, n: int) -> bool:
-    """True iff every coordinate of the table has algebraic degree <= 2."""
-    anf = np.array(tab, dtype=np.uint32)
-    for i in range(n):  # Moebius transform: anf[u] = XOR of tab[v], v subset of u
-        halves = anf.reshape(-1, 2, 1 << i)
-        halves[:, 1] ^= halves[:, 0]
-    low_weight = [0] + [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1)]
-    anf[low_weight] = 0
-    return not anf.any()
-
-
 def _kernel_dims(tab: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
     """d_a = dim ker L_a for a in [lo, hi); tab must be quadratic."""
     a = np.arange(lo, hi, dtype=np.uint32)
@@ -115,7 +105,7 @@ def _histograms(f) -> Iterator[dict[int, int]]:
     """Partial histograms over groups of nonzero a; their sum is the spectrum."""
     tab, n = _checked_table(f)
     size = 1 << n
-    if not _is_quadratic(tab, n):
+    if not f.is_quadratic:
         yield from _generic_histograms(tab, n)
         return
     for lo in range(1, size, _RANK_CHUNK):

@@ -27,7 +27,9 @@ points of Hamming weight <= 2.  That is exact for quadratic f and g:
 h = f o L + N o g + M then has algebraic degree <= 2, and its ANF
 coefficient at a monomial of weight <= 2 is the XOR of h over the points
 below it, so h vanishing on those 1 + n + n(n-1)/2 points (n = 2m) makes
-every coefficient, and so h, zero.
+every coefficient, and so h, zero.  verify_witness reads "quadratic"
+from each operand's is_quadratic, which families owns, and refuses an
+operand of higher degree.
 
 Automorphism orders.  For m >= 4,
 
@@ -50,19 +52,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diffanalysis import _is_quadratic
 from .errors import (
     DegreeMismatch,
     InvalidParams,
     NotApn,
     TooLarge,
 )
-from .families import (
-    BivariateFunction,
-    PottZhouParams,
-    TaniguchiParams,
-    TruthTableFunction,
-)
+from .families import BivariateFunction, PottZhouParams, TaniguchiParams
 from .gf2m import FieldCtx
 from .linmaps import PairMap, gf2_apply_vec, gf2_rank, low_weight_values
 from .poly_roots import (
@@ -307,23 +303,13 @@ def pott_zhou_bridge_witness(p: TaniguchiParams) -> tuple[LinearWitness, PottZho
 # Witness verification
 # ---------------------------------------------------------------------------
 
-def _require_quadratic(f: BivariateFunction) -> None:
-    """Refuse an operand the weight <= 2 check cannot decide exactly."""
-    if isinstance(f, TruthTableFunction):
-        quadratic = _is_quadratic(f.table, f.dimension)
-    else:
-        quadratic = isinstance(f, (TaniguchiParams, PottZhouParams))
-    if not quadratic:
-        raise InvalidParams("witness check needs operands of algebraic degree <= 2")
-
-
 def verify_witness(w: LinearWitness, f: BivariateFunction, g: BivariateFunction) -> bool:
     """Check f(L(x,y)) = N(g(x,y)) + M(x,y) plus bijectivity of L and N.
 
     The identity is compared on the points of Hamming weight <= 2, which
     decides it everywhere because f and g are quadratic (module
-    docstring).  Taniguchi and pott-zhou members are quadratic by
-    construction; a truth table of degree > 2 raises InvalidParams.
+    docstring); an operand whose is_quadratic (families) is False raises
+    InvalidParams.
     """
     if f.ctx != g.ctx:
         raise DegreeMismatch("witness operands live over different contexts")
@@ -331,8 +317,8 @@ def verify_witness(w: LinearWitness, f: BivariateFunction, g: BivariateFunction)
     n = 2 * ctx.m
     if n > _VERIFY_BITS_LIMIT:
         raise TooLarge(f"witness verification capped at 2m={_VERIFY_BITS_LIMIT}")
-    _require_quadratic(f)
-    _require_quadratic(g)
+    if not (f.is_quadratic and g.is_quadratic):
+        raise InvalidParams("witness check needs operands of algebraic degree <= 2")
     if gf2_rank(w.l_map.images()) != n or gf2_rank(w.n_map.images()) != n:
         return False
     points = low_weight_values(PairMap.identity(ctx.m).images())

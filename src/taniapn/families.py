@@ -23,6 +23,11 @@ ctx they are bit patterns in (None means default_ctx(m)), its evaluation
 and its APN criterion.  A Taniguchi member decides its criterion by one
 root scan and keeps the verdict.
 
+Every function object answers is_quadratic (each coordinate of degree
+<= 2), which the differential scan and the witness check read: family
+members and the Gold map declare True, and a truth table (a --table
+file, a materialize result) decides it once from its table.
+
 Truth-table file format (import/export):
     header  = magic "APNT" | u8 version (=1) | u16 m (LE) | u8 kind
     payload = 2^(2m) little-endian (u32 first-coordinate, u32 second-coordinate)
@@ -92,6 +97,20 @@ class BivariateFunction:
         """Full truth table as packed uint32 values, cached."""
         return self._table
 
+    @cached_property
+    def is_quadratic(self) -> bool:
+        """Every coordinate has degree <= 2: no coefficient of the algebraic
+        normal form at an index of weight >= 3 is nonzero.  The family
+        members declare True; this is their oracle."""
+        n = self.dimension
+        anf = np.array(self.packed_table(), dtype=np.uint32)
+        for i in range(n):  # Moebius transform: anf[u] = XOR of tab[v], v subset of u
+            halves = anf.reshape(-1, 2, 1 << i)
+            halves[:, 1] ^= halves[:, 0]
+        low_weight = [0] + [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1)]
+        anf[low_weight] = 0
+        return not anf.any()
+
 
 # ---------------------------------------------------------------------------
 # Family members: parameters plus the field they live in
@@ -113,6 +132,7 @@ class TaniguchiParams(BivariateFunction):
     ctx: FieldCtx | None = None
 
     kind = "taniguchi"
+    is_quadratic = True
 
     def __post_init__(self):
         if self.m < 2:
@@ -177,6 +197,7 @@ class PottZhouParams(BivariateFunction):
     ctx: FieldCtx | None = None
 
     kind = "pott-zhou"
+    is_quadratic = True
 
     def __post_init__(self):
         if self.m < 2 or self.m % 2:
@@ -241,6 +262,7 @@ class GoldFunction:
     """Univariate Gold power map x -> x^(2^i+1) on GF(2^n); known APN fixture."""
 
     kind = "gold"
+    is_quadratic = True
 
     def __init__(self, ctx: FieldCtx, i: int):
         if gcd(i, ctx.m) != 1:

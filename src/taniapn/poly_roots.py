@@ -26,7 +26,8 @@ the elements still below every conjugate seen so far, about H_m times
 the size of the set in all.  It keeps representatives and lengths as
 arrays; the orbit of each element (orbit_of) is walked from the
 representatives, with a rank lookup of each conjugate in the bitmap,
-only when it is first read.  orbit_minima reads the same two routines.
+only when it is first read.  The bitmap is built once per BetaSet and
+read by both passes.
 
 count_roots() stays a literal exhaustive scan on purpose: it decides a
 single member's APN criterion (families.TaniguchiParams), and it is the
@@ -77,6 +78,17 @@ class BetaSet:
         i = int(np.searchsorted(self.elements, beta))
         return i < self.elements.size and int(self.elements[i]) == beta
 
+    @cached_property
+    def bitmap(self) -> np.ndarray:
+        """Membership over the field, 8 elements to a byte; built once."""
+        if self.m > _SCAN_DEGREE_LIMIT:
+            raise TooLarge(f"orbit pass capped at m={_SCAN_DEGREE_LIMIT}: "
+                           "its bitmap spans the field")
+        member = np.zeros(self.ctx.order, dtype=bool)
+        for s in _batches(self.elements.size):
+            member[self.elements[s]] = True
+        return np.packbits(member, bitorder="little")
+
     def to_json(self) -> dict:
         """The set as a JSON-ready dict.  The CLI prints the elements with
         its numpy renderer instead; this dict through json.dumps is that
@@ -108,7 +120,7 @@ class OrbitDecomposition:
     @cached_property
     def orbit_of(self) -> np.ndarray:
         """int32, per element of Phi (sorted) the index of its orbit."""
-        return _orbit_ids(self.phi.elements, self.phi.ctx, self.representatives, self.lengths)
+        return _orbit_ids(self.phi, self.representatives, self.lengths)
 
     @property
     def total(self) -> int:
@@ -218,19 +230,12 @@ def frobenius_orbits(phi: BetaSet) -> OrbitDecomposition:
     _orbit_representatives; the orbit of each element (orbit_of) is walked
     from them only when it is first read.
     """
-    return OrbitDecomposition(phi, *_orbit_representatives(phi.elements, phi.ctx))
+    return OrbitDecomposition(phi, *_orbit_representatives(phi))
 
 
-def orbit_minima(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Per element of the sorted, squaring-closed arr, the smallest member
-    of its Frobenius orbit."""
-    reps, lengths = _orbit_representatives(arr, ctx)
-    return reps.take(_orbit_ids(arr, ctx, reps, lengths))
-
-
-def _orbit_representatives(arr: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
-    """The smallest member of each Frobenius orbit of the sorted arr, in
-    ascending order, and the length of that orbit, both uint32.
+def _orbit_representatives(phi: BetaSet) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest member of each Frobenius orbit of phi, in ascending
+    order, and the length of that orbit, both uint32.
 
     A shrinking minimum filter: step 1 squares every element and checks
     each square against the membership bitmap (_squares), so a set that is
@@ -239,9 +244,10 @@ def _orbit_representatives(arr: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, 
     the orbit of a representative of length i.  Every orbit length divides
     m, so an x still kept after step m - 1 is a representative of length
     m.  About 1/i of the elements reach step i + 1, so the filter squares
-    about H_(m-1)*|arr| elements in all.
+    about H_(m-1)*|phi| elements in all.
     """
-    x, cur = arr, _squares(arr, ctx)
+    ctx = phi.ctx
+    x, cur = phi.elements, _squares(phi)
     found = []
     for i in range(1, ctx.m):
         if i > 1:
@@ -257,18 +263,18 @@ def _orbit_representatives(arr: np.ndarray, ctx: FieldCtx) -> tuple[np.ndarray, 
     return reps.take(order), lengths.take(order)
 
 
-def _orbit_ids(arr: np.ndarray, ctx: FieldCtx, reps: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Per element of the sorted arr, the int32 index in reps of its orbit.
+def _orbit_ids(phi: BetaSet, reps: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per element of phi (sorted), the int32 index in reps of its orbit.
 
     Walks each representative's orbit once, rep^(2^j) for j < its length,
-    and finds each conjugate's position in arr by its rank: the members
+    and finds each conjugate's position in phi by its rank: the members
     below it, read from the membership bitmap as a prefix count per byte
     plus the popcount of the bits below it in its byte.
     """
-    bitmap = _bitmap(arr, ctx)
+    ctx, bitmap = phi.ctx, phi.bitmap
     counts = _POPCOUNT8.take(bitmap)
     below = np.cumsum(counts, dtype=np.int32) - counts  # members in the earlier bytes
-    ids = np.empty(arr.size, dtype=np.int32)
+    ids = np.empty(len(phi), dtype=np.int32)
     walk = np.argsort(lengths, kind="stable")[::-1].astype(np.int32)  # longest orbits first
     cur = reps.take(walk)
     for j in range(ctx.m):
@@ -280,27 +286,17 @@ def _orbit_ids(arr: np.ndarray, ctx: FieldCtx, reps: np.ndarray, lengths: np.nda
     return ids
 
 
-def _squares(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """x^2 for every x in arr, batch by batch; a square outside arr raises
+def _squares(phi: BetaSet) -> np.ndarray:
+    """x^2 for every x in phi, batch by batch; a square outside phi raises
     NotFrobeniusClosed."""
-    bitmap = _bitmap(arr, ctx)
+    arr, bitmap = phi.elements, phi.bitmap
     out = np.empty_like(arr)
     for s in _batches(arr.size):
-        sq = out[s] = ctx.square_vec(arr[s])
+        sq = out[s] = phi.ctx.square_vec(arr[s])
         escaped = (bitmap.take(sq >> np.uint32(3)) >> (sq & np.uint32(7))) & 1 == 0
         if escaped.any():
             raise NotFrobeniusClosed(f"square 0x{int(sq[escaped][0]):X} escapes the set")
     return out
-
-
-def _bitmap(arr: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """The membership bitmap of arr over the field, 8 elements to a byte."""
-    if ctx.m > _SCAN_DEGREE_LIMIT:
-        raise TooLarge(f"orbit pass capped at m={_SCAN_DEGREE_LIMIT}: its bitmap spans the field")
-    member = np.zeros(ctx.order, dtype=bool)
-    for s in _batches(arr.size):
-        member[arr[s]] = True
-    return np.packbits(member, bitorder="little")
 
 
 def transform_beta(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:
@@ -318,7 +314,7 @@ def transform_beta(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:
 def frobenius_orbit(beta: int, ctx: FieldCtx) -> list[int]:
     """The orbit of beta in walk order: [beta, beta^2, beta^4, ...], so
     entry i is beta^(2^i).  The one scalar Frobenius walk; it is the oracle
-    for frobenius_orbits and, through orbit_min, for orbit_minima."""
+    for frobenius_orbits."""
     orbit = [beta]
     cur = ctx.mul(beta, beta)
     while cur != beta:

@@ -12,7 +12,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from taniapn.cli import EXIT_BROKEN_PIPE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, build_parser, main
+from taniapn.cli import (
+    EXIT_AUDIT_FAIL,
+    EXIT_BROKEN_PIPE,
+    EXIT_NEGATIVE,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
 from taniapn.counting import capital_m
 
 TABLE_2_TO_16 = [1, 1, 3, 6, 5, 21, 26, 57, 74, 315, 234, 1266, 1185, 2916, 5492]
@@ -86,10 +94,25 @@ def test_table_cap_is_the_int_to_str_limit(capsys):
     ("spectrum", "error: spectrum needs a family or --table PATH\n"),
     ("classes --m 2", "error: classes needs m >= 3 (m=2 has the single class)\n"),
     ("classes --m 6 --k 2", "error: k=2 not coprime to m=6\n"),
+    ("witness --from 3,1,zz,1 --to 3,1,1,1", "error: expected a hex field element, got 'zz'\n"),
 ])
 def test_usage_errors_exact_stderr(capsys, argv, err):
     # recorded before the commands left the printing of usage errors to main
     assert run(capsys, *argv.split()) == (EXIT_USAGE, "", err)
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("check-apn taniguchi --m 3 --k 1 --alpha 0x --beta 1",
+     "taniapn check-apn: error: argument --alpha: expected a hex field element, got '0x'\n"),
+    ("aut --m 3 --k 1 --alpha 1 --beta g",
+     "taniapn aut: error: argument --beta: expected a hex field element, got 'g'\n"),
+])
+def test_bad_hex_option_names_the_expected_form(capsys, argv, err):
+    # argparse parses these options before main's handler, and exits 2 itself
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(err)
 
 
 def test_audit_pass_lines(capsys):
@@ -167,6 +190,15 @@ def test_check_apn_pott_zhou(capsys):
     assert code == EXIT_NEGATIVE
 
 
+def test_check_apn_reports_a_disagreeing_scan(capsys, monkeypatch):
+    from taniapn import diffanalysis
+    monkeypatch.setattr(diffanalysis, "is_apn", lambda f: False)
+    code, out, err = run(capsys, "check-apn", "taniguchi", "--m", "5", "--k", "1",
+                         "--alpha", "1", "--beta", "0x6", "--exhaustive")
+    assert (code, err) == (EXIT_AUDIT_FAIL, "error: criterion and exhaustive scan disagree\n")
+    assert "criterion  APN" in out and "scan       NOT APN" in out
+
+
 def test_check_apn_missing_args(capsys):
     code, _, err = run(capsys, "check-apn", "taniguchi", "--m", "5")
     assert code == EXIT_USAGE
@@ -231,6 +263,17 @@ def test_witness_verified_at_cap(capsys):
                        "--from", "16,15,1,1003", "--to", "16,1,8E2D,8E2D")
     assert code == EXIT_OK
     assert json.loads(out)["verified"] is True
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_witness_reports_a_wrong_witness_unverified(capsys, monkeypatch, fmt):
+    from taniapn import equivalence
+    wrong = equivalence.identity_witness(4)  # 4,1,1,9 and 4,1,1,D are distinct members
+    monkeypatch.setattr(equivalence, "equivalence_witness", lambda p1, p2: wrong)
+    code, out, _ = run(capsys, "--format", fmt, "witness",
+                       "--from", "4,1,1,9", "--to", "4,1,1,D")
+    assert code == EXIT_AUDIT_FAIL
+    assert ('"verified": false' if fmt == "json" else "verified: False") in out
 
 
 def test_witness_negative(capsys):
@@ -438,15 +481,19 @@ def test_enumerate_beta_csv(capsys):
 
 
 def test_enumerate_beta_csv_makes_one_orbit_pass(capsys, monkeypatch):
-    # one vectorised decomposition serves every row; no scalar orbit walk
+    # one vectorised decomposition serves every row; no scalar orbit walk;
+    # the orbit filter and the orbit walk share one membership bitmap
     from taniapn import poly_roots
     orig, calls = poly_roots.frobenius_orbits, []
     monkeypatch.setattr(poly_roots, "frobenius_orbits", lambda phi: calls.append(phi) or orig(phi))
+    bitmap, builds = poly_roots.BetaSet.__dict__["bitmap"], []
+    monkeypatch.setattr(bitmap, "func", lambda phi, orig=bitmap.func: builds.append(phi) or orig(phi))
     for name in ("orbit_min", "orbit_length", "frobenius_orbit"):
         monkeypatch.setattr(poly_roots, name, lambda *a, name=name: pytest.fail(f"{name} called"))
     code, out, _ = run(capsys, "--format", "csv", "enumerate-beta", "--m", "12", "--k", "5")
     assert code == EXIT_OK
     assert len(calls) == 1 and len(calls[0]) == len(out.splitlines()) - 1
+    assert len(builds) == 1 and builds[0] is calls[0]
 
 
 def test_enumerate_beta_csv_matches_scalar_orbit_walk(capsys):

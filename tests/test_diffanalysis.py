@@ -7,18 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taniapn import diffanalysis
 from taniapn.diffanalysis import (
     _generic_histograms,
-    _is_quadratic,
     differential_spectrum,
     is_apn,
 )
+from taniapn.equivalence import canonical_witness, verify_witness
 from taniapn.errors import TooLarge
 from taniapn.families import (
+    BivariateFunction,
     PottZhouParams,
     TaniguchiParams,
     TruthTableFunction,
     gold,
+    materialize,
 )
 from taniapn.gf2m import default_ctx
 from taniapn.poly_roots import phi_set
@@ -118,6 +121,20 @@ def generic_histogram(f) -> dict[int, int]:
     return hist
 
 
+def assert_declared_quadratic(f):
+    """f's type declares is_quadratic; the Moebius transform of its table,
+    read as a TruthTableFunction, must agree.  A Gold table on an odd
+    number n of bits is read as a function of n + 1 bits that ignores the
+    top one, which keeps its degree."""
+    assert type(f).is_quadratic is True
+    if isinstance(f, BivariateFunction):
+        assert TruthTableFunction(f.packed_table(), f.ctx).is_quadratic
+    else:
+        m = (f.dimension + 1) // 2
+        tab = np.tile(f.packed_table(), 1 << (2 * m - f.dimension))
+        assert TruthTableFunction(tab, default_ctx(m)).is_quadratic
+
+
 def assert_matches_oracle(f):
     want = generic_histogram(f)
     assert differential_spectrum(f).histogram == want
@@ -134,7 +151,7 @@ def test_fast_path_matches_oracle_taniguchi(m):
         for alpha in (0, 1):
             for beta in range(1, ctx.order):
                 f = TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta)
-                assert _is_quadratic(f.packed_table(), f.dimension)
+                assert_declared_quadratic(f)
                 assert_matches_oracle(f)
 
 
@@ -145,11 +162,14 @@ def test_fast_path_matches_oracle_pott_zhou(m):
     noncube = next(a for a in range(2, ctx.order) if not ctx.is_cube(a))
     for s in range(m + 1):
         for alpha in (cube, noncube):
-            assert_matches_oracle(PottZhouParams(m=m, k=1, s=s, alpha=alpha))
+            f = PottZhouParams(m=m, k=1, s=s, alpha=alpha)
+            assert_declared_quadratic(f)
+            assert_matches_oracle(f)
 
 
 @pytest.mark.parametrize("n", range(3, 14))
 def test_fast_path_matches_oracle_gold(n):
+    assert_declared_quadratic(gold(n, 1))
     assert_matches_oracle(gold(n, 1))
 
 
@@ -175,7 +195,7 @@ def quadratic_anf(draw, min_m=1):
 def test_random_quadratic_tables_match_oracle(m_coeffs):
     m, coeffs = m_coeffs
     f = TruthTableFunction(table_from_anf(coeffs, 2 * m), default_ctx(m))
-    assert _is_quadratic(f.packed_table(), f.dimension)
+    assert f.is_quadratic
     assert_matches_oracle(f)
 
 
@@ -188,5 +208,41 @@ def test_cubic_monomial_fails_degree_check(m_coeffs, data):
     cubic = sum(1 << b for b in bits)
     coeffs[cubic] = data.draw(st.integers(1, (1 << n) - 1))
     f = TruthTableFunction(table_from_anf(coeffs, n), default_ctx(m))
-    assert not _is_quadratic(f.packed_table(), n)
+    assert not f.is_quadratic
     assert_matches_oracle(f)
+
+
+def test_degree_is_read_from_the_function_object(monkeypatch):
+    # members and Gold maps declare is_quadratic, so neither the scan nor
+    # the witness check runs the Moebius transform on them; a truth table
+    # runs it once, however many readers ask
+    moebius = BivariateFunction.__dict__["is_quadratic"]
+    runs = []
+    monkeypatch.setattr(moebius, "func", lambda f, orig=moebius.func: runs.append(f) or orig(f))
+    p = TaniguchiParams(m=4, k=3, alpha=5, beta=11)
+    w, canon = canonical_witness(p)
+    noncube = next(a for a in range(2, 16) if not default_ctx(4).is_cube(a))
+    for f in (p, canon, PottZhouParams(m=4, k=1, s=2, alpha=noncube), gold(5, 1)):
+        assert is_apn(f) and differential_spectrum(f).uniformity == 2
+    assert verify_witness(w, p, canon)
+    assert runs == []
+    f, g = materialize(p), materialize(canon)
+    assert differential_spectrum(f).uniformity == 2 and is_apn(f)
+    assert verify_witness(w, f, g)
+    assert len(runs) == 2 and runs[0] is f and runs[1] is g
+
+
+def test_scan_path_follows_is_quadratic(monkeypatch):
+    # a quadratic table takes the kernel-rank path, a cubic one the generic loop
+    paths = []
+    for name in ("_kernel_dims", "_generic_histograms"):
+        orig = getattr(diffanalysis, name)
+        monkeypatch.setattr(diffanalysis, name,
+                            lambda *a, name=name, orig=orig: paths.append(name) or orig(*a))
+    quadratic = materialize(TaniguchiParams(m=2, k=1, alpha=1, beta=1))
+    cubic = TruthTableFunction(table_from_anf({7: 1}, 4), default_ctx(2))
+    differential_spectrum(quadratic)
+    assert set(paths) == {"_kernel_dims"}
+    paths.clear()
+    differential_spectrum(cubic)
+    assert paths == ["_generic_histograms"]

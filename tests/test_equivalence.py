@@ -335,6 +335,19 @@ def test_verify_witness_accepts_quadratic_tables_only():
         verify_witness(invert_witness(w), g, cubic)
 
 
+def test_verify_witness_needs_both_maps_bijective():
+    # on the all-zero table the identity holds for any L and N, so only the
+    # rank checks can refuse a singular one; a member forces both at once
+    ctx = default_ctx(3)
+    zero = TruthTableFunction(np.zeros(1 << 6, dtype=np.uint32), ctx)
+    ident, null = PairMap.identity(3), PairMap.zero(3)
+    assert not verify_witness(LinearWitness(null, ident, null), zero, zero)
+    assert not verify_witness(LinearWitness(ident, null, null), zero, zero)
+    assert verify_witness(LinearWitness(ident, ident, null), zero, zero)
+    p = TaniguchiParams(m=3, k=1, alpha=1, beta=1)
+    assert not verify_witness(LinearWitness(null, null, null), p, p)
+
+
 def test_witness_verify_at_the_cap():
     # 2m = 32, the largest verifiable size
     ctx = default_ctx(16)
