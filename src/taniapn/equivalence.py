@@ -42,12 +42,19 @@ a factor 2^(2m)).  m = 2 and m = 3 have the single classes with
 |Aut| = 5760 and 896 respectively (known orders).  The monomial
 enumerator rebuilds |Aut_EL| from scratch for alpha = 1 by trying every
 self-witness of the shape L_A = a X^(2^u), L_B = a^(2^(2k)) Y^(2^u),
-checked on the same weight <= 2 points for all a at once.
+checked on the same weight <= 2 points.  All m(2^m - 1) candidates
+(u, a) go through one batched pass: a sieve on the 1 + 2m points of
+weight <= 1, then its survivors on the points of weight 2.  The
+Frobenius power 2^u acts on each half of a point (x and y of p and of
+f(p)) on its own, never on the packed value.  A batch makes at most
+(2^m - 1)(1 + n + n(n-1)/2)/2 point checks, which bounds the memory when
+most candidates survive the sieve (beta = 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -303,6 +310,16 @@ def pott_zhou_bridge_witness(p: TaniguchiParams) -> tuple[LinearWitness, PottZho
 # Witness verification
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _low_weight_points(m: int) -> np.ndarray:
+    """The packed points of Hamming weight <= 2 in GF(2)^(2m), in
+    low_weight_values order (0, then weight 1, then weight 2).  Read-only:
+    the cache shares it."""
+    out = low_weight_values(PairMap.identity(m).images())
+    out.flags.writeable = False
+    return out
+
+
 def verify_witness(w: LinearWitness, f: BivariateFunction, g: BivariateFunction) -> bool:
     """Check f(L(x,y)) = N(g(x,y)) + M(x,y) plus bijectivity of L and N.
 
@@ -321,7 +338,7 @@ def verify_witness(w: LinearWitness, f: BivariateFunction, g: BivariateFunction)
         raise InvalidParams("witness check needs operands of algebraic degree <= 2")
     if gf2_rank(w.l_map.images()) != n or gf2_rank(w.n_map.images()) != n:
         return False
-    points = low_weight_values(PairMap.identity(ctx.m).images())
+    points = _low_weight_points(ctx.m)
     lhs = f.eval_packed_vec(low_weight_values(w.l_map.images()))
     rhs = gf2_apply_vec(w.n_map.images(), g.eval_packed_vec(points))
     return bool(np.array_equal(lhs, rhs ^ low_weight_values(w.m_map.images())))
@@ -365,44 +382,70 @@ def pott_zhou_aut_order(m: int, s: int) -> int:
     return base << (2 * m - 1)
 
 
+def _aut_batch_elements(m: int) -> int:
+    """Point checks per batch of the monomial exhaustion: (2^m - 1) times
+    the points of weight <= 2, halved.  A batch gathers each candidate's
+    row of Frobenius images, one array more than checking every a_u of a
+    single u against one broadcast row; at half that check's size a
+    batch's peak stays below it."""
+    return ((1 << m) - 1) * _low_weight_points(m).size // 2
+
+
+def _monomial_search(p: TaniguchiParams) -> tuple[np.ndarray, ...]:
+    """The self-witnesses of monomial_el_automorphisms as the arrays
+    (u, a_u, b_bar_u, c_u), in (u, a_u) order."""
+    if p.alpha != 1:
+        raise InvalidParams("monomial enumeration is stated for alpha = 1")
+    if p.m > _MONOMIAL_DEGREE_LIMIT:
+        raise TooLarge(f"monomial enumeration capped at m={_MONOMIAL_DEGREE_LIMIT}")
+    _require_apn(p)
+    ctx, m = p.ctx, p.m
+    shift, mask, n1 = np.uint32(m), np.uint32(ctx.order - 1), ctx.order - 1
+    points = _low_weight_points(m)
+    f_points = p.eval_packed_vec(points)
+    a_u = np.arange(1, ctx.order, dtype=np.uint32)
+    b_bar = ctx.pow2k_vec(a_u, 2 * p.k)
+    c_u = ctx.pow_vec(b_bar, (1 << p.k) + 1)
+    # coeffs[h] multiplies half h of a point p = (x, y) with f(p) = (f1, f2):
+    # L(p) = (a_u x^(2^u), b_bar y^(2^u)), N(f(p)) = (c_u f1^(2^u), n4 f2^(2^u));
+    # frob[u, h] is half h of every point raised to 2^u, each half on its own
+    coeffs = np.stack([a_u, b_bar, c_u, ctx.mul_vec(a_u, b_bar)])
+    halves = np.stack([points >> shift, points & mask, f_points >> shift, f_points & mask])
+    frob = np.stack([ctx.pow2k_vec(halves, u) for u in range(m)])
+    cand = np.arange(m * n1)  # candidate u * (2^m - 1) + a_u - 1
+    # the sieve on the weight <= 1 points, then its survivors on the rest
+    for lo, hi in ((0, 1 + 2 * m), (1 + 2 * m, points.size)):
+        step = max(1, _aut_batch_elements(m) // (hi - lo))
+        keep = np.empty(cand.size, dtype=bool)
+        for start in range(0, cand.size, step):
+            u, i = np.divmod(cand[start:start + step], n1)
+            lx, ly, nx, ny = (ctx.mul_vec(coeffs[h].take(i)[:, None], frob[u, h, lo:hi])
+                              for h in range(4))
+            same = p.eval_packed_vec((lx << shift) | ly) == ((nx << shift) | ny)
+            keep[start:start + step] = same.all(axis=1)
+        cand = cand[keep]
+    u, i = np.divmod(cand, n1)
+    return u, a_u.take(i), b_bar.take(i), c_u.take(i)
+
+
 def monomial_el_automorphisms(p: TaniguchiParams) -> list[AutWitness]:
     """Every self-witness of the monomial shape, by exhaustion.
 
     Enumerates (u, a_u), derives b_bar_u = a_u^(2^(2k)), c_u = b_bar_u^(2^k+1),
     N4 = a_u b_bar_u X^(2^u), and keeps the tuples, in (u, a_u) order,
     whose witness (L, N, 0) is a self-witness of f.  L and N are
-    bijective iff a_u, b_bar_u, c_u and a_u b_bar_u are nonzero (a block
-    c X^(2^u) is bijective iff c != 0), and the identity f(L(p)) = N(f(p))
-    is checked as in verify_witness, on the points of weight <= 2, for all
-    2^m - 1 values of a_u in one pass per u.
+    bijective because a_u != 0 makes a_u, b_bar_u, c_u and a_u b_bar_u
+    nonzero (a block c X^(2^u) is bijective iff c != 0).  The identity
+    f(L(p)) = N(f(p)) is checked as in verify_witness, on the points of
+    weight <= 2, for all m(2^m - 1) candidates in one batched pass: a
+    sieve on the 1 + 2m points of weight <= 1, then its survivors on the
+    points of weight 2.  A batch makes at most _aut_batch_elements(m)
+    point checks, so memory stays bounded when every candidate passes
+    the sieve (beta = 1).
     """
-    if p.alpha != 1:
-        raise InvalidParams("monomial enumeration is stated for alpha = 1")
-    if p.m > _MONOMIAL_DEGREE_LIMIT:
-        raise TooLarge(f"monomial enumeration capped at m={_MONOMIAL_DEGREE_LIMIT}")
-    _require_apn(p)
-    ctx = p.ctx
-    shift, mask = np.uint32(ctx.m), np.uint32(ctx.order - 1)
-    points = low_weight_values(PairMap.identity(ctx.m).images())
-    f_points = p.eval_packed_vec(points)
-    a_u = np.arange(1, ctx.order, dtype=np.uint32)
-    b_bar = ctx.pow2k_vec(a_u, 2 * p.k)
-    c_u = ctx.pow_vec(b_bar, (1 << p.k) + 1)
-    n4 = ctx.mul_vec(a_u, b_bar)
-    bijective = (a_u != 0) & (b_bar != 0) & (c_u != 0) & (n4 != 0)
-    found = []
-    for u in range(ctx.m):
-        # one row per a_u, one column per point p = (x, y) with f(p) = (f1, f2):
-        # L(p) = (a_u x^(2^u), b_bar y^(2^u)), N(f(p)) = (c_u f1^(2^u), n4 f2^(2^u))
-        lx, ly, n1, n2 = (ctx.mul_vec(coeff[:, None], ctx.pow2k_vec(v, u)) for coeff, v in (
-            (a_u, points >> shift), (b_bar, points & mask),
-            (c_u, f_points >> shift), (n4, f_points & mask)))
-        same = p.eval_packed_vec((lx << shift) | ly) == ((n1 << shift) | n2)
-        found += [AutWitness(u=u, a_u=int(a_u[i]), b_bar_u=int(b_bar[i]), c_u=int(c_u[i]))
-                  for i in np.flatnonzero(bijective & same.all(axis=1))]
-    return found
+    return [AutWitness(*w) for w in zip(*(v.tolist() for v in _monomial_search(p)))]
 
 
 def count_monomial_el_automorphisms(p: TaniguchiParams) -> int:
     """|Aut_EL| recomputed by the monomial exhaustion (alpha = 1, m <= 11)."""
-    return len(monomial_el_automorphisms(p))
+    return _monomial_search(p)[0].size

@@ -16,10 +16,15 @@ The Frobenius powers square_vec and pow2k_vec are such maps
 (x -> x^(2^k), tables cached per k on the context, the k-th from k
 squarings of the basis), for every m; so is multiplication by a
 fixed element, which _powers uses to build the antilog g^0, g^1, ...
-by doubling, its only use.  mul_vec adds logs and pow_vec multiplies a
-log by the exponent (_pow), on that lazily built log/antilog pair for
-m <= 24 (uint32 antilog; int32 log; int64 only for the exponent
-products), and on the shift-and-XOR product beyond.
+by doubling, its only use.  General bulk products come in three tiers
+by degree.  For m <= 8, mul_vec is one gather from a uint8 product table
+of 2^(2m) entries (64 KB at m = 8) at index (a << m) | b, built by the
+same XOR doubling over the m rows X^i * b; pow_vec there is
+square-and-multiply over mul_vec, so a small context holds that one
+table and no log table.  For 9 <= m <= 24, mul_vec adds logs and pow_vec
+multiplies a log by the exponent (_pow), on a lazily built log/antilog
+pair (uint32 antilog; int32 log; int64 only for the exponent products).
+Beyond 24 both use the shift-and-XOR product, _mul_vec_raw.
 
 The default modulus for each degree is the lexicographically smallest
 irreducible polynomial (smallest when the coefficient bit-vector is read
@@ -87,8 +92,11 @@ MODULUS_TABLE: dict[int, int] = {
 }
 
 MAX_DEGREE = 32
-# The log/antilog pair serves only mul_vec and pow_vec, and is built only up
-# to here (~128 MB at 24); Frobenius powers and Phi(m) use no log table.
+# Product tiers of mul_vec and pow_vec: the full product table up to
+# _PRODUCT_TABLE_DEGREE_LIMIT (2^(2m) uint8 entries, 64 KB at 8), the
+# log/antilog pair up to _TABLE_DEGREE_LIMIT (~128 MB at 24), the
+# shift-and-XOR product above.  Frobenius powers and Phi(m) use neither table.
+_PRODUCT_TABLE_DEGREE_LIMIT = 8
 _TABLE_DEGREE_LIMIT = 24
 
 
@@ -315,6 +323,23 @@ class FieldCtx:
         log[exp] = np.arange(n1, dtype=np.int32)
         return exp, log
 
+    @cached_property
+    def _products(self) -> np.ndarray:
+        """products[(a << m) | b] = a*b as uint8, for m <= 8.
+
+        Row block a is built by doubling over the bits of a: the rows
+        2^i..2^(i+1)-1 are the rows 0..2^i-1 XOR X^i * b, as in xor_span.
+        """
+        table = np.zeros((self.order, self.order), dtype=np.uint8)
+        row = self.elements()  # X^i * b, for i = 0, 1, ...
+        size = 1
+        for _ in range(self.m):
+            np.bitwise_xor(table[:size], row.astype(np.uint8), out=table[size:2 * size])
+            row, size = self.xtime_vec(row), 2 * size
+        table = table.reshape(-1)
+        table.flags.writeable = False
+        return table
+
     def _times(self, a, c: int) -> np.ndarray:
         """c*a for a fixed element c, as a linear map of a."""
         imgs = [c]
@@ -354,8 +379,8 @@ class FieldCtx:
     #
     # Arguments are arrays of valid elements, 0-d arrays or Python ints;
     # results are uint32.  Frobenius powers are linear maps; mul_vec and
-    # every other power (_pow) go through the log table, which operands
-    # index as they are.  Every table lookup is an ndarray.take, which
+    # every other power (_pow) go through the product tiers named at
+    # _TABLE_DEGREE_LIMIT.  Every table lookup is an ndarray.take, which
     # gathers faster than fancy indexing does (numpy 2.4).  Logs are
     # int32: a sum of two stays below 2^25, and only the exponent products
     # in _pow, which can pass 2^32, are int64.
@@ -383,21 +408,25 @@ class FieldCtx:
         """a^e for e >= 0, with 0^0 = 1."""
         if e == 0:
             return np.ones(np.shape(a), dtype=np.uint32)
-        if self.m > _TABLE_DEGREE_LIMIT:
-            base, r = np.array(a, dtype=np.uint32), None
-            while True:
-                if e & 1:
-                    r = base if r is None else self._mul_vec_raw(r, base)
-                e >>= 1
-                if not e:
-                    return r
-                base = self._mul_vec_raw(base, base)
-        exp, log = self._logexp
-        n1 = self.order - 1
-        la = log.take(a)
-        return np.where(la < 0, np.uint32(0), exp.take(la * np.int64(e % n1) % n1))
+        if _PRODUCT_TABLE_DEGREE_LIMIT < self.m <= _TABLE_DEGREE_LIMIT:
+            exp, log = self._logexp
+            n1 = self.order - 1
+            la = log.take(a)
+            return np.where(la < 0, np.uint32(0), exp.take(la * np.int64(e % n1) % n1))
+        # square-and-multiply over the product table or the shift-and-XOR product
+        base, r = np.array(a, dtype=np.uint32), None
+        while True:
+            if e & 1:
+                r = base if r is None else self.mul_vec(r, base)
+            e >>= 1
+            if not e:
+                return r
+            base = self.mul_vec(base, base)
 
     def mul_vec(self, a, b) -> np.ndarray:
+        if self.m <= _PRODUCT_TABLE_DEGREE_LIMIT:
+            a, b = np.asarray(a, dtype=np.uint32), np.asarray(b, dtype=np.uint32)
+            return self._products.take((a << np.uint32(self.m)) | b).astype(np.uint32)
         if self.m > _TABLE_DEGREE_LIMIT:
             return self._mul_vec_raw(a, b)
         exp, log = self._logexp

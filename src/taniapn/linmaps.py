@@ -176,13 +176,18 @@ class PairMap:
                  yy: Monomial | None = None) -> "PairMap":
         """Map whose blocks are each c * X^(2^d) or, when None, zero."""
         m = ctx.m
+        basis = np.left_shift(np.uint32(1), np.arange(m, dtype=np.uint32))
 
-        def blk(mono: Monomial | None, e: int) -> int:
-            return ctx.mul(mono[0], ctx.pow2k(e, mono[1])) if mono else 0
+        def blk(mono: Monomial | None) -> np.ndarray:
+            """The block's values at the bit basis e_j = 1 << j."""
+            if mono is None:
+                return np.zeros(m, dtype=np.uint32)
+            return ctx.mul_vec(mono[0], ctx.pow2k_vec(basis, mono[1]))
 
-        from_y = [(blk(xy, 1 << j) << m) | blk(yy, 1 << j) for j in range(m)]
-        from_x = [(blk(xx, 1 << j) << m) | blk(yx, 1 << j) for j in range(m)]
-        return cls(tuple(from_y + from_x))
+        shift = np.uint32(m)
+        from_y = (blk(xy) << shift) | blk(yy)
+        from_x = (blk(xx) << shift) | blk(yx)
+        return cls(tuple(from_y.tolist() + from_x.tolist()))
 
     def images(self) -> tuple[int, ...]:
         """Basis images, imgs[j] = P(1 << j)."""

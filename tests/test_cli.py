@@ -144,6 +144,24 @@ def test_audit_builds_phi_once_per_m_k(capsys, monkeypatch):
     assert len(printed) == 15 and calls == printed
 
 
+@pytest.mark.parametrize("oracle, quantity", [("oracle_capital_n", "N"), ("oracle_b", "b")])
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_audit_reports_an_oracle_that_disagrees(capsys, monkeypatch, oracle, quantity, fmt):
+    # the formula is the expected value; an oracle one off must fail the audit
+    from taniapn import counting
+    orig = getattr(counting, oracle)
+    monkeypatch.setattr(counting, oracle, lambda phi: orig(phi) + 1)
+    code, out, _ = run(capsys, "--format", fmt, "audit", "--m-max", "4")
+    assert code == EXIT_AUDIT_FAIL
+    lines = json.loads(out)["lines"] if fmt == "json" else out.strip().splitlines()
+    if fmt == "json":
+        assert json.loads(out)["failures"] == [1, 2, 3, 4]
+    for m, line in enumerate(lines, start=1):
+        want = getattr(counting, {"N": "capital_n", "b": "b_orbits"}[quantity])(m)
+        assert f" FAIL k=1 {quantity}: formula={want} oracle={want + 1}" in line
+        assert "PASS" not in line
+
+
 def test_audit_m_max_too_large():
     with pytest.raises(SystemExit) as exc:
         main(["audit", "--m-max", "30"])
@@ -263,6 +281,30 @@ def test_witness_verified_at_cap(capsys):
                        "--from", "16,15,1,1003", "--to", "16,1,8E2D,8E2D")
     assert code == EXIT_OK
     assert json.loads(out)["verified"] is True
+
+
+def test_witness_at_m8_builds_no_log_table(capsys, monkeypatch):
+    # up to m = 8 products and powers gather from the product table, so a
+    # witness and the automorphism count run without the log/antilog pair
+    from taniapn.equivalence import count_monomial_el_automorphisms
+    from taniapn.families import TaniguchiParams
+    from taniapn.gf2m import FieldCtx, default_ctx
+    from taniapn.poly_roots import phi_set
+
+    def refuse(_):
+        raise AssertionError("the log table was used")
+
+    monkeypatch.setattr(FieldCtx, "_logexp", property(refuse))
+    ctx = default_ctx(8)
+    gamma = max(phi_set(1, ctx))
+    # (7, 3, gamma^2 * 3^3) is in the class of (1, 1, gamma): k -> m - k,
+    # a Frobenius twist and alpha = 3, with beta = gamma' * alpha^(2^(m-k)+1)
+    beta = ctx.mul(ctx.pow2k(gamma, 1), ctx.pow(3, 3))
+    code, out, _ = run(capsys, "--format", "json", "witness",
+                       "--from", f"8,1,1,{gamma:X}", "--to", f"8,7,3,{beta:X}")
+    assert code == EXIT_OK and json.loads(out)["verified"] is True
+    p = TaniguchiParams(m=8, k=1, alpha=1, beta=gamma)
+    assert count_monomial_el_automorphisms(p) > 0
 
 
 @pytest.mark.parametrize("fmt", ["pretty", "json"])

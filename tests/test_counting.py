@@ -198,3 +198,10 @@ def test_count_report_round_trip():
                                  rep.n_taniguchi, rep.lower_bound)
     assert count_report(2).note is not None
     assert count_report(6).note is None
+
+
+def test_count_report_refuses_a_bound_above_n(monkeypatch):
+    from taniapn import counting
+    monkeypatch.setattr(counting, "lower_bound", lambda m: n_taniguchi(m) + 1)
+    with pytest.raises(AssertionError):
+        count_report(6)

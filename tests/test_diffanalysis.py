@@ -45,6 +45,14 @@ def test_taniguchi_m4_uniformity_two():
         assert spec.uniformity == 2
 
 
+def test_spectrum_refuses_a_histogram_of_the_wrong_mass(monkeypatch):
+    # one extra pair with two solutions keeps every count even
+    orig = diffanalysis._histograms
+    monkeypatch.setattr(diffanalysis, "_histograms", lambda f: [*orig(f), {2: 1}])
+    with pytest.raises(AssertionError, match="histogram mass mismatch"):
+        differential_spectrum(gold(5, 1))
+
+
 def test_gold_spectrum_gf32():
     spec = differential_spectrum(gold(5, 1))
     assert spec.uniformity == 2

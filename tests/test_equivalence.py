@@ -537,12 +537,27 @@ def monomial_by_full_grid(p):
 
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_monomial_matches_full_grid_oracle(m):
+    # beta = 1, where it is in Phi, has d = 1: every candidate passes the sieve
     ctx = default_ctx(m)
     for k in coprime_residues(m):
         phi = phi_set(k, ctx)
-        for beta in {min(phi), max(phi)}:
+        for beta in {min(phi), max(phi)} | ({1} & set(phi)):
             p = TaniguchiParams(m=m, k=k, alpha=1, beta=beta)
             assert monomial_el_automorphisms(p) == monomial_by_full_grid(p)
+
+
+def test_monomial_matches_full_grid_oracle_in_small_batches(monkeypatch):
+    # 200 point checks per batch: the sieve's 11 points take 18 candidates
+    # a batch, the 45 points of weight 2 take 4, so both passes span many
+    from taniapn import equivalence
+    monkeypatch.setattr(equivalence, "_aut_batch_elements", lambda m: 200)
+    ctx = default_ctx(5)
+    for k in (1, 2):
+        phi = phi_set(k, ctx)
+        for beta in {min(phi), max(phi)} | ({1} & set(phi)):
+            p = TaniguchiParams(m=5, k=k, alpha=1, beta=beta)
+            wits = monomial_el_automorphisms(p)
+            assert len(wits) > 4 and wits == monomial_by_full_grid(p)
 
 
 @pytest.mark.slow

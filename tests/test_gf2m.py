@@ -191,9 +191,10 @@ def test_log_build_uses_no_bulk_product(monkeypatch):
     check_log_tables(ctx, range(0, ctx.order - 1, 97))
 
 
-@pytest.mark.parametrize("m", [1, 3, 8, 16, 18, 24, 26, 32])
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 16, 18, 24, 26, 32])
 def test_vector_ops_match_scalar(m):
-    # m <= 24 exercises the log-table path, beyond it the shift-XOR path
+    # the three product tiers, each at its ends: the product table for
+    # m <= 8, the log tables for 9 <= m <= 24, the shift-XOR path beyond
     # (at m = 32 its reduction must not lose the top bit); the scalar side
     # is always the raw loop
     ctx = default_ctx(m)
@@ -220,6 +221,20 @@ def test_vector_ops_match_scalar(m):
                 assert r.dtype == np.uint32 and r.shape == ()
                 assert int(r) == scalar(x, y)
     assert ctx.pow_vec(0, 0) == 1 and ctx.pow_vec(np.zeros(3, np.uint32), 0).tolist() == [1] * 3
+
+
+@pytest.mark.parametrize("ctx", [FieldCtx(m) for m in range(1, 9)]
+                         + [FieldCtx(m, list(irreducibles(m))[1]) for m in range(3, 9)], ids=repr)
+def test_product_table_matches_raw_product(ctx):
+    # every pair (a, b), against the shift-and-XOR product; m = 1 and 2 have
+    # one irreducible polynomial each, so the other modulus starts at m = 3
+    a, b = np.divmod(np.arange(ctx.order * ctx.order, dtype=np.uint32), np.uint32(ctx.order))
+    want = ctx._mul_vec_raw(a, b)
+    table = ctx._products
+    assert table.dtype == np.uint8 and table.size == ctx.order ** 2 and not table.flags.writeable
+    assert (table == want).all()
+    r = ctx.mul_vec(a, b)
+    assert r.dtype == np.uint32 and (r == want).all()
 
 
 @pytest.mark.parametrize("m", range(1, 33))
