@@ -10,9 +10,10 @@ Solutions pair up as x <-> x+a, so every count is even; summed over the
 histogram the counts account for all (a, x) pairs, i.e. (2^n - 1) * 2^n.
 f is APN exactly when no count exceeds 2.
 
-Works on anything exposing packed_table(), dimension and is_quadratic:
-the bivariate families (n = 2m), truth tables and the univariate Gold
-fixture alike.
+Works on anything exposing dimension, is_quadratic, eval_packed_vec
+(the kernel-rank path) and packed_table() (the generic scan, the only
+reader of a full truth table): the bivariate families (n = 2m), truth
+tables and the univariate Gold fixture alike.
 
 Kernel-rank method.  When every coordinate of f has algebraic degree at
 most 2 (all shipped families are quadratic), the map
@@ -27,6 +28,16 @@ follows from the d_a (Nyberg, EUROCRYPT 1993).  The d_a come from one
 bit-packed Gaussian elimination batched over a chunk of a values, on the
 n x n matrices with rows L_a(e_j); that is O(2^n n^2) work instead of
 O(2^(2n)).
+
+The rows need no truth table.  L_a(x) is symmetric and bilinear in
+(a, x), so one n x n form B[j, r] = L_(e_r)(e_j), read from f at the
+1 + n + n(n-1)/2 points of weight <= 2 (linmaps.low_weight_points),
+gives L_a(e_j) as the XOR of B[j, r] over the set bits r of a.  The a
+values go in aligned chunks of _RANK_CHUNK: the rows of a chunk are one
+table over its low bits, built once by XOR doubling as gf2m.xor_span
+does, XOR one column from the chunk's high bits.  The first chunk holds
+a = 0 (L_0 = 0, d = n), which its counts leave out.  The elimination
+works in place on the chunk's rows and one scratch array.
 
 Which path runs is decided by f.is_quadratic (families): the family
 members declare it, and a truth table reads it from its algebraic normal
@@ -44,9 +55,10 @@ from typing import Iterator
 import numpy as np
 
 from .errors import TooLarge
+from .linmaps import low_weight_points, pair_indices
 
 _SCAN_BITS_LIMIT = 16  # the generic scan is 2^(2n) work; capped at n = 16
-_RANK_CHUNK = 1 << 12  # a values per batched elimination; bounds peak memory
+_RANK_CHUNK = 1 << 12  # a values per batched elimination (a power of 2); bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -65,29 +77,34 @@ class DifferentialSpectrum:
         }
 
 
-def _checked_table(f) -> tuple[np.ndarray, int]:
-    n = f.dimension
-    if n > _SCAN_BITS_LIMIT:
-        raise TooLarge(f"differential scan capped at n={_SCAN_BITS_LIMIT} (got n={n})")
-    return f.packed_table(), n
+def _bilinear_form(f, n: int) -> np.ndarray:
+    """B[j, r] = L_(e_r)(e_j) = f(e_j + e_r) + f(e_j) + f(e_r) + f(0), from f
+    at the points of weight <= 2; f quadratic, so B is symmetric with a
+    zero diagonal.  Entries fit the smallest unsigned type holding 2^n - 1."""
+    vals = f.eval_packed_vec(low_weight_points(n))
+    lin = vals[1:n + 1] ^ vals[0]  # f(e_j) + f(0)
+    i, j = pair_indices(n)
+    form = np.zeros((n, n), dtype=np.min_scalar_type((1 << n) - 1))
+    form[i, j] = form[j, i] = vals[n + 1:] ^ lin[i] ^ lin[j] ^ vals[0]
+    return form
 
 
-def _kernel_dims(tab: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
-    """d_a = dim ker L_a for a in [lo, hi); tab must be quadratic."""
-    a = np.arange(lo, hi, dtype=np.uint32)
-    e = np.uint32(1) << np.arange(n, dtype=np.uint32)[:, None]
-    rows = tab[a ^ e] ^ tab[a] ^ tab[e] ^ tab[0]  # rows[j, a] = L_a(e_j)
-    rows = rows.astype(np.min_scalar_type((1 << n) - 1))
-    rank = np.zeros(hi - lo, dtype=np.intp)
+def _kernel_dims(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """d_a = dim ker L_a for each column a of rows[j, a] = L_a(e_j), as uint8;
+    eliminates rows in place, with scratch of the same shape."""
+    n = rows.shape[0]
+    rank = np.zeros(rows.shape[1], dtype=np.uint8)
     # Eliminate from the top bit down.  Before step `bit` every row is below
     # 2^(bit+1), so the largest row is a pivot iff it reaches 2^bit, and
     # min(r, r ^ pivot) clears the bit in exactly the rows that hold it
     # (the pivot row itself drops to 0).
     for bit in reversed(range(n)):
         pivot = rows.max(axis=0)
-        pivot[pivot < (1 << bit)] = 0
-        np.minimum(rows, rows ^ pivot, out=rows)
-        rank += pivot != 0
+        has = pivot >= 1 << bit
+        pivot *= has
+        np.bitwise_xor(rows, pivot, out=scratch)
+        np.minimum(rows, scratch, out=rows)
+        rank += has
     return n - rank
 
 
@@ -103,14 +120,28 @@ def _generic_histograms(tab: np.ndarray, n: int) -> Iterator[dict[int, int]]:
 
 def _histograms(f) -> Iterator[dict[int, int]]:
     """Partial histograms over groups of nonzero a; their sum is the spectrum."""
-    tab, n = _checked_table(f)
-    size = 1 << n
+    n = f.dimension
+    if n > _SCAN_BITS_LIMIT:
+        raise TooLarge(f"differential scan capped at n={_SCAN_BITS_LIMIT} (got n={n})")
     if not f.is_quadratic:
-        yield from _generic_histograms(tab, n)
+        yield from _generic_histograms(f.packed_table(), n)
         return
-    for lo in range(1, size, _RANK_CHUNK):
-        dims = np.bincount(_kernel_dims(tab, n, lo, min(lo + _RANK_CHUNK, size)),
-                           minlength=n + 1)
+    size = 1 << n
+    form = _bilinear_form(f, n)
+    t = min(n, _RANK_CHUNK.bit_length() - 1)
+    # low[j, a] = L_a(e_j) for a < 2^t: xor_span's doubling, run along axis 1
+    # so that the elimination reads each row j contiguously
+    low = np.zeros((n, 1 << t), dtype=form.dtype)
+    for r in range(t):
+        np.bitwise_xor(low[:, :1 << r], form[:, r:r + 1], out=low[:, 1 << r:2 << r])
+    rows, scratch = np.empty_like(low), np.empty_like(low)
+    for lo in range(0, size, 1 << t):
+        # L_(lo + a) = L_lo + L_a: the high bits of lo give one column
+        high = np.bitwise_xor.reduce(form[:, [r for r in range(t, n) if lo >> r & 1]], axis=1)
+        np.bitwise_xor(low, high[:, None], out=rows)
+        dims = np.bincount(_kernel_dims(rows, scratch), minlength=n + 1)
+        if lo == 0:
+            dims[n] -= 1  # a = 0, where L_0 = 0
         part = {0: 0}
         for d in np.flatnonzero(dims):
             d, num_a = int(d), int(dims[d])

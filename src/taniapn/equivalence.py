@@ -54,7 +54,6 @@ most candidates survive the sieve (beta = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -67,7 +66,13 @@ from .errors import (
 )
 from .families import BivariateFunction, PottZhouParams, TaniguchiParams
 from .gf2m import FieldCtx
-from .linmaps import PairMap, gf2_apply_vec, gf2_rank, low_weight_values
+from .linmaps import (
+    PairMap,
+    gf2_apply_vec,
+    gf2_rank,
+    low_weight_points,
+    low_weight_values,
+)
 from .poly_roots import (
     frobenius_orbit,
     orbit_length,
@@ -310,16 +315,6 @@ def pott_zhou_bridge_witness(p: TaniguchiParams) -> tuple[LinearWitness, PottZho
 # Witness verification
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _low_weight_points(m: int) -> np.ndarray:
-    """The packed points of Hamming weight <= 2 in GF(2)^(2m), in
-    low_weight_values order (0, then weight 1, then weight 2).  Read-only:
-    the cache shares it."""
-    out = low_weight_values(PairMap.identity(m).images())
-    out.flags.writeable = False
-    return out
-
-
 def verify_witness(w: LinearWitness, f: BivariateFunction, g: BivariateFunction) -> bool:
     """Check f(L(x,y)) = N(g(x,y)) + M(x,y) plus bijectivity of L and N.
 
@@ -338,7 +333,7 @@ def verify_witness(w: LinearWitness, f: BivariateFunction, g: BivariateFunction)
         raise InvalidParams("witness check needs operands of algebraic degree <= 2")
     if gf2_rank(w.l_map.images()) != n or gf2_rank(w.n_map.images()) != n:
         return False
-    points = _low_weight_points(ctx.m)
+    points = low_weight_points(n)
     lhs = f.eval_packed_vec(low_weight_values(w.l_map.images()))
     rhs = gf2_apply_vec(w.n_map.images(), g.eval_packed_vec(points))
     return bool(np.array_equal(lhs, rhs ^ low_weight_values(w.m_map.images())))
@@ -388,7 +383,7 @@ def _aut_batch_elements(m: int) -> int:
     row of Frobenius images, one array more than checking every a_u of a
     single u against one broadcast row; at half that check's size a
     batch's peak stays below it."""
-    return ((1 << m) - 1) * _low_weight_points(m).size // 2
+    return ((1 << m) - 1) * low_weight_points(2 * m).size // 2
 
 
 def _monomial_search(p: TaniguchiParams) -> tuple[np.ndarray, ...]:
@@ -401,7 +396,7 @@ def _monomial_search(p: TaniguchiParams) -> tuple[np.ndarray, ...]:
     _require_apn(p)
     ctx, m = p.ctx, p.m
     shift, mask, n1 = np.uint32(m), np.uint32(ctx.order - 1), ctx.order - 1
-    points = _low_weight_points(m)
+    points = low_weight_points(2 * m)
     f_points = p.eval_packed_vec(points)
     a_u = np.arange(1, ctx.order, dtype=np.uint32)
     b_bar = ctx.pow2k_vec(a_u, 2 * p.k)

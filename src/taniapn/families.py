@@ -277,6 +277,10 @@ class GoldFunction:
     def evaluate(self, x: int) -> int:
         return self.ctx.mul(self.ctx.pow2k(x, self.i), x)
 
+    def eval_packed_vec(self, v: np.ndarray) -> np.ndarray:
+        """Values at an array of elements (bit patterns in ctx)."""
+        return self.ctx.mul_vec(self.ctx.pow2k_vec(v, self.i), v)
+
     def is_apn_criterion(self) -> bool:
         """Always True: the constructor refuses gcd(i, n) != 1, and every
         other Gold map is APN."""
@@ -284,8 +288,7 @@ class GoldFunction:
 
     @cached_property
     def _table(self) -> np.ndarray:
-        x = self.ctx.elements()
-        return self.ctx.mul_vec(self.ctx.pow2k_vec(x, self.i), x)
+        return self.eval_packed_vec(self.ctx.elements())
 
     def packed_table(self) -> np.ndarray:
         return self._table

@@ -4,7 +4,10 @@ Pairs pack as v = (bits(x) << m) | bits(y), matching the truth-table
 layout.  A PairMap is stored as its 2m basis images, images[j] = P(1 << j),
 so composition, sums, inversion, rank, full tables and the values at the
 points of Hamming weight <= 2 are plain GF(2) linear algebra on those
-lists and need no field context.
+lists and need no field context.  The points of weight <= 2 themselves
+(low_weight_points) are one cached, read-only array per bit count n,
+which the witness check, the automorphism exhaustion (n = 2m) and the
+differential scan (any n) share.
 
 Linearized-polynomial coefficients appear only at the JSON boundary: the
 map decomposes into four GF(2^m)-linear blocks
@@ -131,12 +134,32 @@ def gf2_apply_vec(imgs: Sequence[int], v: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) for 0 <= i < j < n, row-major: the bits of the weight-2 points
+    in low_weight_values order.  Read-only: the cache shares them."""
+    out = np.triu_indices(n, 1)
+    for v in out:
+        v.flags.writeable = False
+    return out
+
+
 def low_weight_values(imgs: Sequence[int]) -> np.ndarray:
     """Values of the map at the points of Hamming weight <= 2, in the order
     0, then e_i, then e_i + e_j for i < j (row-major)."""
     a = np.array(imgs, dtype=np.uint32)
-    i, j = np.triu_indices(a.size, 1)
+    i, j = pair_indices(a.size)
     return np.concatenate([np.zeros(1, dtype=np.uint32), a, a[i] ^ a[j]])
+
+
+@lru_cache(maxsize=16)
+def low_weight_points(n: int) -> np.ndarray:
+    """The packed points of Hamming weight <= 2 in GF(2)^n, in
+    low_weight_values order (0, then weight 1, then weight 2).  Read-only:
+    the cache shares it."""
+    out = low_weight_values([1 << j for j in range(n)])
+    out.flags.writeable = False
+    return out
 
 
 def table_from_images(imgs: Sequence[int]) -> np.ndarray:

@@ -36,6 +36,7 @@ import shlex
 import pytest
 
 from taniapn.cli import main
+from taniapn.families import BivariateFunction, GoldFunction
 
 GOLDEN = [
     ("--format pretty table --m 2..8", 0, "27bc44f761040ff38a023243d6f91f3d77398d29b74bca34cf5fb8ddac869b26"),
@@ -148,6 +149,55 @@ def test_json_phi_commands_never_walk_the_orbits(capsys, monkeypatch):
     rows = [g for g in GOLDEN + AUDIT_TO_10
             if "--format json" in g[0] and phi_commands & set(g[0].split())]
     assert len(rows) == 11
+    for argv, code, digest in rows:
+        assert main(shlex.split(argv)) == code, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# check-apn --exhaustive and spectrum at 2m = 6..14 (Taniguchi, alpha = 0
+# for even m, APN and not), Pott-Zhou at m = 4, 6 and Gold at n = 9, 11,
+# 13, recorded from the code that still built a full truth table for the
+# kernel-rank scan
+SCANS = [
+    ("--format json check-apn taniguchi --m 3 --k 1 --alpha 1 --beta 2 --exhaustive --spectrum", 0, "bcb58eb754ebccdb0dd5e107d0d1b3021dd0eb5a2566ad0435f28fa7b9331108"),
+    ("--format json check-apn taniguchi --m 3 --k 1 --alpha 1 --beta 1 --exhaustive", 3, "4a467523600d0299f9d0ff16e6daa19b93c308baab58246af49e1e1a641cbf6f"),
+    ("--format pretty spectrum taniguchi --m 3 --k 2 --alpha 3 --beta 1", 0, "c4d34a862d790ae37bb26597ccc2b1767d6448bb7d5dd1579a28f6e5051ce7c5"),
+    ("--format json check-apn taniguchi --m 4 --k 1 --alpha 1 --beta 2 --exhaustive", 3, "f405e3129138de46b8b2804bfc588f26b6f9e4265df6e6484e5653ee38a249d1"),
+    ("--format pretty spectrum taniguchi --m 4 --k 3 --alpha 3 --beta 2", 0, "2bbdb8f9fbc6ef61a5b84ebc55a4d1a28e6e79643c3c5862816a5c62dac4f4fc"),
+    ("--format json check-apn taniguchi --m 4 --k 1 --alpha 0 --beta 2 --exhaustive --spectrum", 0, "83514b23510c7140b286ef11eedcd9172f70d89d77f8ed057f5a520f23198940"),
+    ("--format json check-apn taniguchi --m 5 --k 1 --alpha 1 --beta 6 --exhaustive --spectrum", 0, "59b7a3e79d34a4d55f0b1c8e46f65adfd22e7d775b0315c03036e55fe69aefc5"),
+    ("--format json check-apn taniguchi --m 5 --k 1 --alpha 1 --beta 3 --exhaustive", 3, "c3fb60638b7e4aeb536763a1640c6daa80bcd5594ba6b2d0491d5502fbd22c46"),
+    ("--format pretty spectrum taniguchi --m 5 --k 4 --alpha 3 --beta 3", 0, "9e16ec5b944f6657ca307a5b03b59948aa709cc9b9c798b92920ca2e06cd1af6"),
+    ("--format json check-apn taniguchi --m 6 --k 1 --alpha 1 --beta B --exhaustive --spectrum", 0, "9b86f74b360f89006cd5f2075d62916e3f1168cf97d91577127634076267d53e"),
+    ("--format json check-apn taniguchi --m 6 --k 1 --alpha 1 --beta 1 --exhaustive", 3, "b31730fea98979f2c93ed301c91313bad8b46d9b6895b85b852f50d47467b6e0"),
+    ("--format pretty spectrum taniguchi --m 6 --k 5 --alpha 3 --beta 1", 0, "363f56f179fda1e865ae66109dad68765c9a3da035ebb2c03e7247394049fbc2"),
+    ("--format json check-apn taniguchi --m 6 --k 1 --alpha 0 --beta 2 --exhaustive --spectrum", 0, "eedb70215ed4b2238dc7da6557ea86da90a83bfe9d48b744fe9140f75501f2c8"),
+    ("--format json check-apn taniguchi --m 7 --k 1 --alpha 1 --beta D --exhaustive --spectrum", 0, "35d336a9a26ac077635d1fc9f0b1a9d28819ff450faab78cae46e5c25c2f7366"),
+    ("--format json check-apn taniguchi --m 7 --k 1 --alpha 1 --beta 2 --exhaustive", 3, "41845dd21afdc3154f3e5eebd93be5a2d1f5ec56175eec7a9ee5e8509fa6ba6d"),
+    ("--format pretty spectrum taniguchi --m 7 --k 6 --alpha 3 --beta 2", 0, "d64afbf5ab44ecb6eeeac0cdd8db8507bd76c23bad39bbb4ee0f5a68d054ca5b"),
+    ("--format json check-apn pott-zhou --m 4 --k 1 --s 1 --alpha 2 --exhaustive", 3, "27515acf63b470f884a8aa24ec550588432182fb1d0e8761825330caf38943a8"),
+    ("--format csv spectrum pott-zhou --m 4 --k 3 --s 4 --alpha 3", 0, "c7685dbb2d8c3b50de9f03e9c4f931536453a17da1790ab5033f5cab3e6115bb"),
+    ("--format json check-apn pott-zhou --m 6 --k 1 --s 2 --alpha 2 --exhaustive --spectrum", 0, "bbca7aa6f46a86d4314ee21639e79258581abdb8b15be7b75d47c239f1f17715"),
+    ("--format json check-apn pott-zhou --m 6 --k 1 --s 1 --alpha 2 --exhaustive", 3, "614a5f185d0037ebf191db04b6506cb0e9df6826173c40b9ae237b30423d1e62"),
+    ("--format csv spectrum pott-zhou --m 6 --k 5 --s 4 --alpha 3", 0, "2e147f111d8e8b7e6f4dc568e9f5174a9079f37058f0b24829515df228e85739"),
+    ("--format json check-apn gold --n 9 --i 2 --exhaustive --spectrum", 0, "16295fae299ff95758a8d989a8c4748f93412ca01ecaf66cd6d9d92252cc9e06"),
+    ("--format pretty spectrum gold --n 9 --i 1", 0, "20961bf775c4561a47cf7a36874a517adcf74a01dfae2f6cb8f7986a18e35a40"),
+    ("--format json check-apn gold --n 11 --i 3 --exhaustive --spectrum", 0, "462b34b01c40aba259ab29224cf3fd4fcfccf0cc612c4e9b3744a9389071f0b2"),
+    ("--format pretty spectrum gold --n 11 --i 1", 0, "463102f444b94d1629c7c8f975602604b21961662f27770046190a4103714cd7"),
+    ("--format json check-apn gold --n 13 --i 5 --exhaustive --spectrum", 0, "33bcdf15a3b64db32a84ea772885445e45b76134a4b9eca6fee733702cead5f6"),
+    ("--format pretty spectrum gold --n 13 --i 1", 0, "9e1a7cdbb4e80932f262c85275dff619443f4914bbccf3eb124f7f51c2caf547"),
+]
+
+
+def test_quadratic_scans_build_no_truth_table(capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a quadratic scan built a truth table")
+
+    for cls in (BivariateFunction, GoldFunction):
+        monkeypatch.setattr(cls, "_table", property(refuse))
+    rows = [g for g in GOLDEN if "--exhaustive" in g[0] or " spectrum " in g[0]] + SCANS
+    assert len(rows) == 42
     for argv, code, digest in rows:
         assert main(shlex.split(argv)) == code, argv
         out = capsys.readouterr().out

@@ -254,3 +254,64 @@ def test_scan_path_follows_is_quadratic(monkeypatch):
     paths.clear()
     differential_spectrum(cubic)
     assert paths == ["_generic_histograms"]
+
+
+# ---------------------------------------------------------------------------
+# the kernel-rank path on any quadratic table, across chunks
+# ---------------------------------------------------------------------------
+
+class QuadraticTable:
+    """A degree-<= 2 map on n bits given by its table, for any n
+    (TruthTableFunction holds n = 2m only)."""
+
+    is_quadratic = True
+
+    def __init__(self, table: np.ndarray, n: int):
+        self.table, self.dimension = table, n
+
+    def eval_packed_vec(self, v):
+        return self.table[v]
+
+    def packed_table(self):
+        return self.table
+
+
+def random_quadratic_tables(n: int, rng) -> list[np.ndarray]:
+    """The zero map, an affine map, a sparse quadratic map with few output
+    bits (large kernels) and two dense quadratic maps."""
+    monomials = [0] + [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1)]
+    affine = [0] + [1 << i for i in range(n)]
+    top = 1 << n
+    sparse = rng.choice(monomials, size=min(3, len(monomials)), replace=False)
+    return [
+        np.zeros(top, dtype=np.uint32),
+        table_from_anf({int(u): int(rng.integers(top)) for u in affine}, n),
+        table_from_anf({int(u): int(rng.integers(1, 4)) for u in sparse}, n),
+        *(table_from_anf({u: int(rng.integers(top)) for u in monomials}, n) for _ in range(2)),
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_kernel_path_matches_generic_scan_on_random_tables(n):
+    rng = np.random.default_rng(1000 + n)
+    for tab in random_quadratic_tables(n, rng):
+        assert_matches_oracle(QuadraticTable(tab, n))
+
+
+def test_kernel_path_matches_generic_scan_across_many_chunks(monkeypatch):
+    # 16 values of a per chunk: 512 chunks at n = 13, each with its own
+    # column from the high bits, and a = 0 left out of the first one only
+    monkeypatch.setattr(diffanalysis, "_RANK_CHUNK", 16)
+    rng = np.random.default_rng(13)
+    for f in (QuadraticTable(random_quadratic_tables(13, rng)[-1], 13), gold(13, 1)):
+        assert_matches_oracle(f)
+
+
+def test_is_apn_stops_after_the_first_chunk(monkeypatch):
+    calls = []
+    orig = diffanalysis._kernel_dims
+    monkeypatch.setattr(diffanalysis, "_kernel_dims", lambda *a: calls.append(1) or orig(*a))
+    f = TaniguchiParams(m=7, k=1, alpha=1, beta=2)  # 2m = 14: four chunks of a
+    assert not f.is_apn_criterion()
+    assert not is_apn(f)
+    assert len(calls) == 1

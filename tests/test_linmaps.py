@@ -13,6 +13,9 @@ from taniapn.linmaps import (
     gf2_invert,
     gf2_rank,
     linpoly_from_images,
+    low_weight_points,
+    low_weight_values,
+    pair_indices,
     table_from_images,
 )
 
@@ -137,3 +140,19 @@ def test_gf2_helpers():
     imgs = singular[:31] + [1 << 31]
     assert gf2_rank(imgs) == 32
     assert gf2_invert(imgs) == [full ^ ((1 << j) - 1) for j in range(32)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 32])
+def test_low_weight_points_are_the_identity_in_value_order(n):
+    points = low_weight_points(n)
+    want = [0] + [1 << i for i in range(n)] + [(1 << i) | (1 << j)
+                                               for i in range(n) for j in range(i + 1, n)]
+    assert points.tolist() == want
+    i, j = pair_indices(n)
+    assert points[n + 1:].tolist() == ((1 << i) | (1 << j)).tolist()
+    imgs = [(5 * v + 3) % (1 << min(n, 31)) for v in range(n)]
+    assert np.array_equal(low_weight_values(imgs),
+                          [gf2_apply(imgs, int(v)) for v in points])
+    # one read-only array per bit count, shared by every caller
+    assert low_weight_points(n) is points and not points.flags.writeable
+    assert not i.flags.writeable and not j.flags.writeable

@@ -102,7 +102,16 @@ MUTANTS = [
            "e = (1 << ((ctx.m - k) % ctx.m)) + 1", "e = (1 << (k % ctx.m)) + 1",
            ("tests/test_poly_roots.py",) + T_EQUIV),
     Mutant("kernel-rank-pivot", DIFF,
-           "pivot[pivot < (1 << bit)] = 0", "pivot[pivot <= (1 << bit)] = 0",
+           "has = pivot >= 1 << bit", "has = pivot > 1 << bit",
+           ("tests/test_diffanalysis.py",)),
+    Mutant("kernel-rows-keep-a-zero", DIFF,
+           "        if lo == 0:\n            dims[n] -= 1  # a = 0, where L_0 = 0\n", "",
+           ("tests/test_diffanalysis.py",)),
+    Mutant("kernel-rows-no-high-column", DIFF,
+           "np.bitwise_xor(low, high[:, None], out=rows)", "np.bitwise_xor(low, 0, out=rows)",
+           ("tests/test_diffanalysis.py",)),
+    Mutant("bilinear-form-one-triangle", DIFF,
+           "form[i, j] = form[j, i] = ", "form[i, j] = ",
            ("tests/test_diffanalysis.py",)),
     Mutant("moebius-weight-2-set", FAMILIES,
            "for j in range(i + 1)]", "for j in range(i)]",
