@@ -149,6 +149,8 @@ def _emit_aligned(rows: list[tuple]) -> None:
 # ---------------------------------------------------------------------------
 
 _DIGITS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
+# entry v holds the two hex digits of the byte v, as the two bytes of a uint16
+_HEX_PAIRS = np.frombuffer(b"".join(b"%02X" % v for v in range(256)), dtype=np.uint16)
 _RENDER_BATCH = 1 << 16  # rows per batch: bounds the temporaries and each write
 _SLOT = re.compile(r'"\\u0000(\d+)"')  # a placeholder string as json.dumps encodes it
 
@@ -161,19 +163,36 @@ class _Col:
     values: np.ndarray
     base: int = 16
 
-    def render(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def width(self, value) -> int:
+        return len(format(int(value), "X" if self.base == 16 else "d"))
+
+    def cuts(self) -> list[int]:
+        """The rows where an ascending column gains a digit; none for a
+        column whose values do not ascend."""
+        v = self.values
+        if v.size < 2 or not (v[1:] >= v[:-1]).all():
+            return []
+        places = np.array([self.base ** d for d in range(1, self.width(v[-1]))], dtype=v.dtype)
+        return np.searchsorted(v, places).tolist()
+
+    def render(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
         """(text, keep) for rows lo..hi: a uint8 matrix of the values right-
         aligned at the widest one's width, and the mask of the bytes that
         print (a digit prints when the value reaches its place; the last
-        one always does)."""
-        v = self.values[lo:hi, None]
-        width = len(format(int(v.max()), "X" if self.base == 16 else "d"))
-        powers = np.arange(width - 1, -1, -1, dtype=np.uint32)
-        place = np.uint32(self.base) ** powers
-        digits = (v >> 4 * powers) & 15 if self.base == 16 else v // place % 10
-        keep = v >= place
+        one always does), or None when every value fills that width."""
+        v = self.values[lo:hi]
+        width = self.width(v.max())
+        place = np.uint32(self.base) ** np.arange(width - 1, -1, -1, dtype=np.uint32)
+        if self.base == 16:  # the 8 digits of each value, from its 4 bytes high first
+            text = _HEX_PAIRS.take(v.astype(">u4").view(np.uint8)).view(np.uint8)
+            text = text.reshape(-1, 8)[:, 8 - width:]
+        else:
+            text = _DIGITS.take(v[:, None] // place % 10)
+        if self.width(v.min()) == width:
+            return text, None
+        keep = v[:, None] >= place
         keep[:, -1] = True
-        return _DIGITS.take(digits), keep
+        return text, keep
 
 
 def _row_count(template: list) -> int:
@@ -181,33 +200,60 @@ def _row_count(template: list) -> int:
     return cols[0].values.size if cols else 1
 
 
+def _write_bytes(data: bytes) -> None:
+    """Write ASCII bytes to sys.stdout, looked up here so that redirections
+    of stdout see them.  A stream with a binary buffer gets the bytes there,
+    after its text layer is flushed, and a short count is retried, so a
+    reader that closes mid-write raises BrokenPipeError; a stream without
+    one (io.StringIO) gets them as text."""
+    stream = sys.stdout
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        stream.write(data.decode("ascii"))
+        return
+    stream.flush()
+    view = memoryview(data)
+    while view:
+        view = view[buffer.write(view):]
+
+
 def _write_rows(template: list, sep: bytes = b"") -> None:
     """Write one row per value of the template's _Col columns (a template
     without columns is one row), rows joined by sep.
 
     A row is the template's pieces in order: bytes as they are, a _Col as
-    its value in that row.  Each batch of _RENDER_BATCH rows fills one
-    uint8 matrix, drops the leading zeros by one boolean compaction and goes
-    to sys.stdout, looked up here so that redirections of stdout see it.
+    its value in that row.  Batches of at most _RENDER_BATCH rows are also
+    cut where an ascending column gains a digit.  Each batch fills one
+    uint8 matrix, whose literal bytes stay in place while the column widths
+    do; when every column fills its width in the batch, that matrix is the
+    text as it is, and otherwise one boolean compaction drops the leading
+    zeros.
     """
     n = _row_count(template)
-    for lo in range(0, n, _RENDER_BATCH):
-        hi = min(n, lo + _RENDER_BATCH)
+    cols = [p for p in template if isinstance(p, _Col)]
+    cuts = sorted({*range(0, n, _RENDER_BATCH), *(c for col in cols for c in col.cuts()), n})
+    layout = rows = None
+    for lo, hi in zip(cuts, cuts[1:]):
         parts = [p.render(lo, hi) if isinstance(p, _Col) else p for p in template + [sep]]
         widths = [p[0].shape[1] if isinstance(p, tuple) else len(p) for p in parts]
-        text = np.empty((hi - lo, sum(widths)), dtype=np.uint8)
-        keep = np.ones(text.shape, dtype=bool)
+        if widths != layout or len(rows) < hi - lo:
+            layout, rows = widths, np.empty((hi - lo, sum(widths)), dtype=np.uint8)
+            rows[:] = np.frombuffer(b"".join(b"\0" * w if isinstance(p, tuple) else p
+                                             for p, w in zip(parts, widths)), dtype=np.uint8)
+        text, keep = rows[:hi - lo], None
         at = 0
         for p, w in zip(parts, widths):
             if isinstance(p, tuple):
-                text[:, at:at + w], keep[:, at:at + w] = p
-            else:
-                text[:, at:at + w] = np.frombuffer(p, dtype=np.uint8)
+                text[:, at:at + w] = p[0]
+                if p[1] is not None:
+                    if keep is None:
+                        keep = np.ones(text.shape, dtype=bool)
+                    keep[:, at:at + w] = p[1]
             at += w
-        out = text[keep].tobytes()
+        out = (text if keep is None else text[keep]).tobytes()
         if hi == n and sep:
             out = out[:-len(sep)]
-        sys.stdout.write(out.decode("ascii"))
+        _write_bytes(out)
 
 
 def _json_pieces(obj) -> list:

@@ -9,9 +9,10 @@ construction and safe to share.  Scalar operations use the raw
 shift-and-XOR path and never touch a table, so they are the oracle for
 the bulk (numpy) operations.  Those take and return uint32 element
 arrays.  Maps that are GF(2)-linear share one kernel: xor_span tables a
-map on the span of its basis images by XOR doubling, _byte_tables uses
-it for one 256-entry table per byte of the operand, and _apply_linear
-applies the map as the XOR of one table gather (ndarray.take) per byte.
+map on the span of its basis images by XOR doubling, _linear_tables uses
+it for one table of the whole map up to m = 16 and one table per operand
+half above, and _apply_linear applies the map as one table gather
+(ndarray.take), or the XOR of two, so its tables stay in cache.
 The Frobenius powers square_vec and pow2k_vec are such maps
 (x -> x^(2^k), tables cached per k on the context, the k-th from k
 squarings of the basis), for every m; so is multiplication by a
@@ -98,6 +99,9 @@ MAX_DEGREE = 32
 # shift-and-XOR product above.  Frobenius powers and Phi(m) use neither table.
 _PRODUCT_TABLE_DEGREE_LIMIT = 8
 _TABLE_DEGREE_LIMIT = 24
+# A GF(2)-linear map of up to this many input bits is one table (256 KB at
+# 16); a wider one is a table per operand half.
+_WHOLE_TABLE_BITS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -182,27 +186,28 @@ def xor_span(imgs, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _byte_tables(imgs: list[int]) -> np.ndarray:
-    """The GF(2)-linear map L with basis images imgs[i] = L(X^i), as one
-    256-entry table per byte of the operand: tables[j][v] is the XOR of
-    imgs[8j + i] over the set bits i of v."""
-    padded = list(imgs) + [0] * (-len(imgs) % 8)
-    tables = np.zeros((len(padded) // 8, 256), dtype=np.uint32)
-    for j, table in enumerate(tables):
-        xor_span(padded[8 * j:8 * j + 8], table)
-    return tables
+def _linear_tables(imgs) -> tuple[np.ndarray, ...]:
+    """The GF(2)-linear map L with basis images imgs[i] = L(X^i) as at most
+    two uint32 tables: up to _WHOLE_TABLE_BITS images one table of the
+    whole map, more images one table per operand half, the low half taking
+    the odd image (2^11 entries each at m = 22, 2^16 at m = 32)."""
+    n = len(imgs)
+    halves = [imgs] if n <= _WHOLE_TABLE_BITS else [imgs[:(n + 1) // 2], imgs[(n + 1) // 2:]]
+    return tuple(xor_span(h, np.zeros(1 << len(h), dtype=np.uint32)) for h in halves)
 
 
-def _apply_linear(tables: np.ndarray, a) -> np.ndarray:
-    """L(a) for uint32 element arrays, 0-d arrays or ints: the XOR of one
-    table gather per byte of the operand."""
-    shape = np.shape(a)
-    # byte j of entry i sits at 4i + j of the little-endian bytes
-    b = np.ascontiguousarray(a, dtype="<u4").reshape(-1).view(np.uint8)
-    out = tables[0].take(b[0::4])
-    for j in range(1, len(tables)):
-        out ^= tables[j].take(b[j::4])
-    return out.reshape(shape)
+def _apply_linear(tables: tuple[np.ndarray, ...], a) -> np.ndarray:
+    """L(a) for uint32 element arrays, 0-d arrays or ints: one table gather,
+    or the XOR of a gather per operand half."""
+    a = np.asarray(a, dtype=np.uint32)
+    flat = a.reshape(-1)
+    if len(tables) == 1:
+        out = tables[0].take(flat)
+    else:
+        low, high = tables
+        out = low.take(flat & np.uint32(low.size - 1))
+        out ^= high.take(flat >> np.uint32(low.size.bit_length() - 1))
+    return out.reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +235,7 @@ class FieldCtx:
         self.m = m
         self.modulus = modulus
         self.order = 1 << m
-        self._frobenius_tables: dict[int, np.ndarray] = {}
+        self._frobenius_tables: dict[int, tuple[np.ndarray, ...]] = {}
 
     def __repr__(self) -> str:
         return f"FieldCtx(m={self.m}, modulus=0x{self.modulus:X})"
@@ -345,7 +350,7 @@ class FieldCtx:
         imgs = [c]
         for _ in range(self.m - 1):
             imgs.append(self.mul(imgs[-1], 2))
-        return _apply_linear(_byte_tables(imgs), a)
+        return _apply_linear(_linear_tables(imgs), a)
 
     def _powers(self, c: int, n: int) -> np.ndarray:
         """c^0, c^1, ..., c^(n-1) as uint32, for n >= 1.
@@ -372,7 +377,7 @@ class FieldCtx:
                 imgs = np.left_shift(np.uint32(1), np.arange(self.m, dtype=np.uint32))
                 for _ in range(k):
                     imgs = self._frobenius(imgs, 1)
-            self._frobenius_tables[k] = _byte_tables(imgs)
+            self._frobenius_tables[k] = _linear_tables(imgs)
         return _apply_linear(self._frobenius_tables[k], a)
 
     # -- bulk (numpy) operations ---------------------------------------------

@@ -20,14 +20,16 @@ table or bulk product is involved.
 Phi(m) is closed under the squaring map and decomposes into Frobenius
 orbits {b, b^2, b^4, ...} whose lengths divide m; orbit representatives
 are the numerically smallest members.  frobenius_orbits finds them with
-a shrinking minimum filter: one squaring of the whole set, checked
-against a packed membership bitmap of it, then further squarings of only
-the elements still below every conjugate seen so far, about H_m times
-the size of the set in all.  It keeps representatives and lengths as
-arrays; the orbit of each element (orbit_of) is walked from the
+a shrinking minimum filter, one block of _BLOCK elements at a time so
+that its temporaries stay in cache: one squaring of the block, checked
+against a packed membership bitmap of the set, then further squarings
+of only the elements still below every conjugate seen so far, about H_m
+times the size of the set in all.  It keeps representatives and lengths
+as arrays; the orbit of each element (orbit_of) is walked from the
 representatives, with a rank lookup of each conjugate in the bitmap,
-only when it is first read.  The bitmap is built once per BetaSet and
-read by both passes.
+only when it is first read.  Both passes read one bitmap per BetaSet:
+phi_set hands over its packed rootless mask, and a set built another way
+packs its elements once.
 
 count_roots() stays a literal exhaustive scan on purpose: it decides a
 single member's APN criterion (families.TaniguchiParams), and it is the
@@ -53,6 +55,10 @@ from .gf2m import FieldCtx, xor_span
 
 _SCAN_DEGREE_LIMIT = 28  # 2^m-element scans stay feasible up to here
 _SCAN_CHUNK = 1 << 22  # x values per batch of a root scan, a power of two; one batch up to m = 22
+# elements per block of the per-element passes over Phi and its mask (the
+# orbit filter, the rootless scatter and indexing, the bitmap build): 256 KB
+# of uint32, so their temporaries stay in cache
+_BLOCK = 1 << 16
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
@@ -80,13 +86,14 @@ class BetaSet:
 
     @cached_property
     def bitmap(self) -> np.ndarray:
-        """Membership over the field, 8 elements to a byte; built once."""
+        """Membership over the field, 8 elements to a byte.  phi_set hands
+        over its own; any other set packs its elements on first read."""
         if self.m > _SCAN_DEGREE_LIMIT:
             raise TooLarge(f"orbit pass capped at m={_SCAN_DEGREE_LIMIT}: "
                            "its bitmap spans the field")
         member = np.zeros(self.ctx.order, dtype=bool)
-        for s in _batches(self.elements.size):
-            member[self.elements[s]] = True
+        for lo in range(0, self.elements.size, _BLOCK):
+            member[self.elements[lo:lo + _BLOCK]] = True
         return np.packbits(member, bitorder="little")
 
     def to_json(self) -> dict:
@@ -149,11 +156,6 @@ def _check_k(k: int, ctx: FieldCtx) -> int:
     return k
 
 
-def _batches(n: int):
-    """Slices that cover range(n) in batches of _SCAN_CHUNK."""
-    return [slice(lo, lo + _SCAN_CHUNK) for lo in range(0, n, _SCAN_CHUNK)]
-
-
 def _scan_chunks(ctx: FieldCtx):
     """Every element of the field, in uint32 batches of _SCAN_CHUNK."""
     for lo in range(0, ctx.order, _SCAN_CHUNK):
@@ -207,20 +209,30 @@ def phi_set(k: int, ctx: FieldCtx) -> BetaSet:
     for s in range(t):
         fill(1 << s, s, low[1 << s:2 << s])
     rootless = np.ones(ctx.order, dtype=bool)
-    rootless[low] = False
+
+    def mark(batch: np.ndarray) -> None:
+        # scattered a block at a time: the index cast to intp stays small
+        for lo in range(0, batch.size, _BLOCK):
+            rootless[batch[lo:lo + _BLOCK]] = False
+
+    mark(low)
     batch = np.empty_like(low)
     for u in range(1 << t, ctx.order, 1 << t):
         fill(u, t, batch)
-        rootless[batch] = False
-    # indexed batch by batch into a uint32 array of the final size, so no
+        mark(batch)
+    # indexed block by block into a uint32 array of the final size, so no
     # int64 index array of |Phi| entries is ever built
     elements = np.empty(np.count_nonzero(rootless), dtype=np.uint32)
     n = 0
-    for lo in range(0, ctx.order, _SCAN_CHUNK):
-        idx = np.flatnonzero(rootless[lo:lo + _SCAN_CHUNK])
+    for lo in range(0, ctx.order, _BLOCK):
+        idx = np.flatnonzero(rootless[lo:lo + _BLOCK])
         elements[n:n + idx.size] = idx + lo
         n += idx.size
-    return BetaSet(ctx=ctx, k=k, elements=elements)
+    phi = BetaSet(ctx=ctx, k=k, elements=elements)
+    # the membership bitmap is the rootless mask packed; handed to the
+    # cached property, so no pass over Phi rebuilds it
+    phi.__dict__["bitmap"] = np.packbits(rootless, bitorder="little")
+    return phi
 
 
 def frobenius_orbits(phi: BetaSet) -> OrbitDecomposition:
@@ -237,30 +249,41 @@ def _orbit_representatives(phi: BetaSet) -> tuple[np.ndarray, np.ndarray]:
     """The smallest member of each Frobenius orbit of phi, in ascending
     order, and the length of that orbit, both uint32.
 
-    A shrinking minimum filter: step 1 squares every element and checks
-    each square against the membership bitmap (_squares), so a set that is
-    not closed raises NotFrobeniusClosed.  Step i keeps only the x below
-    each of x^2, ..., x^(2^i); x^(2^i) = x at a step i that divides m ends
-    the orbit of a representative of length i.  Every orbit length divides
-    m, so an x still kept after step m - 1 is a representative of length
-    m.  About 1/i of the elements reach step i + 1, so the filter squares
-    about H_(m-1)*|phi| elements in all.
+    A shrinking minimum filter, run on one block of _BLOCK elements of phi
+    at a time, since it decides each element on its own.  Step 1 squares
+    every element and checks each square against the membership bitmap, so
+    a set that is not closed raises NotFrobeniusClosed naming the first
+    escaping square.  Step i keeps only the x below each of x^2, ...,
+    x^(2^i); x^(2^i) = x at a step i that divides m ends the orbit of a
+    representative of length i.  Every orbit length divides m, so an x
+    still kept after step m - 1 is a representative of length m.  About
+    1/i of the elements reach step i + 1, so the filter squares about
+    H_(m-1)*|phi| elements in all.  The blocks are ascending, so their
+    representatives, each block's sorted, are sorted in all.
     """
-    ctx = phi.ctx
-    x, cur = phi.elements, _squares(phi)
-    found = []
-    for i in range(1, ctx.m):
-        if i > 1:
-            cur = ctx.square_vec(cur)
-        if ctx.m % i == 0:
-            found.append((x.compress(cur == x), i))
-        kept = cur > x
-        x, cur = x.compress(kept), cur.compress(kept)
-    found.append((x, ctx.m))
-    reps = np.concatenate([r for r, _ in found])
-    lengths = np.concatenate([np.full(r.size, i, dtype=np.uint32) for r, i in found])
-    order = np.argsort(reps, kind="stable")
-    return reps.take(order), lengths.take(order)
+    ctx, bitmap = phi.ctx, phi.bitmap
+    reps, lengths = [], []
+    for lo in range(0, max(len(phi), 1), _BLOCK):  # an empty phi is one empty block
+        x = phi.elements[lo:lo + _BLOCK]
+        cur = ctx.square_vec(x)
+        escaped = (bitmap.take(cur >> np.uint32(3)) >> (cur & np.uint32(7))) & 1 == 0
+        if escaped.any():
+            raise NotFrobeniusClosed(f"square 0x{int(cur[escaped][0]):X} escapes the set")
+        found = []
+        for i in range(1, ctx.m):
+            if i > 1:
+                cur = ctx.square_vec(cur)
+            if ctx.m % i == 0:
+                found.append((x.compress(cur == x), i))
+            kept = cur > x
+            x, cur = x.compress(kept), cur.compress(kept)
+        found.append((x, ctx.m))
+        block_reps = np.concatenate([r for r, _ in found])
+        order = np.argsort(block_reps)
+        reps.append(block_reps.take(order))
+        lengths.append(np.concatenate([np.full(r.size, i, dtype=np.uint32)
+                                       for r, i in found]).take(order))
+    return np.concatenate(reps), np.concatenate(lengths)
 
 
 def _orbit_ids(phi: BetaSet, reps: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -284,19 +307,6 @@ def _orbit_ids(phi: BetaSet, reps: np.ndarray, lengths: np.ndarray) -> np.ndarra
         byte, bit = cur >> np.uint32(3), cur & np.uint32(7)
         ids[below.take(byte) + _POPCOUNT8.take(bitmap.take(byte) & ((1 << bit) - 1))] = walk
     return ids
-
-
-def _squares(phi: BetaSet) -> np.ndarray:
-    """x^2 for every x in phi, batch by batch; a square outside phi raises
-    NotFrobeniusClosed."""
-    arr, bitmap = phi.elements, phi.bitmap
-    out = np.empty_like(arr)
-    for s in _batches(arr.size):
-        sq = out[s] = phi.ctx.square_vec(arr[s])
-        escaped = (bitmap.take(sq >> np.uint32(3)) >> (sq & np.uint32(7))) & 1 == 0
-        if escaped.any():
-            raise NotFrobeniusClosed(f"square 0x{int(sq[escaped][0]):X} escapes the set")
-    return out
 
 
 def transform_beta(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:

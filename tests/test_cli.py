@@ -524,18 +524,21 @@ def test_enumerate_beta_csv(capsys):
 
 def test_enumerate_beta_csv_makes_one_orbit_pass(capsys, monkeypatch):
     # one vectorised decomposition serves every row; no scalar orbit walk;
-    # the orbit filter and the orbit walk share one membership bitmap
+    # the orbit filter and the orbit walk both read the membership bitmap
+    # that phi_set handed over (the patched property only reads it, so a
+    # Phi without one fails with KeyError), and nothing builds another
     from taniapn import poly_roots
     orig, calls = poly_roots.frobenius_orbits, []
     monkeypatch.setattr(poly_roots, "frobenius_orbits", lambda phi: calls.append(phi) or orig(phi))
-    bitmap, builds = poly_roots.BetaSet.__dict__["bitmap"], []
-    monkeypatch.setattr(bitmap, "func", lambda phi, orig=bitmap.func: builds.append(phi) or orig(phi))
+    reads = []
+    monkeypatch.setattr(poly_roots.BetaSet, "bitmap",
+                        property(lambda phi: reads.append(phi) or phi.__dict__["bitmap"]))
     for name in ("orbit_min", "orbit_length", "frobenius_orbit"):
         monkeypatch.setattr(poly_roots, name, lambda *a, name=name: pytest.fail(f"{name} called"))
     code, out, _ = run(capsys, "--format", "csv", "enumerate-beta", "--m", "12", "--k", "5")
     assert code == EXIT_OK
     assert len(calls) == 1 and len(calls[0]) == len(out.splitlines()) - 1
-    assert len(builds) == 1 and builds[0] is calls[0]
+    assert len(reads) == 2 and all(phi is calls[0] for phi in reads)
 
 
 def test_enumerate_beta_csv_matches_scalar_orbit_walk(capsys):
@@ -581,17 +584,38 @@ def test_determinism_byte_identical(capsys):
 
 
 def test_closed_stdout_pipe_exits_141_without_a_message():
-    # 227 KB of output in four batches of ~57 KB, one per k*.  When the
-    # reader closes, at most a pipe's capacity (64 KB on Linux) plus the
-    # reader's one buffer have been written, so a later batch meets the
-    # closed pipe.  (With --k 3 the rows go out in one write, and a write
-    # that the close cuts short is not reported by Python's text layer.)
+    # 227 KB of output, about 57 KB per k*.  When the reader closes, at
+    # most a pipe's capacity (64 KB on Linux) plus the reader's one buffer
+    # have been written, so a later write meets the closed pipe.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-m", "taniapn.cli", "--format", "pretty", "classes", "--m", "16"]
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline() == b"m=16: 5492 classes (n(m)=5492)\n"
     proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert err == b""
+
+
+def test_closed_stdout_pipe_mid_write_exits_141_without_a_message():
+    # The 1,373 rows of --k 3 (about 56 KB) leave in few, large writes.  With
+    # a 4 KB pipe the reader's close cuts such a write short.  Python's text
+    # layer drops a short count, so the renderer writes to the binary buffer
+    # and retries the rest, which meets the closed pipe.
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe size cannot be set here")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "taniapn.cli", "--format", "pretty", "classes", "--m", "16",
+            "--k", "3"]
+    r, w = os.pipe()
+    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(argv, stdout=w, stderr=subprocess.PIPE, env=env)
+    os.close(w)
+    with os.fdopen(r, "rb") as reader:
+        assert reader.readline() == b"m=16: 1373 classes\n"
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
     assert err == b""

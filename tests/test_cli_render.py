@@ -9,6 +9,7 @@ CSV the f-string formatting the CLI used before the renderer.
 import contextlib
 import io
 import json
+import sys
 from math import gcd
 from unittest import mock
 
@@ -151,6 +152,62 @@ def test_rows_match_f_strings(values):
             assert stdout_of(cli._write_rows, row, b", ") == \
                 ", ".join(f"<0x{v:X}|{v}>" for v in vs)
             assert stdout_of(cli._write_rows, [b"no columns"], b",") == "no columns"
+
+
+unsorted_u32 = st.lists(st.sampled_from(EDGES) | st.integers(0, 300) | st.integers(0, 2**32 - 1),
+                        max_size=40).map(lambda xs: np.array(xs, dtype=np.uint32))
+
+
+@given(unsorted_u32)
+@example(np.array([0x10, 0, 0xF, 9, 10, 0, 2**32 - 1], dtype=np.uint32))
+@example(np.array([0, 0, 0, 0x10], dtype=np.uint32))
+def test_unsorted_rows_match_f_strings(values):
+    # Unsorted columns cut no batch, so their widths mix inside one: the
+    # leading zeros of those batches are compacted away, and a 0 keeps its
+    # last digit.  The sorted column beside them cuts where it gains a
+    # digit; with batches of 3 rows, widths change on both sides of a cut.
+    vs, ss = values.tolist(), sorted(values.tolist())
+    row = [b"<0x", cli._Col(values), b"|", cli._Col(values, base=10), b"|0x",
+           cli._Col(np.sort(values)), b">"]
+    want = [f"<0x{v:X}|{v}|0x{s:X}>" for v, s in zip(vs, ss)]
+    for batch in (cli._RENDER_BATCH, 3):
+        with mock.patch.object(cli, "_RENDER_BATCH", batch):
+            assert stdout_of(cli._write_rows, row) == "".join(want)
+            assert stdout_of(cli._write_rows, row, b"\n") == "\n".join(want)
+
+
+def test_rows_go_to_the_binary_buffer_after_the_text():
+    # a stream with a binary buffer gets the rows there, after the text
+    # written before them has been flushed to it
+    buf = io.BytesIO()
+    stream = io.TextIOWrapper(buf, encoding="ascii", newline="")
+    values = np.array([1, 0x10, 0xABC], dtype=np.uint32)
+    with contextlib.redirect_stdout(stream):
+        sys.stdout.write("head:")
+        cli._write_rows([b"0x", cli._Col(values)], b" ")
+        sys.stdout.write(":tail")
+    stream.flush()
+    assert buf.getvalue() == b"head:0x1 0x10 0xABC:tail"
+
+
+def test_short_writes_are_retried():
+    # a binary buffer that takes at most 3 bytes per call, as a pipe whose
+    # reader lags may: the rest of each batch is written again until it is out
+    class Trickle:
+        def __init__(self):
+            self.data = b""
+
+        def write(self, data) -> int:
+            self.data += bytes(data[:3])
+            return min(3, len(data))
+
+    stream = io.StringIO()
+    stream.buffer = Trickle()
+    values = np.arange(0, 40, 3, dtype=np.uint32)
+    with contextlib.redirect_stdout(stream):
+        cli._write_rows([b"0x", cli._Col(values)], b",")
+    assert stream.buffer.data.decode() == ",".join(f"0x{v:X}" for v in values.tolist())
+    assert stream.getvalue() == ""
 
 
 # ---------------------------------------------------------------------------

@@ -255,12 +255,42 @@ def test_orbit_pass_is_capped_with_the_scans():
 
 
 def test_orbit_minima_escape_in_a_later_batch(monkeypatch):
-    # in GF(8) the orbit of 7 is {7, 3, 5}; with batches of 2, 7 is in the third
-    monkeypatch.setattr(poly_roots, "_SCAN_CHUNK", 2)
+    # in GF(8) the orbit of 7 is {7, 3, 5}; with blocks of 2, 7 is in the third
+    monkeypatch.setattr(poly_roots, "_BLOCK", 2)
     assert orbit_minima(np.array([1, 2, 3, 4, 5, 6, 7], dtype=np.uint32), GF8).tolist() \
         == [1, 2, 3, 2, 3, 2, 3]
     with pytest.raises(NotFrobeniusClosed, match="0x3"):
         orbit_minima(np.array([1, 2, 4, 6, 7], dtype=np.uint32), GF8)
+
+
+def test_phi_set_hands_over_its_bitmap(monkeypatch):
+    # phi_set packs its rootless mask into the bitmap, which is the one the
+    # property builds from the elements; with blocks of 16 the rootless
+    # scatter runs in slices and marks the same betas
+    for block in (poly_roots._BLOCK, 16):
+        monkeypatch.setattr(poly_roots, "_BLOCK", block)
+        for m in range(1, 13):
+            ctx = default_ctx(m)
+            for k in coprime_residues(m):
+                phi = phi_set(k, ctx)
+                assert "bitmap" in vars(phi)
+                rebuilt = BetaSet(ctx, k, phi.elements)
+                assert np.array_equal(phi.bitmap, rebuilt.bitmap)
+                assert len(phi) == capital_m(m)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 9, 10])
+def test_orbit_filter_across_block_edges(m, monkeypatch):
+    # blocks of 16 elements: orbits spread over several blocks, a
+    # representative found in each block, and a last, partial block
+    monkeypatch.setattr(poly_roots, "_BLOCK", 16)
+    ctx = default_ctx(m)
+    for arr in [phi_set(k, ctx).elements for k in coprime_residues(m)] + [ctx.elements()]:
+        dec = frobenius_orbits(BetaSet(ctx, 1, arr))
+        reps = sorted({orbit_min(b, ctx) for b in arr.tolist()})
+        assert dec.representatives.tolist() == reps
+        assert dec.lengths.tolist() == [orbit_length(r, ctx) for r in reps]
+        assert dec.orbit_of.tolist() == [reps.index(orbit_min(b, ctx)) for b in arr.tolist()]
 
 
 @st.composite
@@ -369,9 +399,12 @@ def test_phi_membership_against_root_count_sampled(m, k):
     assert all(count_roots(k, 1, int(b), ctx) > 0 for b in outside)
 
 
-def test_orbit_minima_squares_a_pinned_count(monkeypatch):
+@pytest.mark.parametrize("block", [poly_roots._BLOCK, 16])
+def test_orbit_minima_squares_a_pinned_count(monkeypatch, block):
     # |Phi| = 1,365 in 116 orbits: the minimum filter squares 4,458
-    # elements (3.27 |Phi|), the walk of their orbits 1,365 - 116 more
+    # elements (3.27 |Phi|), the walk of their orbits 1,365 - 116 more;
+    # the filter decides each element on its own, so blocks change nothing
+    monkeypatch.setattr(poly_roots, "_BLOCK", block)
     ctx = FieldCtx(12)
     calls = []
     for name in ("mul_vec", "square_vec", "pow2k_vec", "pow_vec", "xtime_vec"):

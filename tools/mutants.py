@@ -91,6 +91,15 @@ MUTANTS = [
            "if m == 4:\n            el = 3 * m * (ctx.order - 1) // 2\n", T_EQUIV),
     Mutant("renderer-last-digit", CLI,
            "        keep[:, -1] = True\n", "", ("tests/test_cli_render.py",) + T_CLI),
+    Mutant("renderer-single-width-off-by-one", CLI,
+           "if self.width(v.min()) == width:", "if self.width(v.min()) >= width - 1:",
+           ("tests/test_cli_render.py",) + T_CLI),
+    Mutant("renderer-hex-pairs-odd-width", CLI,
+           "text.reshape(-1, 8)[:, 8 - width:]", "text.reshape(-1, 8)[:, 8 - (width + 1) // 2 * 2:]",
+           ("tests/test_cli_render.py",) + T_CLI),
+    Mutant("renderer-short-write-dropped", CLI,
+           "        view = view[buffer.write(view):]\n", "        view = view[len(view):]\n",
+           ("tests/test_cli_render.py",) + T_CLI),
     # fast paths, each against its oracle
     Mutant("phi-cross-term", ROOTS, "cross = prod ^ prod.T", "cross = prod",
            ("tests/test_poly_roots.py",)),
@@ -98,6 +107,9 @@ MUTANTS = [
            ("tests/test_poly_roots.py",)),
     Mutant("squares-closure-check", ROOTS, "if escaped.any():", "if False:",
            ("tests/test_poly_roots.py",)),
+    Mutant("orbit-last-block-skipped", ROOTS,
+           "for lo in range(0, max(len(phi), 1), _BLOCK):",
+           "for lo in range(0, max(len(phi) - _BLOCK, 1), _BLOCK):", ("tests/test_poly_roots.py",)),
     Mutant("transform-beta-exponent", ROOTS,
            "e = (1 << ((ctx.m - k) % ctx.m)) + 1", "e = (1 << (k % ctx.m)) + 1",
            ("tests/test_poly_roots.py",) + T_EQUIV),
@@ -117,7 +129,10 @@ MUTANTS = [
            "for j in range(i + 1)]", "for j in range(i)]",
            ("tests/test_families.py", "tests/test_diffanalysis.py")),
     Mutant("byte-gather-top-byte", GF2M,
-           "for j in range(1, len(tables)):", "for j in range(1, len(tables) - 1):", T_GF2M),
+           "imgs[(n + 1) // 2:]]", "imgs[(n + 1) // 2:-1]]", T_GF2M),
+    Mutant("linear-map-high-half-dropped", GF2M,
+           "        out ^= high.take(flat >> np.uint32(low.size.bit_length() - 1))\n", "",
+           T_GF2M),
     Mutant("product-table-index", GF2M,
            "take((a << np.uint32(self.m)) | b)", "take((a << np.uint32(self.m - 1)) | b)",
            T_GF2M),
