@@ -399,12 +399,7 @@ def test_phi_membership_against_root_count_sampled(m, k):
     assert all(count_roots(k, 1, int(b), ctx) > 0 for b in outside)
 
 
-@pytest.mark.parametrize("block", [poly_roots._BLOCK, 16])
-def test_orbit_minima_squares_a_pinned_count(monkeypatch, block):
-    # |Phi| = 1,365 in 116 orbits: the minimum filter squares 4,458
-    # elements (3.27 |Phi|), the walk of their orbits 1,365 - 116 more;
-    # the filter decides each element on its own, so blocks change nothing
-    monkeypatch.setattr(poly_roots, "_BLOCK", block)
+def _count_orbit_minima_squarings(monkeypatch):
     ctx = FieldCtx(12)
     calls = []
     for name in ("mul_vec", "square_vec", "pow2k_vec", "pow_vec", "xtime_vec"):
@@ -413,7 +408,19 @@ def test_orbit_minima_squares_a_pinned_count(monkeypatch, block):
                             calls.append((name, np.size(a))) or orig(a, *r))
     orbit_minima(phi_set(5, default_ctx(12)).elements, ctx)
     assert {name for name, _ in calls} == {"square_vec"}
-    assert sum(size for _, size in calls) == 5707
+    return sum(size for _, size in calls)
+
+
+def test_orbit_minima_squares_a_pinned_count(monkeypatch):
+    # |Phi| = 1,365 in 116 orbits: the minimum filter squares 4,458
+    # elements (3.27 |Phi|), the walk of their orbits 1,365 - 116 more
+    assert _count_orbit_minima_squarings(monkeypatch) == 5707
+
+
+def test_orbit_minima_squares_the_same_count_in_small_blocks(monkeypatch):
+    # the filter decides each element on its own, so blocks change nothing
+    monkeypatch.setattr(poly_roots, "_BLOCK", 16)
+    assert _count_orbit_minima_squarings(monkeypatch) == 5707
 
 
 def test_transform_beta():
