@@ -35,6 +35,7 @@ _emit_csv and print.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -204,8 +205,9 @@ def _write_bytes(data: bytes) -> None:
     """Write ASCII bytes to sys.stdout, looked up here so that redirections
     of stdout see them.  A stream with a binary buffer gets the bytes there,
     after its text layer is flushed, and a short count is retried, so a
-    reader that closes mid-write raises BrokenPipeError; a stream without
-    one (io.StringIO) gets them as text."""
+    reader that closes mid-write raises BrokenPipeError; a write that makes
+    no progress (None from a non-blocking raw stream, or 0) raises
+    BlockingIOError.  A stream without one (io.StringIO) gets them as text."""
     stream = sys.stdout
     buffer = getattr(stream, "buffer", None)
     if buffer is None:
@@ -214,7 +216,10 @@ def _write_bytes(data: bytes) -> None:
     stream.flush()
     view = memoryview(data)
     while view:
-        view = view[buffer.write(view):]
+        written = buffer.write(view)
+        if not written:
+            raise BlockingIOError(errno.EAGAIN, "stdout accepted none of the bytes written")
+        view = view[written:]
 
 
 def _write_rows(template: list, sep: bytes = b"") -> None:
@@ -224,23 +229,20 @@ def _write_rows(template: list, sep: bytes = b"") -> None:
     A row is the template's pieces in order: bytes as they are, a _Col as
     its value in that row.  Batches of at most _RENDER_BATCH rows are also
     cut where an ascending column gains a digit.  Each batch fills one
-    uint8 matrix, whose literal bytes stay in place while the column widths
-    do; when every column fills its width in the batch, that matrix is the
-    text as it is, and otherwise one boolean compaction drops the leading
-    zeros.
+    uint8 matrix, its literal bytes broadcast from one row; when every
+    column fills its width in the batch, that matrix is the text as it is,
+    and otherwise one boolean compaction drops the leading zeros.
     """
     n = _row_count(template)
     cols = [p for p in template if isinstance(p, _Col)]
     cuts = sorted({*range(0, n, _RENDER_BATCH), *(c for col in cols for c in col.cuts()), n})
-    layout = rows = None
     for lo, hi in zip(cuts, cuts[1:]):
         parts = [p.render(lo, hi) if isinstance(p, _Col) else p for p in template + [sep]]
         widths = [p[0].shape[1] if isinstance(p, tuple) else len(p) for p in parts]
-        if widths != layout or len(rows) < hi - lo:
-            layout, rows = widths, np.empty((hi - lo, sum(widths)), dtype=np.uint8)
-            rows[:] = np.frombuffer(b"".join(b"\0" * w if isinstance(p, tuple) else p
-                                             for p, w in zip(parts, widths)), dtype=np.uint8)
-        text, keep = rows[:hi - lo], None
+        text = np.empty((hi - lo, sum(widths)), dtype=np.uint8)
+        text[:] = np.frombuffer(b"".join(b"\0" * w if isinstance(p, tuple) else p
+                                         for p, w in zip(parts, widths)), dtype=np.uint8)
+        keep = None
         at = 0
         for p, w in zip(parts, widths):
             if isinstance(p, tuple):

@@ -209,6 +209,22 @@ def test_short_writes_are_retried():
     assert stream.buffer.data.decode() == ",".join(f"0x{v:X}" for v in values.tolist())
     assert stream.getvalue() == ""
 
+    # a write that takes nothing (None from a non-blocking raw stream whose
+    # pipe is full, or 0) raises instead of retrying forever
+    for stall in (None, 0):
+        class Stall:
+            calls = 0
+
+            def write(self, data):
+                self.calls += 1
+                return 3 if self.calls == 1 else stall
+
+        stream = io.StringIO()
+        stream.buffer = Stall()
+        with contextlib.redirect_stdout(stream), pytest.raises(BlockingIOError):
+            cli._write_rows([b"0x", cli._Col(values)], b",")
+        assert stream.buffer.calls == 2
+
 
 # ---------------------------------------------------------------------------
 # The commands against their oracles

@@ -239,46 +239,33 @@ def test_product_table_matches_raw_product(ctx):
 
 @pytest.mark.parametrize("m", range(1, 33))
 def test_frobenius_map_matches_scalar(m):
-    # the table-gather linear map against the scalar squaring loop, at every
-    # degree, with 0, 1, the top element and every basis vector among the inputs
+    # the table-gather linear maps against the scalar squaring walk and mul,
+    # at every degree and every Frobenius power k, with 0, 1, the top element
+    # and every basis vector among the inputs (at m = 32 the top bit, which
+    # only the high table sees); one table of the whole map up to m = 16,
+    # from m = 17 one per operand half, the low half taking the odd bit
     ctx = default_ctx(m)
     rng = np.random.default_rng(100 + m)
     a = np.concatenate([np.array([0, 1, ctx.order - 1], dtype=np.uint32),
                         np.left_shift(np.uint32(1), np.arange(m, dtype=np.uint32)),
                         rng.integers(0, ctx.order, size=100, dtype=np.uint32)])
-    for k in (0, 1, m - 1, -1, -m - 1):
-        r = ctx.pow2k_vec(a, k)
-        assert r.dtype == np.uint32 and r.shape == a.shape
-        assert r.tolist() == [ctx.pow2k(x, k) for x in a.tolist()]
-    assert ctx.square_vec(a).tolist() == [ctx.mul(x, x) for x in a.tolist()]
-    # X*a by one shift-and-reduce step; at m = 1, X reduces to 1
-    assert ctx.xtime_vec(a).tolist() == [ctx.mul(x, 2) for x in a.tolist()]
-
-
-@pytest.mark.parametrize("m", range(1, 33))
-def test_linear_map_tables_match_scalar(m):
-    # every Frobenius power k and a product by a fixed element, against the
-    # scalar squaring walk and mul; one table of the whole map up to m = 16,
-    # from m = 17 one per operand half, the low half taking the odd bit; the
-    # inputs hold 0, the top element and every basis vector (at m = 32 the
-    # top bit, which only the high table sees)
-    ctx = FieldCtx(m)
-    rng = np.random.default_rng(200 + m)
-    a = np.concatenate([np.array([0, 1, ctx.order - 1], dtype=np.uint32),
-                        np.left_shift(np.uint32(1), np.arange(m, dtype=np.uint32)),
-                        rng.integers(0, ctx.order, size=40, dtype=np.uint32)])
     want = a.tolist()
     for k in range(m):
         r = ctx.pow2k_vec(a, k)
-        assert r.dtype == np.uint32 and r.tolist() == want
+        assert r.dtype == np.uint32 and r.shape == a.shape and r.tolist() == want
         assert [t.size for t in ctx._frobenius_tables[k]] == \
             ([1 << m] if m <= 16 else [1 << (m + 1) // 2, 1 << m // 2])
         r = ctx.pow2k_vec(np.array(a[-1]), k)
         assert r.shape == () and int(r) == want[-1]
         want = [ctx.mul(x, x) for x in want]
     assert want == a.tolist()  # x^(2^m) = x
+    for k in (-1, -m - 1):
+        assert ctx.pow2k_vec(a, k).tolist() == [ctx.pow2k(x, k) for x in a.tolist()]
+    assert ctx.square_vec(a).tolist() == [ctx.mul(x, x) for x in a.tolist()]
     c = int(rng.integers(1, ctx.order))
     assert ctx._times(a, c).tolist() == [ctx.mul(x, c) for x in a.tolist()]
+    # X*a by one shift-and-reduce step; at m = 1, X reduces to 1
+    assert ctx.xtime_vec(a).tolist() == [ctx.mul(x, 2) for x in a.tolist()]
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 6, 9, 12])

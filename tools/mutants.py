@@ -98,7 +98,7 @@ MUTANTS = [
            "text.reshape(-1, 8)[:, 8 - width:]", "text.reshape(-1, 8)[:, 8 - (width + 1) // 2 * 2:]",
            ("tests/test_cli_render.py",) + T_CLI),
     Mutant("renderer-short-write-dropped", CLI,
-           "        view = view[buffer.write(view):]\n", "        view = view[len(view):]\n",
+           "        view = view[written:]\n", "        view = view[len(view):]\n",
            ("tests/test_cli_render.py",) + T_CLI),
     # fast paths, each against its oracle
     Mutant("phi-cross-term", ROOTS, "cross = prod ^ prod.T", "cross = prod",
