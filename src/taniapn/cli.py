@@ -24,12 +24,12 @@ enumerate-beta and classes print their per-element rows (the elements of
 Phi, the orbits, the alpha = 1 class rows) in every format with numpy:
 _write_rows renders _RENDER_BATCH rows at a time into a byte matrix and
 writes each batch to sys.stdout, so neither its temporaries nor the text
-grow with |Phi|.  In JSON, json.dumps still encodes the small skeleton
-and the rendered lists are spliced in at their indent level.  The bytes
-are those of the objects' to_json() through json.dumps(indent=2,
-sort_keys=True) and of the earlier f-string rows; the tests keep both as
-the renderer's oracle.  The other commands print through _emit_json,
-_emit_csv and print.
+grow with |Phi|.  Every command's JSON goes through _emit_json:
+json.dumps(indent=2, sort_keys=True) encodes the object, and the
+rendered lists (_JsonList) are spliced in at their indent level.  The
+bytes are those of the objects' to_json() through that json.dumps and
+of the earlier f-string rows; the tests keep both as the renderer's
+oracle.  The other formats print through _emit_csv and print.
 """
 
 from __future__ import annotations
@@ -127,10 +127,6 @@ def _parse_params_spec(spec: str, cfg: RunConfig) -> TaniguchiParams:
     m, k = int(parts[0]), int(parts[1])
     return TaniguchiParams(m=m, k=k, alpha=_parse_element(parts[2]),
                            beta=_parse_element(parts[3]), ctx=cfg.ctx(m))
-
-
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _emit_csv(header, rows) -> None:
@@ -306,10 +302,10 @@ class _JsonList:
         sys.stdout.write(f"\n{pad}]")
 
 
-def _emit_json_rows(obj) -> None:
-    """Print obj byte for byte as _emit_json does, where obj may hold
-    _JsonList values: json.dumps encodes the rest, and each list is spliced
-    in at its indent level with its items rendered by numpy."""
+def _emit_json(obj) -> None:
+    """Print obj as print(json.dumps(obj, indent=2, sort_keys=True)) does, where
+    obj may hold _JsonList values: each is spliced in at its indent level,
+    its items rendered by numpy."""
     pieces = _json_pieces(obj)
     for i, piece in enumerate(pieces):
         if i % 2 == 0:
@@ -486,7 +482,7 @@ def cmd_enumerate_beta(args, cfg: RunConfig) -> int:
     dec = poly_roots.frobenius_orbits(phi)
     reps, lengths = _Col(dec.representatives), _Col(dec.lengths, base=10)
     if cfg.fmt == "json":
-        _emit_json_rows({
+        _emit_json({
             "phi": {"m": phi.m, "k": phi.k, "elements": _JsonList([_Col(phi.elements)])},
             "orbits": {"total": dec.total,
                        "orbits": _JsonList([{"representative": reps, "length": lengths}])},
@@ -531,7 +527,7 @@ def cmd_classes(args, cfg: RunConfig) -> int:
                                "members": noncubes})
             groups.append({"k_star": k, "alpha_star": 1, "beta_star": _Col(dec.representatives),
                            "members": _Col(dec.lengths, base=10)})
-        _emit_json_rows({"m": m, "classes": _JsonList(groups), "count": count})
+        _emit_json({"m": m, "classes": _JsonList(groups), "count": count})
         return EXIT_OK
     if cfg.fmt == "csv":
         print("k_star,alpha_star,beta_star,members")

@@ -34,10 +34,10 @@ The rows need no truth table.  L_a(x) is symmetric and bilinear in
 1 + n + n(n-1)/2 points of weight <= 2 (linmaps.low_weight_points),
 gives L_a(e_j) as the XOR of B[j, r] over the set bits r of a.  The a
 values go in aligned chunks of _RANK_CHUNK: the rows of a chunk are one
-table over its low bits, built once by XOR doubling as gf2m.xor_span
-does, XOR one column from the chunk's high bits.  The first chunk holds
-a = 0 (L_0 = 0, d = n), which its counts leave out.  The elimination
-works in place on the chunk's rows and one scratch array.
+table over its low bits, built once by gf2m.xor_span, XOR one column
+from the chunk's high bits.  The first chunk holds a = 0 (L_0 = 0,
+d = n), which its counts leave out.  The elimination works in place on
+the chunk's rows and one scratch array.
 
 Which path runs is decided by f.is_quadratic (families): the family
 members declare it, and a truth table reads it from its algebraic normal
@@ -55,6 +55,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import TooLarge
+from .gf2m import xor_span
 from .linmaps import low_weight_points, pair_indices
 
 _SCAN_BITS_LIMIT = 16  # the generic scan is 2^(2n) work; capped at n = 16
@@ -129,11 +130,9 @@ def _histograms(f) -> Iterator[dict[int, int]]:
     size = 1 << n
     form = _bilinear_form(f, n)
     t = min(n, _RANK_CHUNK.bit_length() - 1)
-    # low[j, a] = L_a(e_j) for a < 2^t: xor_span's doubling, run along axis 1
-    # so that the elimination reads each row j contiguously
+    # low[j, a] = L_a(e_j) for a < 2^t: each row j contiguous for the elimination
     low = np.zeros((n, 1 << t), dtype=form.dtype)
-    for r in range(t):
-        np.bitwise_xor(low[:, :1 << r], form[:, r:r + 1], out=low[:, 1 << r:2 << r])
+    xor_span(form.T[:t], low.T)
     rows, scratch = np.empty_like(low), np.empty_like(low)
     for lo in range(0, size, 1 << t):
         # L_(lo + a) = L_lo + L_a: the high bits of lo give one column

@@ -72,6 +72,8 @@ from .linmaps import (
     gf2_rank,
     low_weight_points,
     low_weight_values,
+    pack,
+    unpack,
 )
 from .poly_roots import (
     frobenius_orbit,
@@ -394,8 +396,7 @@ def _monomial_search(p: TaniguchiParams) -> tuple[np.ndarray, ...]:
     if p.m > _MONOMIAL_DEGREE_LIMIT:
         raise TooLarge(f"monomial enumeration capped at m={_MONOMIAL_DEGREE_LIMIT}")
     _require_apn(p)
-    ctx, m = p.ctx, p.m
-    shift, mask, n1 = np.uint32(m), np.uint32(ctx.order - 1), ctx.order - 1
+    ctx, m, n1 = p.ctx, p.m, p.ctx.order - 1
     points = low_weight_points(2 * m)
     f_points = p.eval_packed_vec(points)
     a_u = np.arange(1, ctx.order, dtype=np.uint32)
@@ -405,7 +406,7 @@ def _monomial_search(p: TaniguchiParams) -> tuple[np.ndarray, ...]:
     # L(p) = (a_u x^(2^u), b_bar y^(2^u)), N(f(p)) = (c_u f1^(2^u), n4 f2^(2^u));
     # frob[u, h] is half h of every point raised to 2^u, each half on its own
     coeffs = np.stack([a_u, b_bar, c_u, ctx.mul_vec(a_u, b_bar)])
-    halves = np.stack([points >> shift, points & mask, f_points >> shift, f_points & mask])
+    halves = np.stack([*unpack(points, m), *unpack(f_points, m)])
     frob = np.stack([ctx.pow2k_vec(halves, u) for u in range(m)])
     cand = np.arange(m * n1)  # candidate u * (2^m - 1) + a_u - 1
     # the sieve on the weight <= 1 points, then its survivors on the rest
@@ -416,7 +417,7 @@ def _monomial_search(p: TaniguchiParams) -> tuple[np.ndarray, ...]:
             u, i = np.divmod(cand[start:start + step], n1)
             lx, ly, nx, ny = (ctx.mul_vec(coeffs[h].take(i)[:, None], frob[u, h, lo:hi])
                               for h in range(4))
-            same = p.eval_packed_vec((lx << shift) | ly) == ((nx << shift) | ny)
+            same = p.eval_packed_vec(pack(lx, ly, m)) == pack(nx, ny, m)
             keep[start:start + step] = same.all(axis=1)
         cand = cand[keep]
     u, i = np.divmod(cand, n1)

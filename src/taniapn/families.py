@@ -2,12 +2,10 @@
 
 Functions on GF(2^(2m)) are kept in bivariate form throughout: a pair of
 coordinate maps GF(2^m)^2 -> GF(2^m), never a univariate map over one
-GF(2^(2m)) tower.  Points pack into a single index as
-
-    v = (bits(x) << m) | bits(y)
-
-and truth tables are arrays indexed by v holding packed values the same
-way.  The families:
+GF(2^(2m)) tower.  A point (x, y) packs into the single index
+v = (bits(x) << m) | bits(y) by linmaps.pack, which states that layout
+and its width once, and truth tables are arrays indexed by v holding
+packed values the same way.  The families:
 
     taniguchi  f(x,y) = (x^(2^(2k)(2^k+1)) + a*x^(2^(2k))*y^(2^k) + b*y^(2^k+1), x*y)
                APN  iff  X^(2^k+1) + a*X + b has no root in GF(2^m)
@@ -31,7 +29,7 @@ file, a materialize result) decides it once from its table.
 Truth-table file format (import/export):
     header  = magic "APNT" | u8 version (=1) | u16 m (LE) | u8 kind
     payload = 2^(2m) little-endian (u32 first-coordinate, u32 second-coordinate)
-              pairs in packed-index order
+              pairs in packed-index order (linmaps.pack)
     kind    = 0 truth-table, 1 taniguchi, 2 pott-zhou
 A JSON manifest (same path + ".json") records m, kind, modulus and the
 generating parameters.
@@ -50,6 +48,7 @@ import numpy as np
 
 from .errors import InvalidParams, TooLarge
 from .gf2m import FieldCtx, default_ctx, resolve_ctx
+from .linmaps import pack, unpack
 from .poly_roots import count_roots
 
 _MATERIALIZE_LIMIT = 28  # bits of packed index (= 2m)
@@ -158,14 +157,13 @@ class TaniguchiParams(BivariateFunction):
 
     def eval_packed_vec(self, v: np.ndarray) -> np.ndarray:
         ctx = self.ctx
-        m = ctx.m
-        x, y = v >> m, v & np.uint32((1 << m) - 1)
+        x, y = unpack(v, ctx.m)
         x2k2 = ctx.pow2k_vec(x, 2 * self.k)
         yk = ctx.pow2k_vec(y, self.k)
         f1 = ctx.mul_vec(ctx.pow2k_vec(x, 3 * self.k), x2k2)
         f1 ^= ctx.mul_vec(ctx.mul_vec(x2k2, yk), self.alpha)
         f1 ^= ctx.mul_vec(ctx.mul_vec(yk, y), self.beta)
-        return (f1 << np.uint32(m)) | ctx.mul_vec(x, y)
+        return pack(f1, ctx.mul_vec(x, y), ctx.m)
 
     @cached_property
     def _rootless(self) -> bool:
@@ -221,12 +219,11 @@ class PottZhouParams(BivariateFunction):
 
     def eval_packed_vec(self, v: np.ndarray) -> np.ndarray:
         ctx = self.ctx
-        m = ctx.m
-        x, y = v >> m, v & np.uint32((1 << m) - 1)
+        x, y = unpack(v, ctx.m)
         f1 = ctx.mul_vec(ctx.pow2k_vec(x, self.k), x)
         yterm = ctx.pow2k_vec(ctx.mul_vec(ctx.pow2k_vec(y, self.k), y), self.s)
         f1 ^= ctx.mul_vec(yterm, self.alpha)
-        return (f1 << np.uint32(m)) | ctx.mul_vec(x, y)
+        return pack(f1, ctx.mul_vec(x, y), ctx.m)
 
     def is_apn_criterion(self) -> bool:
         """APN criterion: s even and alpha a non-cube."""
@@ -247,9 +244,7 @@ class TruthTableFunction(BivariateFunction):
         self.source_kind = source_kind
 
     def evaluate(self, x: int, y: int) -> tuple[int, int]:
-        m = self.ctx.m
-        v = int(self.table[(x << m) | y])
-        return v >> m, v & ((1 << m) - 1)
+        return unpack(int(self.table[pack(x, y, self.ctx.m)]), self.ctx.m)
 
     def eval_packed_vec(self, v: np.ndarray) -> np.ndarray:
         return self.table[v]
@@ -325,8 +320,7 @@ def save_function(f: BivariateFunction, path: str | Path) -> Path:
         fh.write(_FILE_MAGIC)
         fh.write(struct.pack("<BHB", _FILE_VERSION, m, kind_code))
         pairs = np.empty((table.size, 2), dtype="<u4")
-        pairs[:, 0] = table >> np.uint32(m)
-        pairs[:, 1] = table & np.uint32((1 << m) - 1)
+        pairs[:, 0], pairs[:, 1] = unpack(table, m)
         pairs.tofile(fh)
     manifest = {
         "format": _FILE_MAGIC.decode(),
@@ -373,5 +367,5 @@ def load_function(path: str | Path) -> TruthTableFunction:
     pairs = np.frombuffer(raw[8:], dtype="<u4").reshape(-1, 2)
     if int(pairs.max(initial=0)) >= 1 << m:
         raise InvalidParams(f"{path}: coordinate value out of GF(2^{m})")
-    table = (pairs[:, 0].astype(np.uint32) << np.uint32(m)) | pairs[:, 1].astype(np.uint32)
-    return TruthTableFunction(table, ctx, source_kind=_KIND_NAMES[kind_code])
+    return TruthTableFunction(pack(pairs[:, 0], pairs[:, 1], m), ctx,
+                              source_kind=_KIND_NAMES[kind_code])

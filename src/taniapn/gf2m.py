@@ -178,10 +178,11 @@ def xor_span(imgs, out: np.ndarray) -> np.ndarray:
 
     With out[0] = 0 this is the table of the GF(2)-linear map with basis
     images imgs; a nonzero out[0] adds that constant to every entry.
+    Images are ints or arrays broadcast against out[x], cast to out.dtype.
     """
     size = 1
     for img in imgs:
-        np.bitwise_xor(out[:size], np.uint32(img), out=out[size:2 * size])
+        np.bitwise_xor(out[:size], np.asarray(img, dtype=out.dtype), out=out[size:2 * size])
         size *= 2
     return out
 
@@ -330,18 +331,12 @@ class FieldCtx:
 
     @cached_property
     def _products(self) -> np.ndarray:
-        """products[(a << m) | b] = a*b as uint8, for m <= 8.
-
-        Row block a is built by doubling over the bits of a: the rows
-        2^i..2^(i+1)-1 are the rows 0..2^i-1 XOR X^i * b, as in xor_span.
-        """
-        table = np.zeros((self.order, self.order), dtype=np.uint8)
-        row = self.elements()  # X^i * b, for i = 0, 1, ...
-        size = 1
-        for _ in range(self.m):
-            np.bitwise_xor(table[:size], row.astype(np.uint8), out=table[size:2 * size])
-            row, size = self.xtime_vec(row), 2 * size
-        table = table.reshape(-1)
+        """products[(a << m) | b] = a*b as uint8, for m <= 8: row a is xor_span's
+        doubling over the bits of a, the images being the rows X^i * b (all b)."""
+        rows = [self.elements()]
+        for _ in range(self.m - 1):
+            rows.append(self.xtime_vec(rows[-1]))
+        table = xor_span(rows, np.zeros((self.order, self.order), np.uint8)).reshape(-1)
         table.flags.writeable = False
         return table
 

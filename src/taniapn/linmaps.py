@@ -1,13 +1,16 @@
 """Linear maps on GF(2^m)^2 = GF(2)^(2m) as basis images, and GF(2) algebra.
 
-Pairs pack as v = (bits(x) << m) | bits(y), matching the truth-table
-layout.  A PairMap is stored as its 2m basis images, images[j] = P(1 << j),
-so composition, sums, inversion, rank, full tables and the values at the
-points of Hamming weight <= 2 are plain GF(2) linear algebra on those
-lists and need no field context.  The points of weight <= 2 themselves
-(low_weight_points) are one cached, read-only array per bit count n,
-which the witness check, the automorphism exhaustion (n = 2m) and the
-differential scan (any n) share.
+Pairs pack as v = (bits(x) << m) | bits(y), the layout of every packed
+point and value in the package.  pack and unpack state it and its width
+once: ints stay ints, and element arrays pack to uint32 while 2m <= 32
+and to uint64 above, so no shift wraps.  A PairMap is stored as its 2m
+basis images, images[j] = P(1 << j), so composition, sums, inversion,
+rank, full tables and the values at the points of Hamming weight <= 2
+are plain GF(2) linear algebra on those lists and need no field
+context.  The points of weight <= 2 themselves (low_weight_points) are
+one cached, read-only array per bit count n, which the witness check,
+the automorphism exhaustion (n = 2m) and the differential scan (any n)
+share.
 
 Linearized-polynomial coefficients appear only at the JSON boundary: the
 map decomposes into four GF(2^m)-linear blocks
@@ -171,6 +174,22 @@ def table_from_images(imgs: Sequence[int]) -> np.ndarray:
 # Pair-space maps
 # ---------------------------------------------------------------------------
 
+def pack(x, y, m: int):
+    """(x << m) | y: an int for ints, else an array, uint32 while 2m <= 32, else uint64."""
+    if isinstance(x, int) and isinstance(y, int):
+        return (x << m) | y
+    dtype = np.uint32 if 2 * m <= 32 else np.uint64
+    return (np.asarray(x, dtype=dtype) << dtype(m)) | np.asarray(y, dtype=dtype)
+
+
+def unpack(v, m: int):
+    """(x, y) of the packed pair v: ints for an int, else uint32 element arrays."""
+    x, y = v >> m, v & ((1 << m) - 1)
+    if isinstance(v, int):
+        return x, y
+    return x.astype(np.uint32, copy=False), y.astype(np.uint32, copy=False)
+
+
 Monomial = tuple[int, int]  # (c, d): the block c * X^(2^d)
 
 
@@ -207,9 +226,7 @@ class PairMap:
                 return np.zeros(m, dtype=np.uint32)
             return ctx.mul_vec(mono[0], ctx.pow2k_vec(basis, mono[1]))
 
-        shift = np.uint32(m)
-        from_y = (blk(xy) << shift) | blk(yy)
-        from_x = (blk(xx) << shift) | blk(yx)
+        from_y, from_x = pack(blk(xy), blk(yy), m), pack(blk(xx), blk(yx), m)
         return cls(tuple(from_y.tolist() + from_x.tolist()))
 
     def images(self) -> tuple[int, ...]:
@@ -236,8 +253,5 @@ class PairMap:
     def blocks(self, ctx: FieldCtx) -> tuple[LinPoly, LinPoly, LinPoly, LinPoly]:
         """Coefficients of the (xx, xy, yx, yy) blocks, by the Moore solve."""
         m = ctx.m
-        mask = (1 << m) - 1
-        from_x, from_y = self.imgs[m:], self.imgs[:m]  # bit m+j is bit j of x
-        return tuple(linpoly_from_images(
-            [[w >> m for w in from_x], [w >> m for w in from_y],
-             [w & mask for w in from_x], [w & mask for w in from_y]], ctx))
+        x, y = zip(*(unpack(w, m) for w in self.imgs))  # imgs[m + j] is from bit j of x
+        return tuple(linpoly_from_images([x[m:], x[:m], y[m:], y[:m]], ctx))

@@ -283,6 +283,12 @@ def test_witness_verified_at_cap(capsys):
     assert json.loads(out)["verified"] is True
 
 
+def test_witness_above_the_cap_names_the_cap(capsys):
+    # m = 17: the maps are bijective, so the refusal is the 2m = 32 cap
+    assert run(capsys, "witness", "--from", "17,1,1,1", "--to", "17,16,1,1") == \
+        (EXIT_USAGE, "", "error: witness verification capped at 2m=32\n")
+
+
 def test_witness_at_m8_builds_no_log_table(capsys, monkeypatch):
     # up to m = 8 products and powers gather from the product table, so a
     # witness and the automorphism count run without the log/antilog pair

@@ -136,7 +136,7 @@ def test_json_rows_match_json_dumps_at_every_depth(values, scalar):
         ({"a": {"b": {"c": rendered_objs, "d": []}}}, {"a": {"b": {"c": objs, "d": []}}}),
     ]
     for obj, want in cases:
-        assert stdout_of(cli._emit_json_rows, obj) == dumps(want)
+        assert stdout_of(cli._emit_json, obj) == dumps(want)
 
 
 @given(sorted_u32)

@@ -34,7 +34,7 @@ from taniapn.families import (
     materialize,
 )
 from taniapn.gf2m import FieldCtx, coprime_residues, default_ctx
-from taniapn.linmaps import PairMap
+from taniapn.linmaps import PairMap, gf2_apply, gf2_rank, pack, unpack
 from taniapn.poly_roots import count_roots, orbit_min, phi_set, transform_beta
 
 
@@ -252,6 +252,39 @@ def test_pott_zhou_bridge_keeps_the_field():
     w, pz = pott_zhou_bridge_witness(p)
     assert pz.ctx == ctx and pz.alpha == ctx.inverse(beta) and pz.is_apn_criterion()
     assert verify_witness(w, p, pz)
+
+
+def holds_at_points(w, f, g, count=8):
+    """Scalar oracle for a witness beyond the verify cap: full-rank L and N,
+    and f(L(p)) = N(g(p)) + M(p) at `count` random packed points p."""
+    m = f.ctx.m
+    if gf2_rank(w.l_map.images()) != 2 * m or gf2_rank(w.n_map.images()) != 2 * m:
+        return False
+    rng = random.Random(m)
+    for p in [rng.getrandbits(2 * m) for _ in range(count)]:
+        lhs = pack(*f.evaluate(*unpack(gf2_apply(w.l_map.images(), p), m)), m)
+        rhs = gf2_apply(w.n_map.images(), pack(*g.evaluate(*unpack(p, m)), m))
+        if lhs != rhs ^ gf2_apply(w.m_map.images(), p):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("m, k, beta", [(17, 16, 0x3), (20, 13, 0x12)])
+def test_canonical_witness_above_32_bits(m, k, beta):
+    # alpha != 1 and k > m/2, and beta' is not its orbit minimum, so the
+    # alpha, swap and twist maps all enter; their images pass 32 bits
+    p = TaniguchiParams(m=m, k=k, alpha=3, beta=beta)
+    w, canon = canonical_witness(p)
+    assert (canon.k, canon.alpha) == (m - k, 1) and canon.beta != beta
+    assert holds_at_points(w, p, canon)
+    with pytest.raises(TooLarge):
+        verify_witness(w, p, canon)
+
+
+def test_pott_zhou_bridge_above_32_bits():
+    p = TaniguchiParams(m=18, k=1, alpha=0, beta=0x2)  # 0x2 is a non-cube
+    w, pz = pott_zhou_bridge_witness(p)
+    assert holds_at_points(w, p, pz)
 
 
 def test_witness_composition_and_inversion_round_trip():

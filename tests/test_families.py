@@ -76,6 +76,22 @@ def test_second_coordinate_is_product():
             assert g.evaluate(x, y)[1] == ctx.mul(x, y)
 
 
+@pytest.mark.parametrize("kind, m", [("taniguchi", 17), ("taniguchi", 24), ("taniguchi", 32),
+                                     ("pott-zhou", 18), ("pott-zhou", 24), ("pott-zhou", 32)])
+def test_eval_packed_vec_past_32_bits(kind, m):
+    # packed values pass uint32 from m = 17 on
+    ctx = default_ctx(m)
+    rng = np.random.default_rng(m)
+    a, b = (int(v) for v in rng.integers(1, ctx.order, size=2))
+    f = (TaniguchiParams(m=m, k=m - 1, alpha=a, beta=b, ctx=ctx) if kind == "taniguchi"
+         else PottZhouParams(m=m, k=1, s=2, alpha=a, ctx=ctx))
+    v = rng.integers(0, 1 << (2 * m), size=50, dtype=np.uint64)
+    got = f.eval_packed_vec(v)
+    assert got.dtype == np.uint64
+    want = [f.evaluate(int(p) >> m, int(p) & (ctx.order - 1)) for p in v]
+    assert [(int(w) >> m, int(w) & (ctx.order - 1)) for w in got] == want
+
+
 def test_taniguchi_criterion_matches_phi():
     ctx = default_ctx(4)
     phi = phi_set(1, ctx)

@@ -282,6 +282,17 @@ def test_powers_match_scalar_pow(m):
             assert r.tolist() == [ctx.pow(base, i) for i in range(n)]
 
 
+def test_xor_span_of_array_images_spans_each_column():
+    # images are rows of a 2-D out, cast to its dtype: column c of the span
+    # is the span of the images' column c
+    rng = np.random.default_rng(5)
+    imgs = rng.integers(0, 1 << 8, size=(6, 5), dtype=np.uint32)
+    out = xor_span(list(imgs), np.zeros((1 << 6, 5), dtype=np.uint8))
+    assert out.dtype == np.uint8
+    for c in range(5):
+        assert out[:, c].tolist() == [gf2_apply(imgs[:, c].tolist(), v) for v in range(1 << 6)]
+
+
 @pytest.mark.parametrize("n", range(13))
 def test_xor_span_matches_gf2_apply(n):
     # random 32-bit images with a zero and a repeated image mixed in

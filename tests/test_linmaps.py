@@ -15,8 +15,10 @@ from taniapn.linmaps import (
     linpoly_from_images,
     low_weight_points,
     low_weight_values,
+    pack,
     pair_indices,
     table_from_images,
+    unpack,
 )
 
 
@@ -108,6 +110,34 @@ def test_pairmap_monomial_matches_direct_evaluation(m, data):
         x, y = v >> m, v & (ctx.order - 1)
         want = ((blk(xx, x) ^ blk(xy, y)) << m) | (blk(yx, x) ^ blk(yy, y))
         assert int(tab[v]) == want
+
+
+@pytest.mark.parametrize("m", [16, 17, 24, 32])
+def test_pairmap_monomial_images_past_32_bits(m):
+    # the high half of an image passes uint32 from m = 17 on
+    ctx = default_ctx(m)
+    rng = np.random.default_rng(m)
+    c = [ctx.order - 1] + [int(v) for v in rng.integers(1, ctx.order, size=3)]
+    xx, xy, yx, yy = (c[0], 0), (c[1], 1), (c[2], m - 1), (c[3], m // 2)
+    pm = PairMap.monomial(ctx, xx=xx, xy=xy, yx=yx, yy=yy)
+    blocks = tuple(tuple(b[0] if i == b[1] else 0 for i in range(m)) for b in (xx, xy, yx, yy))
+    assert pm.images() == tuple(eval_blocks(blocks, 1 << j, ctx) for j in range(2 * m))
+    assert pm.blocks(ctx) == blocks
+
+
+@pytest.mark.parametrize("m", [1, 16, 17, 32])
+def test_pack_unpack_round_trip(m):
+    top = (1 << m) - 1
+    xs, ys = [0, 1, top, top >> 1, top], [top, 0, 1, top, top ^ 1]
+    for x, y in zip(xs, ys):
+        v = pack(x, y, m)
+        assert type(v) is int and v == x * 2 ** m + y
+        assert unpack(v, m) == (x, y) and all(type(h) is int for h in unpack(v, m))
+    v = pack(np.array(xs, dtype=np.uint32), np.array(ys, dtype=np.uint32), m)
+    assert v.dtype == (np.uint32 if 2 * m <= 32 else np.uint64)
+    assert v.tolist() == [x * 2 ** m + y for x, y in zip(xs, ys)]
+    x, y = unpack(v, m)
+    assert x.dtype == y.dtype == np.uint32 and x.tolist() == xs and y.tolist() == ys
 
 
 @pytest.mark.parametrize("imgs", [(1 << 3, 1), (-1, 1)])

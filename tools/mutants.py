@@ -139,14 +139,17 @@ MUTANTS = [
     Mutant("product-table-bound", GF2M,
            "_PRODUCT_TABLE_DEGREE_LIMIT = 8", "_PRODUCT_TABLE_DEGREE_LIMIT = 7",
            T_GF2M + ("tests/test_cli.py",)),
+    Mutant("pair-pack-no-widening", LINMAPS,
+           "dtype = np.uint32 if 2 * m <= 32 else np.uint64", "dtype = np.uint32",
+           ("tests/test_linmaps.py", "tests/test_families.py") + T_EQUIV),
     Mutant("pairmap-monomial-frobenius", LINMAPS,
            "ctx.pow2k_vec(basis, mono[1])", "ctx.pow2k_vec(basis, mono[1] + 1)",
            ("tests/test_linmaps.py",)),
     Mutant("aut-frobenius-on-packed-points", EQUIV,
            "frob = np.stack([ctx.pow2k_vec(halves, u) for u in range(m)])",
-           "frob = np.stack([np.stack([v >> shift, v & mask, w >> shift, w & mask])\n"
-           "                     for v, w in ((ctx.pow2k_vec(points, u), ctx.pow2k_vec(f_points, u))\n"
-           "                                  for u in range(m))])", T_EQUIV),
+           "frob = np.stack([np.stack([*unpack(ctx.pow2k_vec(points, u), m),\n"
+           "                           *unpack(ctx.pow2k_vec(f_points, u), m)]) for u in range(m)])",
+           T_EQUIV),
     Mutant("aut-sieve-drops-a-candidate", EQUIV,
            "cand = cand[keep]", "cand = cand[keep][1:]", T_EQUIV),
 ]
