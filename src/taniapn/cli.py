@@ -22,7 +22,7 @@ fixed flags.
 
 enumerate-beta and classes print their per-element rows (the elements of
 Phi, the orbits, the alpha = 1 class rows) in every format with numpy:
-_write_rows renders _RENDER_BATCH rows at a time into a byte matrix and
+_write_rows renders gf2m.BLOCK rows at a time into a byte matrix and
 writes each batch to sys.stdout, so neither its temporaries nor the text
 grow with |Phi|.  Every command's JSON goes through _emit_json:
 json.dumps(indent=2, sort_keys=True) encodes the object, and the
@@ -47,10 +47,10 @@ from math import gcd
 import numpy as np
 
 from . import counting, diffanalysis, equivalence, poly_roots
-from .counting import CSV_HEADER, count_report
+from .counting import CSV_HEADER, ORACLE_DEGREE_LIMIT, count_report
 from .errors import InvalidParams, TaniapnError, TooLarge
 from .families import PottZhouParams, TaniguchiParams, gold, load_function, save_function
-from .gf2m import FieldCtx, coprime_residues, default_ctx
+from .gf2m import BLOCK, FieldCtx, coprime_residues, default_ctx
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
@@ -148,7 +148,6 @@ def _emit_aligned(rows: list[tuple]) -> None:
 _DIGITS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
 # entry v holds the two hex digits of the byte v, as the two bytes of a uint16
 _HEX_PAIRS = np.frombuffer(b"".join(b"%02X" % v for v in range(256)), dtype=np.uint16)
-_RENDER_BATCH = 1 << 16  # rows per batch: bounds the temporaries and each write
 _SLOT = re.compile(r'"\\u0000(\d+)"')  # a placeholder string as json.dumps encodes it
 
 
@@ -223,15 +222,16 @@ def _write_rows(template: list, sep: bytes = b"") -> None:
     without columns is one row), rows joined by sep.
 
     A row is the template's pieces in order: bytes as they are, a _Col as
-    its value in that row.  Batches of at most _RENDER_BATCH rows are also
-    cut where an ascending column gains a digit.  Each batch fills one
-    uint8 matrix, its literal bytes broadcast from one row; when every
-    column fills its width in the batch, that matrix is the text as it is,
-    and otherwise one boolean compaction drops the leading zeros.
+    its value in that row.  Batches of at most BLOCK rows, which bounds
+    the temporaries and each write, are also cut where an ascending
+    column gains a digit.  Each batch fills one uint8 matrix, its literal
+    bytes broadcast from one row; when every column fills its width in the
+    batch, that matrix is the text as it is, and otherwise one boolean
+    compaction drops the leading zeros.
     """
     n = _row_count(template)
     cols = [p for p in template if isinstance(p, _Col)]
-    cuts = sorted({*range(0, n, _RENDER_BATCH), *(c for col in cols for c in col.cuts()), n})
+    cuts = sorted({*range(0, n, BLOCK), *(c for col in cols for c in col.cuts()), n})
     for lo, hi in zip(cuts, cuts[1:]):
         parts = [p.render(lo, hi) if isinstance(p, _Col) else p for p in template + [sep]]
         widths = [p[0].shape[1] if isinstance(p, tuple) else len(p) for p in parts]
@@ -394,25 +394,37 @@ def cmd_audit(args, cfg: RunConfig) -> int:
 # check-apn / spectrum
 # ---------------------------------------------------------------------------
 
+# the flags each family takes, in the order its messages name them
+_FAMILY_FLAGS = {
+    "taniguchi": ("m", "k", "alpha", "beta"),
+    "pott-zhou": ("m", "k", "s", "alpha"),
+    "gold": ("n", "i"),
+}
+
+
+def _refuse_flags(args, who: str, takes=()) -> None:
+    """Refuse the family flags given that `who` does not take."""
+    given = [f"--{a}" for a in dict.fromkeys(sum(_FAMILY_FLAGS.values(), ()))
+             if a not in takes and getattr(args, a) is not None]
+    if given:
+        raise InvalidParams(f"{who} does not take {' '.join(given)}")
+
+
 def _build_function(args, cfg: RunConfig):
     """(function, params-dict) for a family spec."""
     fam = args.family
+    takes = _FAMILY_FLAGS[fam]
+    _refuse_flags(args, fam, takes)
+    if any(getattr(args, a) is None for a in takes):
+        raise InvalidParams(f"{fam} needs " + " ".join(f"--{a}" for a in takes))
     if fam == "taniguchi":
-        if None in (args.m, args.k, args.alpha, args.beta):
-            raise TaniapnError("taniguchi needs --m --k --alpha --beta")
         f = TaniguchiParams(m=args.m, k=args.k, alpha=args.alpha, beta=args.beta,
                             ctx=cfg.ctx(args.m))
         return f, {"m": f.m, "k": f.k, "alpha": f"0x{f.alpha:X}", "beta": f"0x{f.beta:X}"}
     if fam == "pott-zhou":
-        if None in (args.m, args.k, args.s, args.alpha):
-            raise TaniapnError("pott-zhou needs --m --k --s --alpha")
         f = PottZhouParams(m=args.m, k=args.k, s=args.s, alpha=args.alpha, ctx=cfg.ctx(args.m))
         return f, {"m": f.m, "k": f.k, "s": f.s, "alpha": f"0x{f.alpha:X}"}
-    if fam == "gold":
-        if None in (args.n, args.i):
-            raise TaniapnError("gold needs --n --i")
-        return gold(args.n, args.i, cfg.ctx(args.n)), {"n": args.n, "i": args.i}
-    raise TaniapnError(f"unknown family {fam!r}")
+    return gold(args.n, args.i, cfg.ctx(args.n)), {"n": args.n, "i": args.i}
 
 
 def cmd_check_apn(args, cfg: RunConfig) -> int:
@@ -455,6 +467,9 @@ def cmd_check_apn(args, cfg: RunConfig) -> int:
 
 def cmd_spectrum(args, cfg: RunConfig) -> int:
     if args.table is not None:
+        if args.family is not None:
+            raise InvalidParams("spectrum takes a family or --table PATH, not both")
+        _refuse_flags(args, "--table")
         f = load_function(args.table)
     elif args.family is None:
         raise InvalidParams("spectrum needs a family or --table PATH")
@@ -618,8 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("audit", help="formula-vs-oracle agreement per m")
-    p.add_argument("--m-max", type=int, required=True, choices=range(1, 25),
-                   metavar="M", help="audit m = 1..M (M <= 24)")
+    p.add_argument("--m-max", type=int, required=True,
+                   choices=range(1, ORACLE_DEGREE_LIMIT + 1), metavar="M",
+                   help=f"audit m = 1..M (M <= {ORACLE_DEGREE_LIMIT})")
     p.add_argument("--k-policy", choices=("default", "all"), default="default",
                    help="default: k=1 plus the largest k < m/2 coprime to m")
     p.set_defaults(func=cmd_audit)

@@ -37,7 +37,7 @@ from .errors import InvalidParams, NonIntegralOrbitCount, TooLarge
 from .gf2m import factorize
 from .poly_roots import BetaSet, frobenius_orbits
 
-_ORACLE_DEGREE_LIMIT = 24
+ORACLE_DEGREE_LIMIT = 24
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +144,8 @@ def lower_bound(m: int) -> int:
 
 def oracle_capital_n(phi: BetaSet) -> int:
     """N(m) from Phi(m): drop beta with beta^(2^m') = beta for a proper divisor m'."""
-    if phi.m > _ORACLE_DEGREE_LIMIT:
-        raise TooLarge(f"oracles capped at m={_ORACLE_DEGREE_LIMIT}")
+    if phi.m > ORACLE_DEGREE_LIMIT:
+        raise TooLarge(f"oracles capped at m={ORACLE_DEGREE_LIMIT}")
     arr = phi.elements
     in_proper_subfield = np.zeros(arr.shape, dtype=bool)
     for mp in divisors(phi.m)[:-1]:  # proper divisors; the last is m
@@ -155,8 +155,8 @@ def oracle_capital_n(phi: BetaSet) -> int:
 
 def oracle_b(phi: BetaSet) -> int:
     """b(m) by direct orbit decomposition of Phi(m)."""
-    if phi.m > _ORACLE_DEGREE_LIMIT:
-        raise TooLarge(f"oracles capped at m={_ORACLE_DEGREE_LIMIT}")
+    if phi.m > ORACLE_DEGREE_LIMIT:
+        raise TooLarge(f"oracles capped at m={ORACLE_DEGREE_LIMIT}")
     return len(frobenius_orbits(phi))
 
 

@@ -33,7 +33,8 @@ The rows need no truth table.  L_a(x) is symmetric and bilinear in
 (a, x), so one n x n form B[j, r] = L_(e_r)(e_j), read from f at the
 1 + n + n(n-1)/2 points of weight <= 2 (linmaps.low_weight_points),
 gives L_a(e_j) as the XOR of B[j, r] over the set bits r of a.  The a
-values go in aligned chunks of _RANK_CHUNK: the rows of a chunk are one
+values go in aligned chunks of _RANK_CHUNK = gf2m.BLOCK / 16, so the
+n <= 16 rows of a chunk hold at most BLOCK entries; they are one
 table over its low bits, built once by gf2m.xor_span, XOR one column
 from the chunk's high bits.  The first chunk holds a = 0 (L_0 = 0,
 d = n), which its counts leave out.  The elimination works in place on
@@ -55,11 +56,13 @@ from typing import Iterator
 import numpy as np
 
 from .errors import TooLarge
-from .gf2m import xor_span
+from .gf2m import BLOCK, xor_span
 from .linmaps import low_weight_points, pair_indices
 
 _SCAN_BITS_LIMIT = 16  # the generic scan is 2^(2n) work; capped at n = 16
-_RANK_CHUNK = 1 << 12  # a values per batched elimination (a power of 2); bounds peak memory
+# a values per batched elimination, a power of 2: the n x chunk row matrix
+# holds at most BLOCK entries
+_RANK_CHUNK = BLOCK // _SCAN_BITS_LIMIT
 
 
 @dataclass(frozen=True)

@@ -401,7 +401,7 @@ def _monomial_search(p: TaniguchiParams) -> tuple[np.ndarray, ...]:
     f_points = p.eval_packed_vec(points)
     a_u = np.arange(1, ctx.order, dtype=np.uint32)
     b_bar = ctx.pow2k_vec(a_u, 2 * p.k)
-    c_u = ctx.pow_vec(b_bar, (1 << p.k) + 1)
+    c_u = ctx.mul_vec(ctx.pow2k_vec(b_bar, p.k), b_bar)  # b_bar^(2^k + 1)
     # coeffs[h] multiplies half h of a point p = (x, y) with f(p) = (f1, f2):
     # L(p) = (a_u x^(2^u), b_bar y^(2^u)), N(f(p)) = (c_u f1^(2^u), n4 f2^(2^u));
     # frob[u, h] is half h of every point raised to 2^u, each half on its own

@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidParams, TooLarge
-from .gf2m import FieldCtx, default_ctx, resolve_ctx
+from .gf2m import BLOCK, FieldCtx, default_ctx, resolve_ctx
 from .linmaps import pack, unpack
 from .poly_roots import count_roots
 
@@ -86,10 +86,9 @@ class BivariateFunction:
         if n > _MATERIALIZE_LIMIT:
             raise TooLarge(f"truth table of 2^{n} entries exceeds the 2^{_MATERIALIZE_LIMIT} guard")
         out = np.empty(1 << n, dtype=np.uint32)
-        chunk = 1 << min(n, 22)
-        for lo in range(0, 1 << n, chunk):
-            v = np.arange(lo, lo + chunk, dtype=np.uint32)
-            out[lo:lo + chunk] = self.eval_packed_vec(v)
+        for lo in range(0, out.size, BLOCK):
+            v = np.arange(lo, min(lo + BLOCK, out.size), dtype=np.uint32)
+            out[lo:lo + v.size] = self.eval_packed_vec(v)
         return out
 
     def packed_table(self) -> np.ndarray:

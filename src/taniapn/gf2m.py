@@ -20,12 +20,15 @@ fixed element, which _powers uses to build the antilog g^0, g^1, ...
 by doubling, its only use.  General bulk products come in three tiers
 by degree.  For m <= 8, mul_vec is one gather from a uint8 product table
 of 2^(2m) entries (64 KB at m = 8) at index (a << m) | b, built by the
-same XOR doubling over the m rows X^i * b; pow_vec there is
-square-and-multiply over mul_vec, so a small context holds that one
-table and no log table.  For 9 <= m <= 24, mul_vec adds logs and pow_vec
-multiplies a log by the exponent (_pow), on a lazily built log/antilog
-pair (uint32 antilog; int32 log; int64 only for the exponent products).
-Beyond 24 both use the shift-and-XOR product, _mul_vec_raw.
+same XOR doubling over the m rows X^i * b, so a small context holds that
+one table and no log table.  For 9 <= m <= 24, mul_vec adds logs on a
+lazily built log/antilog pair (uint32 antilog; int32 log).  Beyond 24 it
+is the shift-and-XOR product, _mul_vec_raw.  pow_vec is
+square-and-multiply over mul_vec at every m.
+
+A pass over the field, or over any index space, that loops takes BLOCK
+elements at a time: 256 KB of uint32, so its temporaries stay in cache.
+Every module that blocks a pass imports it from here.
 
 The default modulus for each degree is the lexicographically smallest
 irreducible polynomial (smallest when the coefficient bit-vector is read
@@ -93,7 +96,8 @@ MODULUS_TABLE: dict[int, int] = {
 }
 
 MAX_DEGREE = 32
-# Product tiers of mul_vec and pow_vec: the full product table up to
+BLOCK = 1 << 16  # elements per pass (see above); a power of two
+# Product tiers of mul_vec: the full product table up to
 # _PRODUCT_TABLE_DEGREE_LIMIT (2^(2m) uint8 entries, 64 KB at 8), the
 # log/antilog pair up to _TABLE_DEGREE_LIMIT (~128 MB at 24), the
 # shift-and-XOR product above.  Frobenius powers and Phi(m) use neither table.
@@ -378,12 +382,11 @@ class FieldCtx:
     # -- bulk (numpy) operations ---------------------------------------------
     #
     # Arguments are arrays of valid elements, 0-d arrays or Python ints;
-    # results are uint32.  Frobenius powers are linear maps; mul_vec and
-    # every other power (_pow) go through the product tiers named at
-    # _TABLE_DEGREE_LIMIT.  Every table lookup is an ndarray.take, which
+    # results are uint32.  Frobenius powers are linear maps; mul_vec goes
+    # through the product tiers named at _TABLE_DEGREE_LIMIT, and pow_vec
+    # through mul_vec.  Every table lookup is an ndarray.take, which
     # gathers faster than fancy indexing does (numpy 2.4).  Logs are
-    # int32: a sum of two stays below 2^25, and only the exponent products
-    # in _pow, which can pass 2^32, are int64.
+    # int32: a sum of two stays below 2^25.
 
     def elements(self) -> np.ndarray:
         return np.arange(self.order, dtype=np.uint32)
@@ -404,25 +407,6 @@ class FieldCtx:
         top, low = np.uint32(self.m - 1), np.uint32(self.modulus & 0xFFFFFFFF)
         return (a << np.uint32(1)) ^ (low * (a >> top))
 
-    def _pow(self, a, e: int) -> np.ndarray:
-        """a^e for e >= 0, with 0^0 = 1."""
-        if e == 0:
-            return np.ones(np.shape(a), dtype=np.uint32)
-        if _PRODUCT_TABLE_DEGREE_LIMIT < self.m <= _TABLE_DEGREE_LIMIT:
-            exp, log = self._logexp
-            n1 = self.order - 1
-            la = log.take(a)
-            return np.where(la < 0, np.uint32(0), exp.take(la * np.int64(e % n1) % n1))
-        # square-and-multiply over the product table or the shift-and-XOR product
-        base, r = np.array(a, dtype=np.uint32), None
-        while True:
-            if e & 1:
-                r = base if r is None else self.mul_vec(r, base)
-            e >>= 1
-            if not e:
-                return r
-            base = self.mul_vec(base, base)
-
     def mul_vec(self, a, b) -> np.ndarray:
         if self.m <= _PRODUCT_TABLE_DEGREE_LIMIT:
             a, b = np.asarray(a, dtype=np.uint32), np.asarray(b, dtype=np.uint32)
@@ -440,9 +424,19 @@ class FieldCtx:
         return self._frobenius(a, k % self.m)
 
     def pow_vec(self, a, e: int) -> np.ndarray:
+        """a^e for e >= 0, with 0^0 = 1, by square-and-multiply over mul_vec."""
         if e < 0:
             raise InvalidParams("pow exponent must be non-negative")
-        return self._pow(a, e)
+        if e == 0:
+            return np.ones(np.shape(a), dtype=np.uint32)
+        base, r = np.array(a, dtype=np.uint32), None
+        while True:
+            if e & 1:
+                r = base if r is None else self.mul_vec(r, base)
+            e >>= 1
+            if not e:
+                return r
+            base = self.mul_vec(base, base)
 
 
 @lru_cache(maxsize=None)

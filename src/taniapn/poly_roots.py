@@ -11,17 +11,18 @@ holds the field it was enumerated in, so its readers take it alone.  F
 is quadratic, F(u + v) = F(u) + F(v) + u*v^(2^k) + u^(2^k)*v, with a
 cross term that is GF(2)-linear in v (Nyberg, EUROCRYPT 1993).  So the
 pass builds F in natural order with XORs alone: the low batch
-x < 2^t = _SCAN_CHUNK doubles one bit at a time, and each later batch
+x < 2^t = gf2m.BLOCK doubles one bit at a time, and each later batch
 x = u + v (u = hi*2^t, v < 2^t) is the low batch plus F(u) plus the span
-of the cross term's t basis images.  Those images and F(u) are XORs of
-one m x m table of X^s * (X^r)^(2^k); no scalar product, generator, log
-table or bulk product is involved.
+of the cross term's t basis images; each batch is marked rooted as soon
+as it is built.  Those images and F(u) are XORs of one m x m table of
+X^s * (X^r)^(2^k); no scalar product, generator, log table or bulk
+product is involved.
 
 Phi(m) is closed under the squaring map and decomposes into Frobenius
 orbits {b, b^2, b^4, ...} whose lengths divide m; orbit representatives
 are the numerically smallest members.  frobenius_orbits finds them with
-a shrinking minimum filter, one block of _BLOCK elements at a time so
-that its temporaries stay in cache: one squaring of the block, checked
+a shrinking minimum filter, one BLOCK of elements at a time so that
+its temporaries stay in cache: one squaring of the block, checked
 against a packed membership bitmap of the set, then further squarings
 of only the elements still below every conjugate seen so far, about H_m
 times the size of the set in all.  It keeps representatives and lengths
@@ -51,14 +52,9 @@ from .errors import (
     TooLarge,
     ZeroAlpha,
 )
-from .gf2m import FieldCtx, xor_span
+from .gf2m import BLOCK, FieldCtx, xor_span
 
 _SCAN_DEGREE_LIMIT = 28  # 2^m-element scans stay feasible up to here
-_SCAN_CHUNK = 1 << 22  # x values per batch of a root scan, a power of two; one batch up to m = 22
-# elements per block of the per-element passes over Phi and its mask (the
-# orbit filter, the rootless scatter and indexing, the bitmap build): 256 KB
-# of uint32, so their temporaries stay in cache
-_BLOCK = 1 << 16
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
@@ -92,8 +88,8 @@ class BetaSet:
             raise TooLarge(f"orbit pass capped at m={_SCAN_DEGREE_LIMIT}: "
                            "its bitmap spans the field")
         member = np.zeros(self.ctx.order, dtype=bool)
-        for lo in range(0, self.elements.size, _BLOCK):
-            member[self.elements[lo:lo + _BLOCK]] = True
+        for lo in range(0, self.elements.size, BLOCK):
+            member[self.elements[lo:lo + BLOCK]] = True
         return np.packbits(member, bitorder="little")
 
     def to_json(self) -> dict:
@@ -156,12 +152,6 @@ def _check_k(k: int, ctx: FieldCtx) -> int:
     return k
 
 
-def _scan_chunks(ctx: FieldCtx):
-    """Every element of the field, in uint32 batches of _SCAN_CHUNK."""
-    for lo in range(0, ctx.order, _SCAN_CHUNK):
-        yield np.arange(lo, min(lo + _SCAN_CHUNK, ctx.order), dtype=np.uint32)
-
-
 def count_roots(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:
     """Exact number of x with x^(2^k+1) + alpha*x + beta = 0, by full scan."""
     k = _check_k(k, ctx)
@@ -169,8 +159,11 @@ def count_roots(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:
         raise InvalidParams("alpha/beta out of field range")
     if ctx.m > _SCAN_DEGREE_LIMIT:
         raise TooLarge(f"exhaustive root scan capped at m={_SCAN_DEGREE_LIMIT}")
-    return sum(int((ctx.mul_vec(ctx.pow2k_vec(x, k), x) ^ ctx.mul_vec(x, alpha) == beta).sum())
-               for x in _scan_chunks(ctx))
+    roots = 0
+    for lo in range(0, ctx.order, BLOCK):
+        x = np.arange(lo, min(lo + BLOCK, ctx.order), dtype=np.uint32)
+        roots += int((ctx.mul_vec(ctx.pow2k_vec(x, k), x) ^ ctx.mul_vec(x, alpha) == beta).sum())
+    return roots
 
 
 def phi_set(k: int, ctx: FieldCtx) -> BetaSet:
@@ -180,8 +173,8 @@ def phi_set(k: int, ctx: FieldCtx) -> BetaSet:
     term is GF(2)-linear in v.  So for v < 2^n, F(u + v) is F(u) plus the
     span of the cross term's n basis images plus the table of F below 2^n.
     With u = 2^s and n = s that doubles the low table, F below
-    2^t = _SCAN_CHUNK, one bit at a time; with u = hi*2^t and n = t it
-    gives each later batch.  Both the images and F(u) are XORs of entries
+    2^t = BLOCK, one bit at a time; with u = hi*2^t and n = t it gives
+    each later batch.  Both the images and F(u) are XORs of entries
     of the m x m matrix M[s, r] = X^s * (X^r)^q: for u the sum of X^j over
     j in J, the cross term's image at X^r is the XOR of C[j, r] = M[j, r]
     ^ M[r, j] over J, and u^(q+1) is the XOR of M over J x J.  M takes one
@@ -191,7 +184,7 @@ def phi_set(k: int, ctx: FieldCtx) -> BetaSet:
     k = _check_k(k, ctx)
     if ctx.m > _SCAN_DEGREE_LIMIT:
         raise TooLarge(f"phi_set scan capped at m={_SCAN_DEGREE_LIMIT}")
-    t = min(ctx.m, _SCAN_CHUNK.bit_length() - 1)
+    t = min(ctx.m, BLOCK.bit_length() - 1)
     prod = np.empty((ctx.m, ctx.m), dtype=np.uint32)  # M[s, r] = X^s * (X^r)^q
     prod[0] = ctx.pow2k_vec(np.left_shift(np.uint32(1), np.arange(ctx.m, dtype=np.uint32)), k)
     for s in range(1, ctx.m):
@@ -209,23 +202,17 @@ def phi_set(k: int, ctx: FieldCtx) -> BetaSet:
     for s in range(t):
         fill(1 << s, s, low[1 << s:2 << s])
     rootless = np.ones(ctx.order, dtype=bool)
-
-    def mark(batch: np.ndarray) -> None:
-        # scattered a block at a time: the index cast to intp stays small
-        for lo in range(0, batch.size, _BLOCK):
-            rootless[batch[lo:lo + _BLOCK]] = False
-
-    mark(low)
+    rootless[low] = False
     batch = np.empty_like(low)
     for u in range(1 << t, ctx.order, 1 << t):
         fill(u, t, batch)
-        mark(batch)
+        rootless[batch] = False
     # indexed block by block into a uint32 array of the final size, so no
     # int64 index array of |Phi| entries is ever built
     elements = np.empty(np.count_nonzero(rootless), dtype=np.uint32)
     n = 0
-    for lo in range(0, ctx.order, _BLOCK):
-        idx = np.flatnonzero(rootless[lo:lo + _BLOCK])
+    for lo in range(0, ctx.order, BLOCK):
+        idx = np.flatnonzero(rootless[lo:lo + BLOCK])
         elements[n:n + idx.size] = idx + lo
         n += idx.size
     phi = BetaSet(ctx=ctx, k=k, elements=elements)
@@ -249,8 +236,8 @@ def _orbit_representatives(phi: BetaSet) -> tuple[np.ndarray, np.ndarray]:
     """The smallest member of each Frobenius orbit of phi, in ascending
     order, and the length of that orbit, both uint32.
 
-    A shrinking minimum filter, run on one block of _BLOCK elements of phi
-    at a time, since it decides each element on its own.  Step 1 squares
+    A shrinking minimum filter, run on one BLOCK of elements of phi at a
+    time, since it decides each element on its own.  Step 1 squares
     every element and checks each square against the membership bitmap, so
     a set that is not closed raises NotFrobeniusClosed naming the first
     escaping square.  Step i keeps only the x below each of x^2, ...,
@@ -263,8 +250,8 @@ def _orbit_representatives(phi: BetaSet) -> tuple[np.ndarray, np.ndarray]:
     """
     ctx, bitmap = phi.ctx, phi.bitmap
     reps, lengths = [], []
-    for lo in range(0, max(len(phi), 1), _BLOCK):  # an empty phi is one empty block
-        x = phi.elements[lo:lo + _BLOCK]
+    for lo in range(0, max(len(phi), 1), BLOCK):  # an empty phi is one empty block
+        x = phi.elements[lo:lo + BLOCK]
         cur = ctx.square_vec(x)
         escaped = (bitmap.take(cur >> np.uint32(3)) >> (cur & np.uint32(7))) & 1 == 0
         if escaped.any():

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import tracemalloc
+
 import pytest
 
 from taniapn.gf2m import FieldCtx
@@ -23,3 +25,19 @@ def forbid_generator_walk(monkeypatch):
             monkeypatch.setattr(FieldCtx, name, property(fail))
 
     return arm
+
+
+@pytest.fixture
+def peak_mb():
+    """A function that runs fn() under tracemalloc and returns its result
+    and the peak of the memory it traced, in MB (numpy arrays included)."""
+
+    def run(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    return run

@@ -102,6 +102,37 @@ def test_usage_errors_exact_stderr(capsys, argv, err):
 
 
 @pytest.mark.parametrize("argv, err", [
+    ("check-apn gold --n 5 --i 1 --alpha 7 --beta 3 --m 9",
+     "error: gold does not take --m --alpha --beta\n"),
+    ("check-apn taniguchi --m 4 --k 1 --alpha 1 --beta 9 --s 3 --n 7 --i 2",
+     "error: taniguchi does not take --s --n --i\n"),
+    ("check-apn pott-zhou --m 4 --k 1 --s 2 --alpha 2 --beta 1",
+     "error: pott-zhou does not take --beta\n"),
+    ("spectrum gold --n 5 --i 1 --k 1", "error: gold does not take --k\n"),
+    ("check-apn gold --n 5", "error: gold needs --n --i\n"),
+    # refused before the file is read: the path does not exist
+    ("spectrum --table missing.apnt taniguchi --m 3",
+     "error: spectrum takes a family or --table PATH, not both\n"),
+    ("spectrum --table missing.apnt --m 3", "error: --table does not take --m\n"),
+])
+def test_flags_a_family_does_not_take_exit_2(capsys, argv, err):
+    assert run(capsys, *argv.split()) == (EXIT_USAGE, "", err)
+
+
+def test_audit_cap_bytes(capsys, monkeypatch):
+    # the cap is counting.ORACLE_DEGREE_LIMIT; help and usage error read it
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit):
+        main(["audit", "--help"])
+    assert "  --m-max M             audit m = 1..M (M <= 24)\n" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["audit", "--m-max", "25"])
+    assert capsys.readouterr().err.endswith(
+        "taniapn audit: error: argument --m-max: invalid choice: 25 (choose from "
+        + ", ".join(map(str, range(1, 25))) + ")\n")
+
+
+@pytest.mark.parametrize("argv, err", [
     ("check-apn taniguchi --m 3 --k 1 --alpha 0x --beta 1",
      "taniapn check-apn: error: argument --alpha: expected a hex field element, got '0x'\n"),
     ("aut --m 3 --k 1 --alpha 1 --beta g",

@@ -146,8 +146,8 @@ def test_json_rows_match_json_dumps_at_every_depth(values, scalar):
 def test_rows_match_f_strings(values):
     vs = values.tolist()
     row = [b"<0x", cli._Col(values), b"|", cli._Col(values, base=10), b">"]
-    for batch in (cli._RENDER_BATCH, 3):
-        with mock.patch.object(cli, "_RENDER_BATCH", batch):
+    for batch in (cli.BLOCK, 3):
+        with mock.patch.object(cli, "BLOCK", batch):
             assert stdout_of(cli._write_rows, row) == "".join(f"<0x{v:X}|{v}>" for v in vs)
             assert stdout_of(cli._write_rows, row, b", ") == \
                 ", ".join(f"<0x{v:X}|{v}>" for v in vs)
@@ -170,8 +170,8 @@ def test_unsorted_rows_match_f_strings(values):
     row = [b"<0x", cli._Col(values), b"|", cli._Col(values, base=10), b"|0x",
            cli._Col(np.sort(values)), b">"]
     want = [f"<0x{v:X}|{v}|0x{s:X}>" for v, s in zip(vs, ss)]
-    for batch in (cli._RENDER_BATCH, 3):
-        with mock.patch.object(cli, "_RENDER_BATCH", batch):
+    for batch in (cli.BLOCK, 3):
+        with mock.patch.object(cli, "BLOCK", batch):
             assert stdout_of(cli._write_rows, row) == "".join(want)
             assert stdout_of(cli._write_rows, row, b"\n") == "\n".join(want)
 
@@ -233,7 +233,7 @@ def test_short_writes_are_retried():
 @pytest.mark.parametrize("m", range(2, 13))
 def test_batched_output_matches_oracles(m, monkeypatch):
     # batches of 16 rows, so every list above 16 items crosses a boundary
-    monkeypatch.setattr(cli, "_RENDER_BATCH", 1 << 4)
+    monkeypatch.setattr(cli, "BLOCK", 1 << 4)
     check_against_oracles(m, [k for k in range(1, m) if gcd(k, m) == 1])
 
 

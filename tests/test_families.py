@@ -137,6 +137,17 @@ def test_materialize_guard():
         f.packed_table()
 
 
+def test_packed_table_peak_stays_within_its_blocks(peak_mb):
+    # the 4 MB table of 2^20 entries, filled BLOCK points at a time; 53 MB
+    # with 2^20-point batches.  Spot checks cover all 16 blocks.
+    f = TaniguchiParams(m=10, k=1, alpha=1, beta=1)
+    tab, peak = peak_mb(f.packed_table)
+    assert peak < 12
+    for v in np.random.default_rng(10).integers(0, 1 << 20, size=200).tolist() + [0, (1 << 20) - 1]:
+        x, y = f.evaluate(v >> 10, v & 0x3FF)
+        assert int(tab[v]) == x << 10 | y
+
+
 def _derivative_is_additive(tab, a, n):
     # D_a f(v) = f(v+a)+f(v)+f(a)+f(0); additive iff it equals its own
     # linear extension from the basis images

@@ -119,7 +119,7 @@ def test_chunked_root_scans_match_one_pass(m, monkeypatch):
     betas = range(0, ctx.order, max(1, ctx.order // 16))
     whole = [(phi_set(k, ctx), [count_roots(k, 1, b, ctx) for b in betas])
              for k in coprime_residues(m)]
-    monkeypatch.setattr(poly_roots, "_SCAN_CHUNK", 1 << 4)
+    monkeypatch.setattr(poly_roots, "BLOCK", 1 << 4)
     chunked = [(phi_set(k, ctx), [count_roots(k, 1, b, ctx) for b in betas])
                for k in coprime_residues(m)]
     assert chunked == whole
@@ -131,8 +131,24 @@ def test_phi_batches_match_one_batch(m, monkeypatch):
     # term u*v^q + u^q*v of the batched path
     ctx = default_ctx(m)
     whole = [phi_set(k, ctx) for k in coprime_residues(m)]
-    monkeypatch.setattr(poly_roots, "_SCAN_CHUNK", 1 << 4)
+    monkeypatch.setattr(poly_roots, "BLOCK", 1 << 4)
     assert [phi_set(k, ctx) for k in coprime_residues(m)] == whole
+
+
+def test_root_scan_peak_stays_within_its_blocks(peak_mb):
+    # tables warm: the scan holds a few BLOCK-sized temporaries, not a
+    # batch the size of the field (33 MB at m = 20 with 2^22-element batches)
+    ctx = FieldCtx(20)
+    want = count_roots(1, 3, 5, ctx)
+    got, peak = peak_mb(lambda: count_roots(1, 3, 5, ctx))
+    assert got == want and peak < 4
+
+
+def test_phi_set_peak_stays_within_its_mask_and_set(peak_mb):
+    # the rootless mask (1 MB at m = 20), the set, its bitmap and BLOCK-sized
+    # batches; 10.7 MB with 2^22-element batches
+    phi, peak = peak_mb(lambda: phi_set(1, FieldCtx(20)))
+    assert len(phi) == capital_m(20) and peak < 6
 
 
 def test_phi_set_needs_no_generator_or_log_table(forbid_generator_walk):
@@ -164,7 +180,7 @@ def test_phi_set_takes_only_the_squaring_tables_scalar_products(m, monkeypatch):
     orig = ctx.mul
     monkeypatch.setattr(ctx, "mul", lambda a, b: calls.append(1) or orig(a, b))
     monkeypatch.setattr(ctx, "pow2k", lambda *_: pytest.fail("scalar pow2k called"))
-    monkeypatch.setattr(poly_roots, "_SCAN_CHUNK", 1 << 4)
+    monkeypatch.setattr(poly_roots, "BLOCK", 1 << 4)
     assert [phi_set(k, ctx) for k in coprime_residues(m)] == want
     assert len(calls) == m
 
@@ -256,7 +272,7 @@ def test_orbit_pass_is_capped_with_the_scans():
 
 def test_orbit_minima_escape_in_a_later_batch(monkeypatch):
     # in GF(8) the orbit of 7 is {7, 3, 5}; with blocks of 2, 7 is in the third
-    monkeypatch.setattr(poly_roots, "_BLOCK", 2)
+    monkeypatch.setattr(poly_roots, "BLOCK", 2)
     assert orbit_minima(np.array([1, 2, 3, 4, 5, 6, 7], dtype=np.uint32), GF8).tolist() \
         == [1, 2, 3, 2, 3, 2, 3]
     with pytest.raises(NotFrobeniusClosed, match="0x3"):
@@ -267,8 +283,8 @@ def test_phi_set_hands_over_its_bitmap(monkeypatch):
     # phi_set packs its rootless mask into the bitmap, which is the one the
     # property builds from the elements; with blocks of 16 the rootless
     # scatter runs in slices and marks the same betas
-    for block in (poly_roots._BLOCK, 16):
-        monkeypatch.setattr(poly_roots, "_BLOCK", block)
+    for block in (poly_roots.BLOCK, 16):
+        monkeypatch.setattr(poly_roots, "BLOCK", block)
         for m in range(1, 13):
             ctx = default_ctx(m)
             for k in coprime_residues(m):
@@ -283,7 +299,7 @@ def test_phi_set_hands_over_its_bitmap(monkeypatch):
 def test_orbit_filter_across_block_edges(m, monkeypatch):
     # blocks of 16 elements: orbits spread over several blocks, a
     # representative found in each block, and a last, partial block
-    monkeypatch.setattr(poly_roots, "_BLOCK", 16)
+    monkeypatch.setattr(poly_roots, "BLOCK", 16)
     ctx = default_ctx(m)
     for arr in [phi_set(k, ctx).elements for k in coprime_residues(m)] + [ctx.elements()]:
         dec = frobenius_orbits(BetaSet(ctx, 1, arr))
@@ -419,7 +435,7 @@ def test_orbit_minima_squares_a_pinned_count(monkeypatch):
 
 def test_orbit_minima_squares_the_same_count_in_small_blocks(monkeypatch):
     # the filter decides each element on its own, so blocks change nothing
-    monkeypatch.setattr(poly_roots, "_BLOCK", 16)
+    monkeypatch.setattr(poly_roots, "BLOCK", 16)
     assert _count_orbit_minima_squarings(monkeypatch) == 5707
 
 

@@ -108,8 +108,15 @@ MUTANTS = [
     Mutant("squares-closure-check", ROOTS, "if escaped.any():", "if False:",
            ("tests/test_poly_roots.py",)),
     Mutant("orbit-last-block-skipped", ROOTS,
-           "for lo in range(0, max(len(phi), 1), _BLOCK):",
-           "for lo in range(0, max(len(phi) - _BLOCK, 1), _BLOCK):", ("tests/test_poly_roots.py",)),
+           "for lo in range(0, max(len(phi), 1), BLOCK):",
+           "for lo in range(0, max(len(phi) - BLOCK, 1), BLOCK):", ("tests/test_poly_roots.py",)),
+    Mutant("root-scan-last-block-skipped", ROOTS,
+           "for lo in range(0, ctx.order, BLOCK):\n        x = np.arange(",
+           "for lo in range(0, max(ctx.order - BLOCK, 1), BLOCK):\n        x = np.arange(",
+           ("tests/test_poly_roots.py",)),
+    Mutant("phi-last-batch-skipped", ROOTS,
+           "for u in range(1 << t, ctx.order, 1 << t):",
+           "for u in range(1 << t, ctx.order - (1 << t), 1 << t):", ("tests/test_poly_roots.py",)),
     Mutant("transform-beta-exponent", ROOTS,
            "e = (1 << ((ctx.m - k) % ctx.m)) + 1", "e = (1 << (k % ctx.m)) + 1",
            ("tests/test_poly_roots.py",) + T_EQUIV),
@@ -145,10 +152,10 @@ MUTANTS = [
     Mutant("pairmap-monomial-frobenius", LINMAPS,
            "ctx.pow2k_vec(basis, mono[1])", "ctx.pow2k_vec(basis, mono[1] + 1)",
            ("tests/test_linmaps.py",)),
-    Mutant("aut-frobenius-on-packed-points", EQUIV,
+    Mutant("aut-frobenius-image-power-off", EQUIV,
            "frob = np.stack([ctx.pow2k_vec(halves, u) for u in range(m)])",
-           "frob = np.stack([np.stack([*unpack(ctx.pow2k_vec(points, u), m),\n"
-           "                           *unpack(ctx.pow2k_vec(f_points, u), m)]) for u in range(m)])",
+           "frob = np.stack([np.concatenate([ctx.pow2k_vec(halves[:2], u),\n"
+           "                                 ctx.pow2k_vec(halves[2:], u + 1)]) for u in range(m)])",
            T_EQUIV),
     Mutant("aut-sieve-drops-a-candidate", EQUIV,
            "cand = cand[keep]", "cand = cand[keep][1:]", T_EQUIV),
