@@ -11,6 +11,7 @@ every closed form).
 from .counting import (
     CountReport,
     b_orbits,
+    burnside_b,
     capital_m,
     capital_n,
     count_report,
@@ -19,6 +20,8 @@ from .counting import (
     n_taniguchi,
     oracle_b,
     oracle_capital_n,
+    subfield_counts,
+    subfield_n,
 )
 from .diffanalysis import DifferentialSpectrum, differential_spectrum, is_apn
 from .equivalence import (
@@ -71,6 +74,7 @@ from .poly_roots import (
     count_roots,
     frobenius_orbits,
     phi_set,
+    rootless,
     transform_beta,
 )
 

@@ -17,8 +17,10 @@ available") with exit 0.
 
 Field elements are read and printed as hex bit-patterns relative to the
 modulus in use; with a --modulus override, cross-run comparisons require
-matching moduli (a warning is printed).  All output is deterministic for
-fixed flags.
+matching moduli (a warning is printed).  An override of a degree the
+command builds no field of is unused: after the command, one stderr
+warning names it, and stdout and the exit code stay as they are.  All
+output is deterministic for fixed flags.
 
 enumerate-beta and classes print their per-element rows (the elements of
 Phi, the orbits, the alpha = 1 class rows) in every format with numpy:
@@ -50,7 +52,7 @@ from . import counting, diffanalysis, equivalence, poly_roots
 from .counting import CSV_HEADER, ORACLE_DEGREE_LIMIT, count_report
 from .errors import InvalidParams, TaniapnError, TooLarge
 from .families import PottZhouParams, TaniguchiParams, gold, load_function, save_function
-from .gf2m import BLOCK, FieldCtx, coprime_residues, default_ctx
+from .gf2m import BLOCK, MAX_DEGREE, FieldCtx, coprime_residues, default_ctx
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
@@ -65,21 +67,28 @@ _TABLE_M_LIMIT = 14285
 class RunConfig:
     fmt: str = "pretty"
     modulus_overrides: dict[int, FieldCtx] = field(default_factory=dict)
-    _warned: set = field(default_factory=set)
+    _served: set = field(default_factory=set)  # the override degrees ctx has handed out
 
     def ctx(self, m: int) -> FieldCtx:
         if m not in self.modulus_overrides:
             return default_ctx(m)
         ctx = self.modulus_overrides[m]
-        if m not in self._warned:
+        if m not in self._served:
             print(
                 f"warning: non-default modulus 0x{ctx.modulus:X} "
                 f"for m={m}; element values are comparable only across runs "
                 f"with the same modulus",
                 file=sys.stderr,
             )
-            self._warned.add(m)
+            self._served.add(m)
         return ctx
+
+    def warn_unused(self) -> None:
+        """One stderr warning per override degree that ctx never served."""
+        for m, ctx in self.modulus_overrides.items():
+            if m not in self._served:
+                print(f"warning: --modulus {m}=0x{ctx.modulus:X} was not used; "
+                      f"the command built no field of degree {m}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +370,21 @@ def _audit_ks(m: int, policy: str) -> list[int]:
 
 
 def cmd_audit(args, cfg: RunConfig) -> int:
+    """Per m, the formulas M, N and b against the subfield counts of every
+    audited k: N and b by Moebius inversion and Burnside, with s_m = |Phi|
+    enumerated up to ORACLE_DEGREE_LIMIT and the formula M(m) above it."""
     failures = []
     lines = []
     for m in range(1, args.m_max + 1):
         ctx = cfg.ctx(m)
         want = {"M": counting.capital_m(m), "N": counting.capital_n(m),
                 "b": counting.b_orbits(m)}
+        enumerated = m <= ORACLE_DEGREE_LIMIT
         ks = _audit_ks(m, args.k_policy)
         bad = []
-        for k in ks:
-            phi = poly_roots.phi_set(k, ctx)
-            got = {"M": len(phi), "N": counting.oracle_capital_n(phi),
-                   "b": counting.oracle_b(phi)}
+        for k, s in counting.subfield_counts(ks, ctx).items():
+            s[m] = len(poly_roots.phi_set(k, ctx)) if enumerated else want["M"]
+            got = {"M": s[m], "N": counting.subfield_n(m, s), "b": counting.burnside_b(m, s)}
             bad += [f"k={k} {q}: formula={want[q]} oracle={got[q]}"
                     for q in want if got[q] != want[q]]
         k_str = ",".join(str(k) for k in ks)
@@ -380,8 +392,9 @@ def cmd_audit(args, cfg: RunConfig) -> int:
             lines.append(f"m={m} k=[{k_str}] FAIL " + "; ".join(bad))
             failures.append(m)
         else:
-            lines.append(
-                f"m={m} k=[{k_str}] M={want['M']} N={want['N']} b={want['b']} PASS")
+            note = "" if enumerated else " (formula, not enumerated)"
+            lines.append(f"m={m} k=[{k_str}] M={want['M']}{note} N={want['N']} "
+                         f"b={want['b']} PASS")
     if cfg.fmt == "json":
         _emit_json({"lines": lines, "failures": failures})
     else:
@@ -634,8 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="formula-vs-oracle agreement per m")
     p.add_argument("--m-max", type=int, required=True,
-                   choices=range(1, ORACLE_DEGREE_LIMIT + 1), metavar="M",
-                   help=f"audit m = 1..M (M <= {ORACLE_DEGREE_LIMIT})")
+                   choices=range(1, MAX_DEGREE + 1), metavar="M",
+                   help=f"audit m = 1..M (M <= {MAX_DEGREE})")
     p.add_argument("--k-policy", choices=("default", "all"), default="default",
                    help="default: k=1 plus the largest k < m/2 coprime to m")
     p.set_defaults(func=cmd_audit)
@@ -699,6 +712,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = RunConfig(fmt=args.format,
                         modulus_overrides=_parse_modulus_override(args.modulus))
         code = args.func(args, cfg)
+        cfg.warn_unused()
         sys.stdout.flush()  # a closed pipe shows at the last flush as well
         return code
     except BrokenPipeError:

@@ -20,22 +20,43 @@ All quantities are exact integers (Python ints; values reach 2^100 scale):
 m = 2 is special-cased: there is a single function up to equivalence, so
 both n(2) and the bound are reported as 1.
 
-The oracle_* functions take the enumerated Phi(m) they check (a
+The audit checks N and b against the subfield counts
+s_d = |Phi(m) ∩ GF(2^d)| for the divisors d of m.  Phi(m) is closed
+under squaring, and the elements the i-th Frobenius power fixes form
+GF(2^gcd(i, m)), so
+
+    Burnside:           b(m) = (1/m) sum over d | m of phi(m/d) s_d
+    Moebius inversion:  N(m) = sum over d | m of mu(m/d) s_d
+
+with s_m = |Phi(m)|.  Each s_d with d < m counts at most 2^(m/2)
+elements, the members of GF(2^d) that poly_roots.rootless accepts, so
+neither identity needs a pass over Phi(m).  subfield_counts builds the
+proper subfields once (proper_subfields) and runs one rootless batch
+per k over all of them.  burnside_b returns a Fraction, so a sum m does
+not divide stays visible.
+
+The oracle_* functions are the tests' slow oracles of those counts and
+no command calls them.  They take the enumerated Phi(m) they check (a
 poly_roots.BetaSet, which carries its field) and recompute N and b from
-the literal definitions (remove subfield elements, walk orbits); they
-exist solely to validate the formulas and share no code path with them.
+the literal definitions (remove subfield elements, walk orbits), sharing
+no code path with the formulas or the subfield counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidParams, NonIntegralOrbitCount, TooLarge
-from .gf2m import factorize
-from .poly_roots import BetaSet, frobenius_orbits
+from .gf2m import FieldCtx, factorize, xor_span
+from .linmaps import gf2_kernel
+from .poly_roots import BetaSet, frobenius_orbits, rootless
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 ORACLE_DEGREE_LIMIT = 24
 
@@ -49,6 +70,11 @@ def euler_phi(n: int) -> int:
     for p, _ in factorize(n):
         r = r // p * (p - 1)
     return r
+
+
+def moebius(n: int) -> int:
+    fac = factorize(n)
+    return 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
 
 
 def divisors(n: int) -> list[int]:
@@ -136,6 +162,57 @@ def lower_bound(m: int) -> int:
     if m == 2:
         return 1
     return euler_phi(m) // 2 * _ceil_div((1 << m) + 1, 3 * m)
+
+
+# ---------------------------------------------------------------------------
+# Subfield counts
+# ---------------------------------------------------------------------------
+
+def proper_subfields(ctx: FieldCtx) -> tuple[tuple[int, ...], np.ndarray]:
+    """(ds, elements): the proper divisors d of m, ascending, and the
+    elements of each GF(2^d) in that order, concatenated (2^d each, uint32).
+    GF(2^d) is the kernel of y -> y^(2^d) + y, spanned by xor_span from a
+    basis of that kernel; the images of the basis are squared up from one
+    d to the next, with the field's squaring tables alone."""
+    ds = tuple(divisors(ctx.m)[:-1])
+    basis = np.left_shift(np.uint32(1), np.arange(ctx.m, dtype=np.uint32))
+    frob, power = basis, 0  # frob[i] = (X^i)^(2^power)
+    parts = [np.zeros(0, dtype=np.uint32)]  # m = 1 has no proper subfield
+    for d in ds:
+        while power < d:
+            frob, power = ctx.square_vec(frob), power + 1
+        kernel = gf2_kernel((frob ^ basis).tolist())
+        parts.append(xor_span(kernel, np.zeros(1 << d, dtype=np.uint32)))
+    return ds, np.concatenate(parts)
+
+
+def subfield_counts(ks: list[int], ctx: FieldCtx) -> dict[int, dict[int, int]]:
+    """Per k of ks, s_d = |Phi(m) ∩ GF(2^d)| for each proper divisor d of m.
+    The subfields are built once; each k is one rootless batch over all of
+    them together."""
+    ds, elements = proper_subfields(ctx)
+    out = {}
+    for k in ks:
+        member = rootless(k, elements, ctx)
+        counts, lo = {}, 0
+        for d in ds:
+            counts[d] = int(np.count_nonzero(member[lo:lo + (1 << d)]))
+            lo += 1 << d
+        out[k] = counts
+    return out
+
+
+def subfield_n(m: int, counts: dict[int, int]) -> int:
+    """N(m) = sum over d | m of mu(m/d) s_d, with counts[d] = s_d (s_m included)."""
+    return sum(moebius(m // d) * counts[d] for d in divisors(m))
+
+
+def burnside_b(m: int, counts: dict[int, int]) -> Fraction:
+    """b(m) = (1/m) sum over d | m of phi(m/d) s_d, with counts[d] = s_d (s_m
+    included); never floored, so a sum m does not divide shows as a fraction."""
+    from fractions import Fraction  # here, as fractions imports decimal, which nothing else needs
+
+    return Fraction(sum(euler_phi(m // d) * counts[d] for d in divisors(m)), m)
 
 
 # ---------------------------------------------------------------------------

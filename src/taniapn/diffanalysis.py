@@ -25,9 +25,9 @@ d_a = dim ker L_a (always >= 1, since a is in the kernel), the derivative
 takes 2^(n - d_a) values b with 2^d_a solutions each, and every other b
 has none.  So f is APN iff d_a = 1 for all a != 0, and the whole histogram
 follows from the d_a (Nyberg, EUROCRYPT 1993).  The d_a come from one
-bit-packed Gaussian elimination batched over a chunk of a values, on the
-n x n matrices with rows L_a(e_j); that is O(2^n n^2) work instead of
-O(2^(2n)).
+bit-packed Gaussian elimination (linmaps.kernel_dims) batched over a
+chunk of a values, on the n x n matrices with rows L_a(e_j); that is
+O(2^n n^2) work instead of O(2^(2n)).
 
 The rows need no truth table.  L_a(x) is symmetric and bilinear in
 (a, x), so one n x n form B[j, r] = L_(e_r)(e_j), read from f at the
@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import TooLarge
 from .gf2m import BLOCK, xor_span
-from .linmaps import low_weight_points, pair_indices
+from .linmaps import kernel_dims, low_weight_points, pair_indices
 
 _SCAN_BITS_LIMIT = 16  # the generic scan is 2^(2n) work; capped at n = 16
 # a values per batched elimination, a power of 2: the n x chunk row matrix
@@ -93,25 +93,6 @@ def _bilinear_form(f, n: int) -> np.ndarray:
     return form
 
 
-def _kernel_dims(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """d_a = dim ker L_a for each column a of rows[j, a] = L_a(e_j), as uint8;
-    eliminates rows in place, with scratch of the same shape."""
-    n = rows.shape[0]
-    rank = np.zeros(rows.shape[1], dtype=np.uint8)
-    # Eliminate from the top bit down.  Before step `bit` every row is below
-    # 2^(bit+1), so the largest row is a pivot iff it reaches 2^bit, and
-    # min(r, r ^ pivot) clears the bit in exactly the rows that hold it
-    # (the pivot row itself drops to 0).
-    for bit in reversed(range(n)):
-        pivot = rows.max(axis=0)
-        has = pivot >= 1 << bit
-        pivot *= has
-        np.bitwise_xor(rows, pivot, out=scratch)
-        np.minimum(rows, scratch, out=rows)
-        rank += has
-    return n - rank
-
-
 def _generic_histograms(tab: np.ndarray, n: int) -> Iterator[dict[int, int]]:
     """Per nonzero a, {count: number of b} by bucketing f(x+a)+f(x) over all x."""
     size = 1 << n
@@ -141,7 +122,7 @@ def _histograms(f) -> Iterator[dict[int, int]]:
         # L_(lo + a) = L_lo + L_a: the high bits of lo give one column
         high = np.bitwise_xor.reduce(form[:, [r for r in range(t, n) if lo >> r & 1]], axis=1)
         np.bitwise_xor(low, high[:, None], out=rows)
-        dims = np.bincount(_kernel_dims(rows, scratch), minlength=n + 1)
+        dims = np.bincount(kernel_dims(rows, scratch), minlength=n + 1)
         if lo == 0:
             dims[n] -= 1  # a = 0, where L_0 = 0
         part = {0: 0}

@@ -129,6 +129,39 @@ def gf2_invert(imgs: Sequence[int]) -> list[int] | None:
     return [piv[n + i] & ((1 << n) - 1) for i in range(n)]
 
 
+def gf2_kernel(imgs: Sequence[int]) -> list[int]:
+    """A basis of the kernel of the map with basis images imgs.
+
+    Eliminates the rows image | preimage, as gf2_invert does: a row whose
+    image half vanishes holds a kernel vector in its low half, and those
+    rows are independent.
+    """
+    n = len(imgs)
+    piv = _echelon((v << n) | (1 << j) for j, v in enumerate(imgs))
+    return [v for b, v in piv.items() if b < n]
+
+
+def kernel_dims(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """dim ker L_a for each column a of rows[j, a] = L_a(e_j), as uint8: one
+    batched GF(2) elimination over all columns.  Rows are unsigned ints
+    below 2^n, n = rows.shape[0]; eliminates them in place, with scratch
+    of the same shape."""
+    n = rows.shape[0]
+    rank = np.zeros(rows.shape[1], dtype=np.uint8)
+    # Eliminate from the top bit down.  Before step `bit` every row is below
+    # 2^(bit+1), so the largest row is a pivot iff it reaches 2^bit, and
+    # min(r, r ^ pivot) clears the bit in exactly the rows that hold it
+    # (the pivot row itself drops to 0).
+    for bit in reversed(range(n)):
+        pivot = rows.max(axis=0)
+        has = pivot >= 1 << bit
+        pivot *= has
+        np.bitwise_xor(rows, pivot, out=scratch)
+        np.minimum(rows, scratch, out=rows)
+        rank += has
+    return n - rank
+
+
 def gf2_apply_vec(imgs: Sequence[int], v: np.ndarray) -> np.ndarray:
     """gf2_apply at every entry of a uint32 array."""
     out = np.zeros_like(v)

@@ -32,9 +32,19 @@ only when it is first read.  Both passes read one bitmap per BetaSet:
 phi_set hands over its packed rootless mask, and a set built another way
 packs its elements once.
 
+rootless() decides membership in Phi(m) for any batch of betas without
+a pass over the field.  For beta != 0 and gcd(k, m) = 1 the trinomial
+has 2^(dim ker L) - 1 roots, where L(y) = y^(q^2) + y^q + beta*y is
+GF(2)-linear (Bluher, FFA 10, 2004), so beta is in Phi(m) iff L has full
+rank.  At beta = 0, which has the root 0, L has the kernel GF(2), so
+the rank test holds there too.  The rows L(X^i) of a whole batch come
+from the k-th Frobenius table, applied twice, and m xtime steps of
+beta, and one batched elimination (linmaps.kernel_dims) gives every
+rank.
+
 count_roots() stays a literal exhaustive scan on purpose: it decides a
 single member's APN criterion (families.TaniguchiParams), and it is the
-independent oracle the tests check phi_set against.
+independent oracle the tests check phi_set and rootless against.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ from .errors import (
     ZeroAlpha,
 )
 from .gf2m import BLOCK, FieldCtx, xor_span
+from .linmaps import kernel_dims
 
 _SCAN_DEGREE_LIMIT = 28  # 2^m-element scans stay feasible up to here
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -164,6 +175,36 @@ def count_roots(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:
         x = np.arange(lo, min(lo + BLOCK, ctx.order), dtype=np.uint32)
         roots += int((ctx.mul_vec(ctx.pow2k_vec(x, k), x) ^ ctx.mul_vec(x, alpha) == beta).sum())
     return roots
+
+
+def rootless(k: int, betas: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Per beta of a uint32 element array, whether X^(q+1) + X + beta,
+    q = 2^k, has no root in GF(2^m): whether L(y) = y^(q^2) + y^q + beta*y
+    has full rank.  beta = 0 needs no exception: L(y) = (y^q + y)^q then
+    has the kernel GF(2).
+
+    Row i of L is (X^i)^(q^2) + (X^i)^q, one constant per i from the k-th
+    Frobenius table applied twice, plus beta*X^i, the i-th xtime step of
+    beta.  The betas go in batches of BLOCK // m, so the m rows of a batch
+    hold at most BLOCK entries.
+    """
+    k = _check_k(k, ctx)
+    m = ctx.m
+    basis = np.left_shift(np.uint32(1), np.arange(m, dtype=np.uint32))
+    q = ctx.pow2k_vec(basis, k)
+    frob = ctx.pow2k_vec(q, k) ^ q
+    out = np.empty(betas.size, dtype=bool)
+    width = BLOCK // m
+    rows = np.empty((m, min(width, betas.size)), dtype=np.uint32)
+    scratch = np.empty_like(rows)
+    for lo in range(0, betas.size, width):
+        n = min(width, betas.size - lo)
+        rows[0, :n] = betas[lo:lo + n]
+        for i in range(1, m):
+            rows[i, :n] = ctx.xtime_vec(rows[i - 1, :n])
+        rows[:, :n] ^= frob[:, None]
+        out[lo:lo + n] = kernel_dims(rows[:, :n], scratch[:, :n]) == 0
+    return out
 
 
 def phi_set(k: int, ctx: FieldCtx) -> BetaSet:

@@ -120,16 +120,16 @@ def test_flags_a_family_does_not_take_exit_2(capsys, argv, err):
 
 
 def test_audit_cap_bytes(capsys, monkeypatch):
-    # the cap is counting.ORACLE_DEGREE_LIMIT; help and usage error read it
+    # the cap is gf2m.MAX_DEGREE; help and usage error read it
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     with pytest.raises(SystemExit):
         main(["audit", "--help"])
-    assert "  --m-max M             audit m = 1..M (M <= 24)\n" in capsys.readouterr().out
+    assert "  --m-max M             audit m = 1..M (M <= 32)\n" in capsys.readouterr().out
     with pytest.raises(SystemExit):
-        main(["audit", "--m-max", "25"])
+        main(["audit", "--m-max", "33"])
     assert capsys.readouterr().err.endswith(
-        "taniapn audit: error: argument --m-max: invalid choice: 25 (choose from "
-        + ", ".join(map(str, range(1, 25))) + ")\n")
+        "taniapn audit: error: argument --m-max: invalid choice: 33 (choose from "
+        + ", ".join(map(str, range(1, 33))) + ")\n")
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -175,13 +175,13 @@ def test_audit_builds_phi_once_per_m_k(capsys, monkeypatch):
     assert len(printed) == 15 and calls == printed
 
 
-@pytest.mark.parametrize("oracle, quantity", [("oracle_capital_n", "N"), ("oracle_b", "b")])
+@pytest.mark.parametrize("count, quantity", [("subfield_n", "N"), ("burnside_b", "b")])
 @pytest.mark.parametrize("fmt", ["pretty", "json"])
-def test_audit_reports_an_oracle_that_disagrees(capsys, monkeypatch, oracle, quantity, fmt):
-    # the formula is the expected value; an oracle one off must fail the audit
+def test_audit_reports_an_oracle_that_disagrees(capsys, monkeypatch, count, quantity, fmt):
+    # the formula is the expected value; a subfield count one off must fail the audit
     from taniapn import counting
-    orig = getattr(counting, oracle)
-    monkeypatch.setattr(counting, oracle, lambda phi: orig(phi) + 1)
+    orig = getattr(counting, count)
+    monkeypatch.setattr(counting, count, lambda m, s: orig(m, s) + 1)
     code, out, _ = run(capsys, "--format", fmt, "audit", "--m-max", "4")
     assert code == EXIT_AUDIT_FAIL
     lines = json.loads(out)["lines"] if fmt == "json" else out.strip().splitlines()
@@ -193,10 +193,39 @@ def test_audit_reports_an_oracle_that_disagrees(capsys, monkeypatch, oracle, qua
         assert "PASS" not in line
 
 
+def test_audit_prints_a_burnside_sum_m_does_not_divide(capsys, monkeypatch):
+    # one more rootless beta in GF(2) moves the Burnside sum by phi(m), which
+    # m = 2, 3, 4 do not divide: b fails as the exact fraction, never floored
+    from taniapn import counting
+    orig = counting.subfield_counts
+    monkeypatch.setattr(counting, "subfield_counts", lambda ks, ctx: {
+        k: {d: c + (d == 1) for d, c in s.items()} for k, s in orig(ks, ctx).items()})
+    code, out, _ = run(capsys, "audit", "--m-max", "4")
+    assert code == EXIT_AUDIT_FAIL
+    assert out.splitlines() == [
+        "m=1 k=[1] M=1 N=1 b=1 PASS",
+        "m=2 k=[1] FAIL k=1 N: formula=0 oracle=-1; k=1 b: formula=1 oracle=3/2",
+        "m=3 k=[1] FAIL k=1 N: formula=3 oracle=2; k=1 b: formula=1 oracle=5/3",
+        "m=4 k=[1] FAIL k=1 b: formula=2 oracle=5/2",
+    ]
+
+
 def test_audit_m_max_too_large():
     with pytest.raises(SystemExit) as exc:
-        main(["audit", "--m-max", "30"])
+        main(["audit", "--m-max", "33"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_audit_to_32_passes_with_m_above_24_from_the_formula(capsys):
+    from taniapn.counting import b_orbits, capital_n
+    code, out, _ = run(capsys, "audit", "--m-max", "32")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 32 and all(line.endswith(" PASS") for line in lines)
+    for m, line in enumerate(lines, start=1):
+        assert ("(formula, not enumerated)" in line) == (m > 24)
+    assert lines[24] == (f"m=25 k=[1,12] M=11184811 (formula, not enumerated) "
+                         f"N={capital_n(25)} b={b_orbits(25)} PASS")
 
 
 def test_audit_twelve_all_pass(capsys):
@@ -537,6 +566,34 @@ def test_modulus_override(capsys):
                        "--m", "3", "--k", "1")
     assert code == EXIT_USAGE
     assert "reducible" in err
+
+
+@pytest.mark.parametrize("override, argv", [
+    ("5=0x2F", "table --m 5"),
+    ("7=0x83", "check-apn taniguchi --m 5 --k 1 --alpha 1 --beta 6"),
+    ("5=0x2F", "spectrum --table {table}"),
+])
+def test_unused_modulus_override_warns_once(capsys, tmp_path, override, argv):
+    # the command builds no field of the override's degree: stdout and exit
+    # are those of the run without it, and stderr names the unused override
+    argv = argv.format(table=_saved_table(capsys, tmp_path)[0]).split()
+    plain = run(capsys, *argv)
+    m, modulus = override.split("=")
+    assert run(capsys, "--modulus", override, *argv) == (
+        plain[0], plain[1],
+        f"warning: --modulus {m}={modulus} was not used; "
+        f"the command built no field of degree {m}\n")
+
+
+def test_used_modulus_override_has_no_unused_warning(capsys):
+    code, _, err = run(capsys, "--modulus", "3=0xD", "--modulus", "4=0x19",
+                       "audit", "--m-max", "3")
+    assert code == EXIT_OK
+    assert err.splitlines() == [
+        "warning: non-default modulus 0xD for m=3; element values are comparable "
+        "only across runs with the same modulus",
+        "warning: --modulus 4=0x19 was not used; the command built no field of degree 4",
+    ]
 
 
 def test_modulus_override_context_built_once(capsys):

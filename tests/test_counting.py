@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from fractions import Fraction
+
 from taniapn.counting import (
     b_orbits,
+    burnside_b,
     capital_m,
     capital_n,
     count_report,
@@ -13,9 +16,13 @@ from taniapn.counting import (
     euler_phi,
     factorize,
     lower_bound,
+    moebius,
     n_taniguchi,
     oracle_b,
     oracle_capital_n,
+    proper_subfields,
+    subfield_counts,
+    subfield_n,
 )
 from taniapn.errors import InvalidParams, TooLarge
 from taniapn.gf2m import FieldCtx, coprime_residues, default_ctx, irreducibles
@@ -39,6 +46,7 @@ BOUND_100 = 84510040015215293433113547040
 
 
 def test_integer_helpers():
+    assert [moebius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
     assert factorize(1) == []
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert euler_phi(1) == 1
@@ -150,6 +158,70 @@ def test_formula_oracle_agreement_slow_tier(m):
         assert len(phi) == capital_m(m)
         assert oracle_capital_n(phi) == capital_n(m)
         assert oracle_b(phi) == b_orbits(m)
+
+
+# ---------------------------------------------------------------------------
+# N and b from the subfield counts, against the oracles and the formulas
+# ---------------------------------------------------------------------------
+
+def subfield_oracle(phi, d):
+    """|Phi ∩ GF(2^d)|: the members of phi that x -> x^(2^d) fixes."""
+    return int(np.count_nonzero(phi.ctx.pow2k_vec(phi.elements, d) == phi.elements))
+
+
+def assert_subfield_counts_match_oracles(m, ks):
+    ctx = default_ctx(m)
+    for k, s in subfield_counts(ks, ctx).items():
+        phi = phi_set(k, ctx)
+        assert s == {d: subfield_oracle(phi, d) for d in divisors(m)[:-1]}, (m, k)
+        s[m] = len(phi)
+        assert subfield_n(m, s) == oracle_capital_n(phi) == capital_n(m), (m, k)
+        assert burnside_b(m, s) == oracle_b(phi) == b_orbits(m), (m, k)
+
+
+def test_subfield_counts_match_oracles_every_k_to_20():
+    for m in range(1, 21):
+        assert_subfield_counts_match_oracles(m, coprime_residues(m))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", range(21, 25))
+def test_subfield_counts_match_oracles_every_k_slow_tier(m):
+    assert_subfield_counts_match_oracles(m, coprime_residues(m))
+
+
+@pytest.mark.parametrize("m", range(21, 33))
+def test_subfield_counts_give_the_formulas_above_20(m):
+    # s_m is the closed form M(m) here, as audit takes it above its enumeration cap
+    ks = coprime_residues(m)
+    counts = subfield_counts(ks, default_ctx(m))
+    assert list(counts) == ks
+    for k, s in counts.items():
+        s[m] = capital_m(m)
+        assert subfield_n(m, s) == capital_n(m) and burnside_b(m, s) == b_orbits(m), (m, k)
+
+
+@pytest.mark.parametrize("m", [1, 6, 12, 16, 32])
+def test_proper_subfields_are_the_fixed_fields(m):
+    ctx = default_ctx(m)
+    ds, elements = proper_subfields(ctx)
+    assert ds == tuple(divisors(m)[:-1])
+    lo = 0
+    for d in ds:
+        part = np.sort(elements[lo:lo + (1 << d)])
+        lo += 1 << d
+        assert np.array_equal(np.unique(part), part) and part.size == 1 << d
+        assert np.array_equal(ctx.pow2k_vec(part, d), part)
+        if m <= 16:  # every fixed point of the field, by scan
+            x = ctx.elements()
+            assert np.array_equal(part, x[ctx.pow2k_vec(x, d) == x])
+    assert lo == elements.size
+
+
+def test_burnside_b_is_never_floored():
+    assert burnside_b(4, {1: 1, 2: 1, 4: 5}) == 2
+    assert burnside_b(4, {1: 0, 2: 1, 4: 5}) == Fraction(3, 2)
+    assert str(burnside_b(4, {1: 0, 2: 1, 4: 5})) == "3/2"
 
 
 def test_oracle_k_independence():

@@ -243,14 +243,14 @@ def test_degree_is_read_from_the_function_object(monkeypatch):
 def test_scan_path_follows_is_quadratic(monkeypatch):
     # a quadratic table takes the kernel-rank path, a cubic one the generic loop
     paths = []
-    for name in ("_kernel_dims", "_generic_histograms"):
+    for name in ("kernel_dims", "_generic_histograms"):
         orig = getattr(diffanalysis, name)
         monkeypatch.setattr(diffanalysis, name,
                             lambda *a, name=name, orig=orig: paths.append(name) or orig(*a))
     quadratic = materialize(TaniguchiParams(m=2, k=1, alpha=1, beta=1))
     cubic = TruthTableFunction(table_from_anf({7: 1}, 4), default_ctx(2))
     differential_spectrum(quadratic)
-    assert set(paths) == {"_kernel_dims"}
+    assert set(paths) == {"kernel_dims"}
     paths.clear()
     differential_spectrum(cubic)
     assert paths == ["_generic_histograms"]
@@ -309,8 +309,8 @@ def test_kernel_path_matches_generic_scan_across_many_chunks(monkeypatch):
 
 def test_is_apn_stops_after_the_first_chunk(monkeypatch):
     calls = []
-    orig = diffanalysis._kernel_dims
-    monkeypatch.setattr(diffanalysis, "_kernel_dims", lambda *a: calls.append(1) or orig(*a))
+    orig = diffanalysis.kernel_dims
+    monkeypatch.setattr(diffanalysis, "kernel_dims", lambda *a: calls.append(1) or orig(*a))
     f = TaniguchiParams(m=7, k=1, alpha=1, beta=2)  # 2m = 14: four chunks of a
     assert not f.is_apn_criterion()
     assert not is_apn(f)

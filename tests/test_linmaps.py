@@ -11,7 +11,9 @@ from taniapn.linmaps import (
     PairMap,
     gf2_apply,
     gf2_invert,
+    gf2_kernel,
     gf2_rank,
+    kernel_dims,
     linpoly_from_images,
     low_weight_points,
     low_weight_values,
@@ -186,3 +188,30 @@ def test_low_weight_points_are_the_identity_in_value_order(n):
     # one read-only array per bit count, shared by every caller
     assert low_weight_points(n) is points and not points.flags.writeable
     assert not i.flags.writeable and not j.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 10_000), rank_cut=st.integers(0, 8))
+def test_gf2_kernel_spans_the_kernel(n, seed, rank_cut):
+    # slow oracle: every point the map sends to 0; low-rank maps included
+    rng = np.random.default_rng(seed)
+    imgs = [int(v) for v in rng.integers(0, 1 << n, size=n)]
+    imgs = [v >> rank_cut for v in imgs]
+    basis = gf2_kernel(imgs)
+    assert gf2_rank(basis) == len(basis) == n - gf2_rank(imgs)
+    kernel = {v for v in range(1 << n) if gf2_apply(imgs, v) == 0}
+    assert set(table_from_images(basis).tolist()) == kernel
+
+
+@pytest.mark.parametrize("n, dtype", [(1, np.uint8), (5, np.uint8), (16, np.uint16),
+                                      (31, np.uint32), (32, np.uint32)])
+def test_kernel_dims_match_gf2_rank(n, dtype):
+    # columns of full rank, of rank 0 and of random low rank, up to the top bit of the type
+    rng = np.random.default_rng(n)
+    cols = [[1 << j for j in range(n)], [0] * n]
+    for cut in range(n):
+        cols.append([int(v) >> cut for v in rng.integers(0, 1 << n, size=n, dtype=np.uint64)])
+    rows = np.array(cols, dtype=dtype).T.copy()
+    dims = kernel_dims(rows, np.empty_like(rows))
+    assert dims.dtype == np.uint8
+    assert dims.tolist() == [n - gf2_rank(c) for c in cols]

@@ -20,6 +20,7 @@ from taniapn.poly_roots import (
     orbit_length,
     orbit_min,
     phi_set,
+    rootless,
     transform_beta,
 )
 
@@ -413,6 +414,47 @@ def test_phi_membership_against_root_count_sampled(m, k):
     outside = rng.choice(np.flatnonzero(~rootless), size=100, replace=False)
     assert all(count_roots(k, 1, int(b), ctx) == 0 for b in inside)
     assert all(count_roots(k, 1, int(b), ctx) > 0 for b in outside)
+
+
+# ---------------------------------------------------------------------------
+# the rank test of rootlessness, against Phi and the root scan
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_rootless_is_phi_membership(m):
+    # every beta, every coprime k; modulus 0x49 checks a non-default field
+    for ctx in (default_ctx(m), FieldCtx(6, 0x49)) if m == 6 else (default_ctx(m),):
+        for k in coprime_residues(m):
+            mask = rootless(k, ctx.elements(), ctx)
+            assert np.array_equal(np.flatnonzero(mask), phi_set(k, ctx).elements), (m, k)
+
+
+@pytest.mark.parametrize("m", range(13, 17))
+def test_rootless_against_root_count_sampled(m):
+    # 0, 1 and 30 random betas per coprime k, against the literal root scan
+    ctx = default_ctx(m)
+    rng = np.random.default_rng(100 + m)
+    betas = np.concatenate([[0, 1], rng.integers(2, ctx.order, size=30)]).astype(np.uint32)
+    for k in coprime_residues(m):
+        got = rootless(k, betas, ctx).tolist()
+        assert got == [count_roots(k, 1, int(b), ctx) == 0 for b in betas.tolist()], (m, k)
+
+
+def test_rootless_batches_match_one_batch(monkeypatch):
+    # BLOCK = 64 at m = 9: batches of 7 betas, the last one short
+    ctx = default_ctx(9)
+    betas = np.random.default_rng(9).permutation(ctx.order).astype(np.uint32)[:200]
+    whole = rootless(2, betas, ctx)
+    monkeypatch.setattr(poly_roots, "BLOCK", 64)
+    assert np.array_equal(rootless(2, betas, ctx), whole)
+    assert rootless(2, betas[:0], ctx).shape == (0,)
+
+
+def test_rootless_at_m_32_rejects_k_not_coprime():
+    ctx = default_ctx(32)
+    assert rootless(1, np.array([0, 1], dtype=np.uint32), ctx).tolist() == [False, True]
+    with pytest.raises(InvalidK):
+        rootless(2, np.array([1], dtype=np.uint32), ctx)
 
 
 def _count_orbit_minima_squarings(monkeypatch):

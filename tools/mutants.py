@@ -79,7 +79,7 @@ MUTANTS = [
     Mutant("audit-failure-exits-0", CLI,
            "return EXIT_AUDIT_FAIL if failures else EXIT_OK", "return EXIT_OK", T_CLI),
     Mutant("audit-N-from-formula", CLI,
-           '"N": counting.oracle_capital_n(phi),', '"N": counting.capital_n(m),', T_CLI),
+           '"N": counting.subfield_n(m, s),', '"N": counting.capital_n(m),', T_CLI),
     Mutant("spectrum-no-mass-assert", DIFF,
            '    assert mass == (size - 1) * size, "histogram mass mismatch"\n', "",
            ("tests/test_diffanalysis.py",)),
@@ -120,9 +120,21 @@ MUTANTS = [
     Mutant("transform-beta-exponent", ROOTS,
            "e = (1 << ((ctx.m - k) % ctx.m)) + 1", "e = (1 << (k % ctx.m)) + 1",
            ("tests/test_poly_roots.py",) + T_EQUIV),
-    Mutant("kernel-rank-pivot", DIFF,
+    Mutant("kernel-rank-pivot", LINMAPS,
            "has = pivot >= 1 << bit", "has = pivot > 1 << bit",
-           ("tests/test_diffanalysis.py",)),
+           ("tests/test_linmaps.py", "tests/test_diffanalysis.py")),
+    Mutant("rootless-rank-identity", ROOTS,
+           "frob = ctx.pow2k_vec(q, k) ^ q", "frob = q ^ q",
+           ("tests/test_poly_roots.py",)),
+    Mutant("subfield-basis", COUNTING,
+           "gf2_kernel((frob ^ basis).tolist())",
+           "gf2_kernel((ctx.square_vec(frob) ^ basis).tolist())",
+           ("tests/test_counting.py",)),
+    Mutant("moebius-sign-dropped", COUNTING,
+           "else (-1) ** len(fac)", "else 1", ("tests/test_counting.py",)),
+    Mutant("burnside-weight", COUNTING,
+           "euler_phi(m // d) * counts[d]", "euler_phi(d) * counts[d]",
+           ("tests/test_counting.py",)),
     Mutant("kernel-rows-keep-a-zero", DIFF,
            "        if lo == 0:\n            dims[n] -= 1  # a = 0, where L_0 = 0\n", "",
            ("tests/test_diffanalysis.py",)),
