@@ -38,6 +38,7 @@ generating parameters.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
@@ -338,18 +339,29 @@ def save_function(f: BivariateFunction, path: str | Path) -> Path:
 
 
 def load_function(path: str | Path) -> TruthTableFunction:
-    """Read a table written by save_function; modulus comes from the manifest."""
+    """Read a table written by save_function; modulus comes from the manifest.
+    The header, the size guard and the file's size are checked before the
+    payload is read."""
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != _FILE_MAGIC:
-        raise InvalidParams(f"{path}: bad magic, not a truth-table file")
-    if len(raw) < 8:
-        raise InvalidParams(f"{path}: truncated header")
-    version, m, kind_code = struct.unpack("<BHB", raw[4:8])
-    if version != _FILE_VERSION:
-        raise InvalidParams(f"{path}: unsupported version {version}")
-    if kind_code not in _KIND_NAMES:
-        raise InvalidParams(f"{path}: unknown kind code {kind_code}")
+    with open(path, "rb") as fh:
+        header = fh.read(8)
+        if header[:4] != _FILE_MAGIC:
+            raise InvalidParams(f"{path}: bad magic, not a truth-table file")
+        if len(header) < 8:
+            raise InvalidParams(f"{path}: truncated header")
+        version, m, kind_code = struct.unpack("<BHB", header[4:])
+        if version != _FILE_VERSION:
+            raise InvalidParams(f"{path}: unsupported version {version}")
+        if kind_code not in _KIND_NAMES:
+            raise InvalidParams(f"{path}: unknown kind code {kind_code}")
+        if 2 * m > _MATERIALIZE_LIMIT:
+            raise TooLarge(f"{path}: truth table of 2^{2 * m} entries exceeds the "
+                           f"2^{_MATERIALIZE_LIMIT} guard")
+        size = os.fstat(fh.fileno()).st_size - 8
+        if size != 8 << (2 * m):
+            raise InvalidParams(f"{path}: expected 2^{2 * m} entries of 8 bytes, "
+                                f"got {size} bytes")
+        payload = fh.read()
     manifest_path = path.with_name(path.name + ".json")
     if manifest_path.exists():
         try:
@@ -360,10 +372,7 @@ def load_function(path: str | Path) -> TruthTableFunction:
         ctx = FieldCtx(m, modulus)
     else:
         ctx = default_ctx(m)
-    if len(raw) - 8 != 8 << (2 * m):
-        raise InvalidParams(f"{path}: expected 2^{2 * m} entries of 8 bytes, "
-                            f"got {len(raw) - 8} bytes")
-    pairs = np.frombuffer(raw[8:], dtype="<u4").reshape(-1, 2)
+    pairs = np.frombuffer(payload, dtype="<u4").reshape(-1, 2)
     if int(pairs.max(initial=0)) >= 1 << m:
         raise InvalidParams(f"{path}: coordinate value out of GF(2^{m})")
     return TruthTableFunction(pack(pairs[:, 0], pairs[:, 1], m), ctx,

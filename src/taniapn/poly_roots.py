@@ -20,17 +20,16 @@ product is involved.
 
 Phi(m) is closed under the squaring map and decomposes into Frobenius
 orbits {b, b^2, b^4, ...} whose lengths divide m; orbit representatives
-are the numerically smallest members.  frobenius_orbits finds them with
-a shrinking minimum filter, one BLOCK of elements at a time so that
-its temporaries stay in cache: one squaring of the block, checked
-against a packed membership bitmap of the set, then further squarings
-of only the elements still below every conjugate seen so far, about H_m
-times the size of the set in all.  It keeps representatives and lengths
-as arrays; the orbit of each element (orbit_of) is walked from the
-representatives, with a rank lookup of each conjugate in the bitmap,
-only when it is first read.  Both passes read one bitmap per BetaSet:
-phi_set hands over its packed rootless mask, and a set built another way
-packs its elements once.
+are the numerically smallest members.  A BetaSet is held once, as a
+packed membership bitmap over the field, and one decoder reads its
+members out a block at a time.  frobenius_orbits runs a shrinking
+minimum filter on one decoded block at a time, so that its temporaries
+stay in cache: one squaring of the block, checked against the bitmap,
+then further squarings of only the elements still below every conjugate
+seen so far, about H_m times the size of the set in all.  It keeps
+representatives and lengths as arrays; the orbit of each element
+(orbit_of) is walked from the representatives, with a rank lookup of
+each conjugate in the bitmap, only when it is first read.
 
 rootless() decides membership in Phi(m) for any batch of betas without
 a pass over the field.  For beta != 0 and gcd(k, m) = 1 the trinomial
@@ -71,37 +70,50 @@ _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 @dataclass(frozen=True, eq=False)
 class BetaSet:
-    """Phi(m) for one (m, k), in the field ctx: the betas whose trinomial is rootless."""
+    """Phi(m) for one (m, k), in the field ctx: the betas whose trinomial is
+    rootless.  The bitmap is the one stored form; the elements are decoded."""
 
     ctx: FieldCtx
     k: int
-    elements: np.ndarray  # sorted uint32, no duplicates
+    bitmap: np.ndarray  # uint8, beta is bit beta & 7 of byte beta >> 3; max(1, 2^m / 8) bytes
+
+    def __post_init__(self):
+        bitmap, order = self.bitmap, self.ctx.order
+        if not (isinstance(bitmap, np.ndarray) and bitmap.dtype == np.uint8 and bitmap.ndim == 1):
+            raise InvalidParams("a BetaSet bitmap is a 1-D uint8 array")
+        if bitmap.size != max(1, order >> 3):
+            raise InvalidParams(f"a BetaSet bitmap at m={self.m} has length {bitmap.size}, "
+                                f"not {max(1, order >> 3)}")
+        if order < 8 and int(bitmap[0]) >> order:
+            raise InvalidParams(f"a BetaSet bitmap at m={self.m} has a bit at or above 2^{self.m}")
 
     @property
     def m(self) -> int:
         return self.ctx.m
 
+    @cached_property
+    def _size(self) -> int:
+        return int(_POPCOUNT8.take(self.bitmap).sum(dtype=np.int64))
+
     def __len__(self) -> int:
-        return int(self.elements.size)
+        return self._size
 
     def __iter__(self):
         return iter(int(b) for b in self.elements)
 
     def __contains__(self, beta: int) -> bool:
-        i = int(np.searchsorted(self.elements, beta))
-        return i < self.elements.size and int(self.elements[i]) == beta
+        return 0 <= beta < self.ctx.order and bool(self.bitmap[beta >> 3] >> (beta & 7) & 1)
 
     @cached_property
-    def bitmap(self) -> np.ndarray:
-        """Membership over the field, 8 elements to a byte.  phi_set hands
-        over its own; any other set packs its elements on first read."""
-        if self.m > _SCAN_DEGREE_LIMIT:
-            raise TooLarge(f"orbit pass capped at m={_SCAN_DEGREE_LIMIT}: "
-                           "its bitmap spans the field")
-        member = np.zeros(self.ctx.order, dtype=bool)
-        for lo in range(0, self.elements.size, BLOCK):
-            member[self.elements[lo:lo + BLOCK]] = True
-        return np.packbits(member, bitorder="little")
+    def elements(self) -> np.ndarray:
+        """The members, sorted uint32, decoded from the bitmap on first read."""
+        # filled in place, since joining a list of the blocks doubles the peak
+        out = np.empty(len(self), dtype=np.uint32)
+        n = 0
+        for block in _members(self.bitmap):
+            out[n:n + block.size] = block
+            n += block.size
+        return out
 
     def to_json(self) -> dict:
         """The set as a JSON-ready dict.  The CLI prints the elements with
@@ -117,8 +129,17 @@ class BetaSet:
         return (
             isinstance(other, BetaSet)
             and (self.ctx, self.k) == (other.ctx, other.k)
-            and bool(np.array_equal(self.elements, other.elements))
+            and bool(np.array_equal(self.bitmap, other.bitmap))
         )
+
+
+def _members(bitmap: np.ndarray):
+    """The members of a membership bitmap in ascending order, as uint32
+    arrays, one per 4*BLOCK field values; an empty set is one empty block."""
+    step = BLOCK >> 1  # bytes: whole ones for BLOCK >= 2, and about 1.3 BLOCK members of Phi
+    for lo in range(0, bitmap.size, step):
+        bits = np.unpackbits(bitmap[lo:lo + step], bitorder="little").view(bool)
+        yield np.flatnonzero(bits).astype(np.uint32) + np.uint32(lo << 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,19 +269,7 @@ def phi_set(k: int, ctx: FieldCtx) -> BetaSet:
     for u in range(1 << t, ctx.order, 1 << t):
         fill(u, t, batch)
         rootless[batch] = False
-    # indexed block by block into a uint32 array of the final size, so no
-    # int64 index array of |Phi| entries is ever built
-    elements = np.empty(np.count_nonzero(rootless), dtype=np.uint32)
-    n = 0
-    for lo in range(0, ctx.order, BLOCK):
-        idx = np.flatnonzero(rootless[lo:lo + BLOCK])
-        elements[n:n + idx.size] = idx + lo
-        n += idx.size
-    phi = BetaSet(ctx=ctx, k=k, elements=elements)
-    # the membership bitmap is the rootless mask packed; handed to the
-    # cached property, so no pass over Phi rebuilds it
-    phi.__dict__["bitmap"] = np.packbits(rootless, bitorder="little")
-    return phi
+    return BetaSet(ctx, k, np.packbits(rootless, bitorder="little"))
 
 
 def frobenius_orbits(phi: BetaSet) -> OrbitDecomposition:
@@ -277,8 +286,8 @@ def _orbit_representatives(phi: BetaSet) -> tuple[np.ndarray, np.ndarray]:
     """The smallest member of each Frobenius orbit of phi, in ascending
     order, and the length of that orbit, both uint32.
 
-    A shrinking minimum filter, run on one BLOCK of elements of phi at a
-    time, since it decides each element on its own.  Step 1 squares
+    A shrinking minimum filter, run on one decoded block of phi's members
+    at a time, since it decides each element on its own.  Step 1 squares
     every element and checks each square against the membership bitmap, so
     a set that is not closed raises NotFrobeniusClosed naming the first
     escaping square.  Step i keeps only the x below each of x^2, ...,
@@ -291,8 +300,7 @@ def _orbit_representatives(phi: BetaSet) -> tuple[np.ndarray, np.ndarray]:
     """
     ctx, bitmap = phi.ctx, phi.bitmap
     reps, lengths = [], []
-    for lo in range(0, max(len(phi), 1), BLOCK):  # an empty phi is one empty block
-        x = phi.elements[lo:lo + BLOCK]
+    for x in _members(bitmap):
         cur = ctx.square_vec(x)
         escaped = (bitmap.take(cur >> np.uint32(3)) >> (cur & np.uint32(7))) & 1 == 0
         if escaped.any():

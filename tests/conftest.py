@@ -2,9 +2,19 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from taniapn.gf2m import FieldCtx
+from taniapn.poly_roots import BetaSet
+
+
+def beta_set(ctx, k, elements):
+    """The BetaSet of these elements of ctx's field: its bitmap is their
+    membership mask, packed.  Test modules import it from here."""
+    mask = np.zeros(ctx.order, dtype=bool)
+    mask[np.asarray(elements, dtype=np.int64)] = True
+    return BetaSet(ctx, k, np.packbits(mask, bitorder="little"))
 
 
 @pytest.fixture

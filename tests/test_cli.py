@@ -508,6 +508,16 @@ def test_malformed_table_input_is_usage_error(capsys, tmp_path, damage):
     assert out == "" and err.startswith("error: ")
 
 
+def test_table_header_past_the_size_guard_is_refused_before_its_payload(capsys, tmp_path):
+    # an m = 15 header stands for 2^30 entries, 8 GiB of payload: the header
+    # alone is refused, by the truth-table guard and not the file's size
+    path = tmp_path / "big.apnt"
+    path.write_bytes(b"APNT" + bytes([1, 15, 0, 0]))
+    code, out, err = run(capsys, "spectrum", "--table", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {path}: truth table of 2^30 entries exceeds the 2^28 guard\n"
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(target=st.sampled_from(["table", "manifest"]),
@@ -616,23 +626,44 @@ def test_enumerate_beta_csv(capsys):
     assert lines[2] == "0x9,0x9,4"
 
 
+def _count_element_decodes(monkeypatch):
+    """Patch BetaSet.elements to decode on every read, and return the list
+    that each read appends its set to."""
+    from taniapn import poly_roots
+    decode, reads = poly_roots.BetaSet.elements.func, []
+    monkeypatch.setattr(poly_roots.BetaSet, "elements",
+                        property(lambda phi: reads.append(phi) or decode(phi)))
+    return reads
+
+
 def test_enumerate_beta_csv_makes_one_orbit_pass(capsys, monkeypatch):
     # one vectorised decomposition serves every row; no scalar orbit walk;
-    # the orbit filter and the orbit walk both read the membership bitmap
-    # that phi_set handed over (the patched property only reads it, so a
-    # Phi without one fails with KeyError), and nothing builds another
+    # Phi's elements are decoded once, for the beta column
     from taniapn import poly_roots
     orig, calls = poly_roots.frobenius_orbits, []
     monkeypatch.setattr(poly_roots, "frobenius_orbits", lambda phi: calls.append(phi) or orig(phi))
-    reads = []
-    monkeypatch.setattr(poly_roots.BetaSet, "bitmap",
-                        property(lambda phi: reads.append(phi) or phi.__dict__["bitmap"]))
+    reads = _count_element_decodes(monkeypatch)
     for name in ("orbit_min", "orbit_length", "frobenius_orbit"):
         monkeypatch.setattr(poly_roots, name, lambda *a, name=name: pytest.fail(f"{name} called"))
     code, out, _ = run(capsys, "--format", "csv", "enumerate-beta", "--m", "12", "--k", "5")
     assert code == EXIT_OK
     assert len(calls) == 1 and len(calls[0]) == len(out.splitlines()) - 1
-    assert len(reads) == 2 and all(phi is calls[0] for phi in reads)
+    assert len(reads) == 1 and reads[0] is calls[0]
+
+
+@pytest.mark.parametrize("argv, decodes", [
+    (["--format", "json", "classes", "--m", "16"], 0),
+    (["classes", "--m", "16", "--k", "5"], 0),
+    (["--format", "json", "audit", "--m-max", "20"], 0),
+    (["--format", "json", "enumerate-beta", "--m", "12", "--k", "5"], 1),
+    (["enumerate-beta", "--m", "12", "--k", "5"], 1),
+])
+def test_phi_elements_are_decoded_only_to_print_them(capsys, monkeypatch, argv, decodes):
+    # classes and audit read Phi's orbits and size off its bitmap, so they
+    # never hold its sorted elements; enumerate-beta decodes them once
+    reads = _count_element_decodes(monkeypatch)
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK and len(reads) == decodes
 
 
 def test_enumerate_beta_csv_matches_scalar_orbit_walk(capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import beta_set
 
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from taniapn.counting import (
 )
 from taniapn.errors import InvalidParams, TooLarge
 from taniapn.gf2m import FieldCtx, coprime_residues, default_ctx, irreducibles
-from taniapn.poly_roots import BetaSet, frobenius_orbits, phi_set
+from taniapn.poly_roots import frobenius_orbits, phi_set
 
 # (m, number of classes, lower bound) for m = 2..20 and 25
 TABLE = {
@@ -233,7 +234,7 @@ def test_oracle_k_independence():
 
 def test_oracle_guard():
     # a hand-built set: enumerating Phi(25) would be the cost the guard avoids
-    phi = BetaSet(ctx=FieldCtx(25), k=1, elements=np.zeros(0, dtype=np.uint32))
+    phi = beta_set(FieldCtx(25), 1, [])
     assert phi.m == 25
     for oracle in (oracle_capital_n, oracle_b):
         with pytest.raises(TooLarge):

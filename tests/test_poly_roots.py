@@ -5,12 +5,13 @@ import json
 
 import numpy as np
 import pytest
+from conftest import beta_set
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taniapn import poly_roots
 from taniapn.counting import capital_m
-from taniapn.errors import InvalidK, NotFrobeniusClosed, TooLarge, ZeroAlpha
+from taniapn.errors import InvalidK, InvalidParams, NotFrobeniusClosed, ZeroAlpha
 from taniapn.gf2m import FieldCtx, coprime_residues, default_ctx
 from taniapn.poly_roots import (
     BetaSet,
@@ -31,7 +32,7 @@ GF16 = default_ctx(4)
 def orbit_minima(arr, ctx):
     """Per element of the sorted arr, the smallest member of its Frobenius
     orbit, as frobenius_orbits reports it."""
-    dec = frobenius_orbits(BetaSet(ctx, 1, arr))
+    dec = frobenius_orbits(beta_set(ctx, 1, arr))
     return dec.representatives[dec.orbit_of]
 
 
@@ -110,8 +111,42 @@ def test_beta_set_carries_its_field():
     other, default = phi_set(1, FieldCtx(6, 0x49)), phi_set(1, default_ctx(6))
     assert other.ctx.modulus == 0x49 and other.m == default.m == 6
     assert other != default
-    assert BetaSet(other.ctx, 1, default.elements) != default
-    assert BetaSet(default.ctx, 1, default.elements.copy()) == default
+    assert beta_set(other.ctx, 1, default.elements) != default
+    assert beta_set(default.ctx, 1, default.elements.copy()) == default
+
+
+def test_beta_set_checks_its_bitmap():
+    # one byte per 8 elements, and at least one byte
+    ctx = default_ctx(4)
+    good = phi_set(1, ctx).bitmap
+    for bad in (good.astype(np.uint16), good.view(np.int8), good.reshape(1, 2), good.tolist()):
+        with pytest.raises(InvalidParams, match="^a BetaSet bitmap is a 1-D uint8 array$"):
+            BetaSet(ctx, 1, bad)
+    for bad in (good[:1], np.zeros(3, dtype=np.uint8)):
+        with pytest.raises(InvalidParams, match=f"^a BetaSet bitmap at m=4 has length {bad.size}, "
+                                                "not 2$"):
+            BetaSet(ctx, 1, bad)
+    with pytest.raises(InvalidParams, match="^a BetaSet bitmap at m=2 has length 0, not 1$"):
+        BetaSet(default_ctx(2), 1, np.zeros(0, dtype=np.uint8))
+    # below m = 3 the one byte is partly used, and its upper bits must be clear
+    for m in (1, 2):
+        whole = (1 << (1 << m)) - 1
+        assert len(BetaSet(default_ctx(m), 1, np.array([whole], dtype=np.uint8))) == 1 << m
+        with pytest.raises(InvalidParams, match=f"^a BetaSet bitmap at m={m} has a bit at or "
+                                                f"above 2\\^{m}$"):
+            BetaSet(default_ctx(m), 1, np.array([1 << (1 << m)], dtype=np.uint8))
+    assert len(BetaSet(GF8, 1, np.array([0xFF], dtype=np.uint8))) == 8
+
+
+def test_membership_outside_the_field():
+    # neither -1 nor 2^m is a member, even of the whole field, and no read
+    # wraps around the bitmap
+    for ctx in (default_ctx(1), GF8, GF16):
+        whole = beta_set(ctx, 1, ctx.elements())
+        assert ctx.order - 1 in whole and 0 in whole
+        assert -1 not in whole and ctx.order not in whole and 1 << 40 not in whole
+    phi = phi_set(1, GF16)
+    assert -1 not in phi and 16 not in phi
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -146,10 +181,20 @@ def test_root_scan_peak_stays_within_its_blocks(peak_mb):
 
 
 def test_phi_set_peak_stays_within_its_mask_and_set(peak_mb):
-    # the rootless mask (1 MB at m = 20), the set, its bitmap and BLOCK-sized
-    # batches; 10.7 MB with 2^22-element batches
+    # the rootless mask (1 MB at m = 20), its packed bitmap and BLOCK-sized
+    # batches; 10.7 MB with 2^22-element batches and a sorted element array
     phi, peak = peak_mb(lambda: phi_set(1, FieldCtx(20)))
     assert len(phi) == capital_m(20) and peak < 6
+
+
+def test_orbits_of_every_k_star_peak_within_their_bitmaps(peak_mb):
+    # classes --m 20: per k* a 128 KB bitmap and its orbits, with one 1 MB
+    # rootless mask at a time; 8.3 MB with each set's sorted elements held
+    ctx = FieldCtx(20)
+    ks = [k for k in coprime_residues(20) if k < 10]
+    want = [frobenius_orbits(phi_set(k, ctx)) for k in ks]  # tables warm
+    got, peak = peak_mb(lambda: [frobenius_orbits(phi_set(k, ctx)) for k in ks])
+    assert [d.to_json() for d in got] == [d.to_json() for d in want] and peak < 4
 
 
 def test_phi_set_needs_no_generator_or_log_table(forbid_generator_walk):
@@ -264,36 +309,31 @@ def test_orbit_minima_in_fields_of_fewer_than_8_elements(m):
                 orbit_minima(np.array(arr, dtype=np.uint32), ctx)
 
 
-def test_orbit_pass_is_capped_with_the_scans():
-    # the membership bitmap spans the field, so the cap of the root scans holds
-    ctx = default_ctx(29)
-    with pytest.raises(TooLarge, match="^orbit pass capped at m=28: its bitmap spans the field$"):
-        frobenius_orbits(BetaSet(ctx, 1, np.array([1], dtype=np.uint32)))
-
-
 def test_orbit_minima_escape_in_a_later_batch(monkeypatch):
-    # in GF(8) the orbit of 7 is {7, 3, 5}; with blocks of 2, 7 is in the third
+    # with BLOCK = 2 a decoded block is one byte, 8 field values: GF(8) is
+    # one block, and in GF(16) the orbit 9 -> 13 -> 14 -> 11 is in the second
     monkeypatch.setattr(poly_roots, "BLOCK", 2)
     assert orbit_minima(np.array([1, 2, 3, 4, 5, 6, 7], dtype=np.uint32), GF8).tolist() \
         == [1, 2, 3, 2, 3, 2, 3]
     with pytest.raises(NotFrobeniusClosed, match="0x3"):
         orbit_minima(np.array([1, 2, 4, 6, 7], dtype=np.uint32), GF8)
+    assert orbit_minima(np.array([1, 9, 11, 13, 14], dtype=np.uint32), GF16).tolist() \
+        == [1, 9, 9, 9, 9]
+    with pytest.raises(NotFrobeniusClosed, match="square 0xB escapes"):
+        orbit_minima(np.array([1, 9, 13, 14], dtype=np.uint32), GF16)
 
 
-def test_phi_set_hands_over_its_bitmap(monkeypatch):
-    # phi_set packs its rootless mask into the bitmap, which is the one the
-    # property builds from the elements; with blocks of 16 the rootless
-    # scatter runs in slices and marks the same betas
+def test_phi_set_bitmap_is_the_packed_definition(monkeypatch):
+    # phi_set's bitmap is the packed mask of the per-beta root count; with
+    # blocks of 16 the rootless scatter runs in slices and marks the same betas
+    want = {(m, k): beta_set(default_ctx(m), k, sorted(phi_by_definition(k, default_ctx(m)))).bitmap
+            for m in range(1, 11) for k in coprime_residues(m)}
     for block in (poly_roots.BLOCK, 16):
         monkeypatch.setattr(poly_roots, "BLOCK", block)
-        for m in range(1, 13):
-            ctx = default_ctx(m)
-            for k in coprime_residues(m):
-                phi = phi_set(k, ctx)
-                assert "bitmap" in vars(phi)
-                rebuilt = BetaSet(ctx, k, phi.elements)
-                assert np.array_equal(phi.bitmap, rebuilt.bitmap)
-                assert len(phi) == capital_m(m)
+        for (m, k), bitmap in want.items():
+            phi = phi_set(k, default_ctx(m))
+            assert np.array_equal(phi.bitmap, bitmap), (block, m, k)
+            assert len(phi) == capital_m(m)
 
 
 @pytest.mark.parametrize("m", [4, 6, 8, 9, 10])
@@ -303,7 +343,7 @@ def test_orbit_filter_across_block_edges(m, monkeypatch):
     monkeypatch.setattr(poly_roots, "BLOCK", 16)
     ctx = default_ctx(m)
     for arr in [phi_set(k, ctx).elements for k in coprime_residues(m)] + [ctx.elements()]:
-        dec = frobenius_orbits(BetaSet(ctx, 1, arr))
+        dec = frobenius_orbits(beta_set(ctx, 1, arr))
         reps = sorted({orbit_min(b, ctx) for b in arr.tolist()})
         assert dec.representatives.tolist() == reps
         assert dec.lengths.tolist() == [orbit_length(r, ctx) for r in reps]
@@ -333,7 +373,7 @@ def test_frobenius_orbits_match_scalar_walk_on_closed_sets(case):
     ctx, arr = case
     minimum = {b: min(frobenius_orbit(b, ctx)) for b in arr.tolist()}
     reps = sorted(set(minimum.values()))
-    dec = frobenius_orbits(BetaSet(ctx, 1, arr))
+    dec = frobenius_orbits(beta_set(ctx, 1, arr))
     assert dec.representatives.tolist() == reps
     assert dec.lengths.tolist() == [len(frobenius_orbit(r, ctx)) for r in reps]
     assert dec.orbit_of.dtype == np.int32
@@ -350,7 +390,7 @@ def test_dropping_a_conjugate_names_its_square(case, data):
     moving = [b for b in arr.tolist() if len(frobenius_orbit(b, ctx)) > 1]
     assume(moving)
     c = data.draw(st.sampled_from(moving))
-    broken = BetaSet(ctx, 1, arr[arr != c])
+    broken = beta_set(ctx, 1, arr[arr != c])
     for read in (lambda: frobenius_orbits(broken), lambda: frobenius_orbits(broken).orbit_of):
         with pytest.raises(NotFrobeniusClosed, match=f"square 0x{c:X} escapes the set"):
             read()

@@ -108,8 +108,11 @@ MUTANTS = [
     Mutant("squares-closure-check", ROOTS, "if escaped.any():", "if False:",
            ("tests/test_poly_roots.py",)),
     Mutant("orbit-last-block-skipped", ROOTS,
-           "for lo in range(0, max(len(phi), 1), BLOCK):",
-           "for lo in range(0, max(len(phi) - BLOCK, 1), BLOCK):", ("tests/test_poly_roots.py",)),
+           "for lo in range(0, bitmap.size, step):",
+           "for lo in range(0, max(bitmap.size - step, 1), step):", ("tests/test_poly_roots.py",)),
+    Mutant("bitmap-bit-order", ROOTS,
+           'np.unpackbits(bitmap[lo:lo + step], bitorder="little")',
+           'np.unpackbits(bitmap[lo:lo + step], bitorder="big")', ("tests/test_poly_roots.py",)),
     Mutant("root-scan-last-block-skipped", ROOTS,
            "for lo in range(0, ctx.order, BLOCK):\n        x = np.arange(",
            "for lo in range(0, max(ctx.order - BLOCK, 1), BLOCK):\n        x = np.arange(",
