@@ -21,7 +21,13 @@ however many of these functions it passes through.
 Witnesses.  Equivalences are produced constructively as (L, N, M) with
 f(L(x, y)) = N(g(x, y)) + M(x, y), composed from the elementary maps
 (alpha-normalization, Frobenius twist, k-negation, and the alpha = 0
-bridge to the pott-zhou family) and only ever trusted after
+bridge to the pott-zhou family).  Each of those has M = 0 and L, N with
+two monomial blocks c X^(2^d), on the diagonal or swapped, a shape that
+composition and inversion keep: (c1, d1) o (c2, d2) = (c1 c2^(2^d1),
+d1 + d2) and (c, d)^-1 = ((c^-1)^(2^(m-d)), m - d).  So the chain is
+composed as scalar blocks and its PairMaps are built once at the end;
+compose_witness and invert_witness, on dense PairMaps, are its oracle
+in the tests.  A witness is only ever trusted after
 verify_witness checks the bijectivity of L and N and the identity on the
 points of Hamming weight <= 2.  That is exact for quadratic f and g:
 h = f o L + N o g + M then has algebraic degree <= 2, and its ANF
@@ -54,6 +60,7 @@ most candidates survive the sieve (beta = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +74,7 @@ from .errors import (
 from .families import BivariateFunction, PottZhouParams, TaniguchiParams
 from .gf2m import FieldCtx
 from .linmaps import (
+    Monomial,
     PairMap,
     gf2_apply_vec,
     gf2_rank,
@@ -187,32 +195,6 @@ def identity_witness(m: int) -> LinearWitness:
     return LinearWitness(PairMap.identity(m), PairMap.identity(m), PairMap.zero(m))
 
 
-def _w_alpha(k: int, alpha: int, ctx: FieldCtx) -> LinearWitness:
-    """f_{k,alpha,beta} <- f_{k,1,beta/alpha^(2^(-k)+1)}: scale y by 1/alpha^(2^-k)."""
-    c = ctx.inverse(ctx.pow2k(alpha, ctx.m - k))
-    scale_y = PairMap.monomial(ctx, xx=(1, 0), yy=(c, 0))
-    return LinearWitness(l_map=scale_y, n_map=scale_y, m_map=PairMap.zero(ctx.m))
-
-
-def _w_frob(i: int, ctx: FieldCtx) -> LinearWitness:
-    """f_{k,alpha,beta^(2^i)} <- f_{k,alpha,beta}: raise everything to 2^i."""
-    twist = PairMap.monomial(ctx, xx=(1, i), yy=(1, i))
-    return LinearWitness(l_map=twist, n_map=twist, m_map=PairMap.zero(ctx.m))
-
-
-def _w_swap(d: int, beta: int, ctx: FieldCtx) -> LinearWitness:
-    """Swap x and y, twist by 2^d, scale the first output by beta.
-
-    With d = 3k* mod m this is f_{m-k*,1,beta} <- f_{k*,1/beta,1/beta};
-    with d = 0 it is the bridge f_{k,0,beta} <- g_{k,2k,1/beta}.
-    """
-    return LinearWitness(
-        l_map=PairMap.monomial(ctx, xy=(1, d), yx=(1, d)),
-        n_map=PairMap.monomial(ctx, xx=(beta, 0), yy=(1, d)),
-        m_map=PairMap.zero(ctx.m),
-    )
-
-
 def compose_witness(w1: LinearWitness, w2: LinearWitness) -> LinearWitness:
     """(f <- g) composed with (g <- h) gives f <- h."""
     return LinearWitness(
@@ -230,18 +212,94 @@ def invert_witness(w: LinearWitness) -> LinearWitness:
     return LinearWitness(l_map=l_inv, n_map=n_inv, m_map=m_new)
 
 
+class _Blocks(NamedTuple):
+    """A pair map with two nonzero monomial blocks c X^(2^d):
+    (x, y) -> (a(x), b(y)), or (a(y), b(x)) when swapped."""
+
+    swapped: bool
+    a: Monomial
+    b: Monomial
+
+
+_IDENTITY_BLOCKS = _Blocks(False, (1, 0), (1, 0))
+
+
+def _monomial_compose(ctx: FieldCtx, p: Monomial, q: Monomial) -> Monomial:
+    """p o q: c1 (c2 X^(2^d2))^(2^d1) = c1 c2^(2^d1) X^(2^(d1 + d2))."""
+    (c1, d1), (c2, d2) = p, q
+    return ctx.mul(c1, ctx.pow2k(c2, d1)), (d1 + d2) % ctx.m
+
+
+def _monomial_inverse(ctx: FieldCtx, p: Monomial) -> Monomial:
+    """y = c x^(2^d) solved for x: x = (c^-1)^(2^(m-d)) y^(2^(m-d))."""
+    c, d = p
+    return ctx.pow2k(ctx.inverse(c), -d), -d % ctx.m
+
+
+class _Chain(NamedTuple):
+    """A witness (L, N, 0) whose L and N are _Blocks.
+
+    The elementary witnesses have this shape, and composing and inverting
+    keeps it (M stays 0), so the chain of canonical_witness and
+    equivalence_witness is a few scalar products; witness() builds its
+    PairMaps once.  compose_witness and invert_witness are its dense oracle.
+    """
+
+    ctx: FieldCtx
+    l_map: _Blocks
+    n_map: _Blocks
+
+    def compose(self, other: "_Chain") -> "_Chain":
+        """self o other, as compose_witness."""
+        def blocks(p: _Blocks, q: _Blocks) -> _Blocks:
+            qa, qb = (q.b, q.a) if p.swapped else (q.a, q.b)
+            return _Blocks(p.swapped != q.swapped, _monomial_compose(self.ctx, p.a, qa),
+                           _monomial_compose(self.ctx, p.b, qb))
+        return _Chain(self.ctx, blocks(self.l_map, other.l_map), blocks(self.n_map, other.n_map))
+
+    def inverse(self) -> "_Chain":
+        """As invert_witness; a swapped map's inverse swaps its two blocks."""
+        def blocks(p: _Blocks) -> _Blocks:
+            a, b = _monomial_inverse(self.ctx, p.a), _monomial_inverse(self.ctx, p.b)
+            return _Blocks(True, b, a) if p.swapped else _Blocks(False, a, b)
+        return _Chain(self.ctx, blocks(self.l_map), blocks(self.n_map))
+
+    def witness(self) -> LinearWitness:
+        def pair_map(p: _Blocks) -> PairMap:
+            if p.swapped:
+                return PairMap.monomial(self.ctx, xy=p.a, yx=p.b)
+            return PairMap.monomial(self.ctx, xx=p.a, yy=p.b)
+        return LinearWitness(pair_map(self.l_map), pair_map(self.n_map), PairMap.zero(self.ctx.m))
+
+
+def _w_alpha(k: int, alpha: int, ctx: FieldCtx) -> _Chain:
+    """f_{k,alpha,beta} <- f_{k,1,beta/alpha^(2^(-k)+1)}: scale y by 1/alpha^(2^-k)."""
+    scale_y = _Blocks(False, (1, 0), (ctx.inverse(ctx.pow2k(alpha, ctx.m - k)), 0))
+    return _Chain(ctx, scale_y, scale_y)
+
+
+def _w_frob(i: int, ctx: FieldCtx) -> _Chain:
+    """f_{k,alpha,beta^(2^i)} <- f_{k,alpha,beta}: raise everything to 2^i."""
+    twist = _Blocks(False, (1, i), (1, i))
+    return _Chain(ctx, twist, twist)
+
+
+def _w_swap(d: int, beta: int, ctx: FieldCtx) -> _Chain:
+    """Swap x and y, twist by 2^d, scale the first output by beta.
+
+    With d = 3k* mod m this is f_{m-k*,1,beta} <- f_{k*,1/beta,1/beta};
+    with d = 0 it is the bridge f_{k,0,beta} <- g_{k,2k,1/beta}.
+    """
+    return _Chain(ctx, _Blocks(True, (1, d), (1, d)), _Blocks(False, (beta, 0), (1, d)))
+
+
 # ---------------------------------------------------------------------------
 # Constructive canonicalization
 # ---------------------------------------------------------------------------
 
-def canonical_witness(p: TaniguchiParams) -> tuple[LinearWitness, TaniguchiParams]:
-    """Composed witness f_p <- f_canonical for alpha != 0 members.
-
-    Chains the elementary reductions: alpha -> 1, then k -> m-k when
-    k > m/2 (via the 3k-Frobenius swap, which reintroduces an alpha to
-    normalize), then a Frobenius twist down to the orbit minimum.  The
-    canonical target lives in p's field.
-    """
+def _canonical_steps(p: TaniguchiParams) -> tuple[list[_Chain], TaniguchiParams]:
+    """The elementary witnesses of canonical_witness, in composition order,
+    and the canonical target."""
     if p.alpha == 0:
         raise InvalidParams("constructive canonicalization needs alpha != 0")
     if p.m < 3:
@@ -249,19 +307,19 @@ def canonical_witness(p: TaniguchiParams) -> tuple[LinearWitness, TaniguchiParam
     _require_apn(p)
 
     ctx, m = p.ctx, p.m
-    w = identity_witness(m)
+    steps = []
     k, beta = p.k, p.beta
 
     if p.alpha != 1:
-        w = compose_witness(w, _w_alpha(k, p.alpha, ctx))
+        steps.append(_w_alpha(k, p.alpha, ctx))
         beta = transform_beta(k, p.alpha, beta, ctx)
 
     if k > m // 2:
         k_star = m - k
-        w = compose_witness(w, _w_swap(3 * k_star % m, beta, ctx))
+        steps.append(_w_swap(3 * k_star % m, beta, ctx))
         inv_b = ctx.inverse(beta)
         # now at f_{k*, 1/beta, 1/beta}; normalize its alpha away
-        w = compose_witness(w, _w_alpha(k_star, inv_b, ctx))
+        steps.append(_w_alpha(k_star, inv_b, ctx))
         beta = transform_beta(k_star, inv_b, inv_b, ctx)
         k = k_star
 
@@ -269,10 +327,29 @@ def canonical_witness(p: TaniguchiParams) -> tuple[LinearWitness, TaniguchiParam
     beta_star = min(orbit)
     i = -orbit.index(beta_star) % len(orbit)  # beta = beta_star^(2^i)
     if i:
-        w = compose_witness(w, _w_frob(i, ctx))
+        steps.append(_w_frob(i, ctx))
 
     target = TaniguchiParams(m=m, k=k, alpha=1, beta=beta_star, ctx=ctx)
-    return w, target
+    return steps, target
+
+
+def _canonical_chain(p: TaniguchiParams) -> tuple[_Chain, TaniguchiParams]:
+    """canonical_witness's chain, before its maps are built."""
+    steps, target = _canonical_steps(p)
+    return reduce(_Chain.compose, steps, _Chain(p.ctx, _IDENTITY_BLOCKS, _IDENTITY_BLOCKS)), target
+
+
+def canonical_witness(p: TaniguchiParams) -> tuple[LinearWitness, TaniguchiParams]:
+    """Composed witness f_p <- f_canonical for alpha != 0 members.
+
+    Chains the elementary reductions: alpha -> 1, then k -> m-k when
+    k > m/2 (via the 3k-Frobenius swap, which reintroduces an alpha to
+    normalize), then a Frobenius twist down to the orbit minimum.  The
+    chain is composed as monomial blocks (_Chain) and its maps built once.
+    The canonical target lives in p's field.
+    """
+    w, target = _canonical_chain(p)
+    return w.witness(), target
 
 
 def equivalence_witness(p1: TaniguchiParams, p2: TaniguchiParams) -> LinearWitness | None:
@@ -294,11 +371,11 @@ def equivalence_witness(p1: TaniguchiParams, p2: TaniguchiParams) -> LinearWitne
         if p1.beta not in orbit:
             return None  # same class but different orbit: no direct map here
         i = orbit.index(p1.beta)  # p1.beta = p2.beta^(2^i)
-        return _w_frob(i, ctx) if i else identity_witness(ctx.m)
-    w1, c1 = canonical_witness(p1)
-    w2, c2 = canonical_witness(p2)
+        return _w_frob(i, ctx).witness() if i else identity_witness(ctx.m)
+    w1, c1 = _canonical_chain(p1)
+    w2, c2 = _canonical_chain(p2)
     assert c1 == c2
-    return compose_witness(w1, invert_witness(w2))
+    return w1.compose(w2.inverse()).witness()
 
 
 def pott_zhou_bridge_witness(p: TaniguchiParams) -> tuple[LinearWitness, PottZhouParams]:
@@ -310,7 +387,7 @@ def pott_zhou_bridge_witness(p: TaniguchiParams) -> tuple[LinearWitness, PottZho
         raise InvalidParams("bridge witness needs 0 < k < m/2")
     _require_apn(p)
     pz = PottZhouParams(m=p.m, k=p.k, s=2 * p.k, alpha=p.ctx.inverse(p.beta), ctx=p.ctx)
-    return _w_swap(0, p.beta, p.ctx), pz
+    return _w_swap(0, p.beta, p.ctx).witness(), pz
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ Addition is XOR; multiplication is shift-and-XOR with on-the-fly reduction.
 Every operation flows through a FieldCtx, which is immutable after
 construction and safe to share.  Scalar operations use the raw
 shift-and-XOR path and never touch a table, so they are the oracle for
-the bulk (numpy) operations.  Those take and return uint32 element
-arrays.  Maps that are GF(2)-linear share one kernel: xor_span tables a
+the bulk (numpy) operations, which take and return uint32 element
+arrays.  The scalar inverse is the extended Euclidean algorithm in
+GF(2)[X], about 2m shift-and-XOR steps, with pow(a, 2^m - 2) as its
+oracle.  Maps that are GF(2)-linear share one kernel: xor_span tables a
 map on the span of its basis images by XOR doubling, _linear_tables uses
 it for one table of the whole map up to m = 16 and one table per operand
 half above, and _apply_linear applies the map as one table gather
@@ -291,10 +293,29 @@ class FieldCtx:
         return a
 
     def inverse(self, a: int) -> int:
-        """Multiplicative inverse, a^(2^m - 2)."""
-        if a == 0:
-            raise ZeroInverse("zero has no multiplicative inverse")
-        return self.pow(a, self.order - 2)
+        """Multiplicative inverse, by the extended Euclidean algorithm in GF(2)[X]
+        (Hankerson, Menezes & Vanstone, Guide to ECC, Alg. 2.48).
+
+        Keeps g1 * a = u and g2 * a = v modulo f, from (u, v) = (a, f) and
+        (g1, g2) = (1, 0).  Each step cancels the top term of u by v shifted
+        up, after swapping the two rows when u is the shorter, so
+        deg u + deg v falls by at least one: about 2m shift-and-XOR steps
+        until u = 1, where g1 = a^-1.  pow(a, 2^m - 2) is its oracle.
+        """
+        if not 0 < a < self.order:
+            if a == 0:
+                raise ZeroInverse("zero has no multiplicative inverse")
+            raise InvalidParams(f"inverse needs an element of GF(2^{self.m}), got {a}")
+        u, v, g1, g2 = a, self.modulus, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v = v, u
+                g1, g2 = g2, g1
+                j = -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
 
     def is_cube(self, a: int) -> bool:
         """Whether a is a third power.

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from math import gcd
 from pathlib import Path
 
@@ -765,5 +766,46 @@ def test_phi_commands_build_no_log_table(capsys, monkeypatch, argv):
     monkeypatch.setattr(FieldCtx, "_logexp", property(refuse("_logexp")))
     monkeypatch.setattr(FieldCtx, "mul_vec", refuse("mul_vec"))
     monkeypatch.setattr(FieldCtx, "_mul_vec_raw", refuse("_mul_vec_raw"))
+    monkeypatch.setattr(FieldCtx, "inverse", refuse("inverse"))
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK and out
+
+
+def test_witness_composes_no_dense_map(capsys, monkeypatch):
+    # The witness chain is composed as monomial blocks: a same-class pair
+    # builds L and N once, by PairMap.monomial, and never composes or
+    # inverts a dense map.  Scalar inverses are Euclid's, never pow's.
+    from taniapn import linmaps
+    from taniapn.gf2m import FieldCtx
+
+    # k = 3 and 7 with alpha != 1: every elementary step enters the chain
+    argv = ("--format", "json", "witness", "--from", "10,3,0x5,0xAD", "--to", "10,7,0x1F3,0x308")
+    assert run(capsys, *argv)[0] == EXIT_OK  # fills the field's caches
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    inverse = FieldCtx.inverse
+
+    def inverse_without_pow(self, a):
+        before = calls["pow"]
+        out = inverse(self, a)
+        calls["inverse"] += 1
+        calls["pow in inverse"] += calls["pow"] - before
+        return out
+
+    monkeypatch.setattr(linmaps.PairMap, "compose", counted("compose", linmaps.PairMap.compose))
+    monkeypatch.setattr(linmaps.PairMap, "monomial",
+                        classmethod(counted("monomial", linmaps.PairMap.monomial.__func__)))
+    monkeypatch.setattr(linmaps, "gf2_invert", counted("gf2_invert", linmaps.gf2_invert))
+    monkeypatch.setattr(FieldCtx, "pow", counted("pow", FieldCtx.pow))
+    monkeypatch.setattr(FieldCtx, "inverse", inverse_without_pow)
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and json.loads(out)["verified"] is True
+    assert calls["compose"] == calls["gf2_invert"] == calls["pow in inverse"] == 0
+    assert 0 < calls["monomial"] <= 2
+    assert calls["inverse"] > 0

@@ -2,10 +2,12 @@
 
 import json
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from taniapn import equivalence
 from taniapn.counting import b_orbits, n_taniguchi
 from taniapn.diffanalysis import is_apn
 from taniapn.equivalence import (
@@ -35,7 +37,7 @@ from taniapn.families import (
 )
 from taniapn.gf2m import FieldCtx, coprime_residues, default_ctx
 from taniapn.linmaps import PairMap, gf2_apply, gf2_rank, pack, unpack
-from taniapn.poly_roots import count_roots, orbit_min, phi_set, transform_beta
+from taniapn.poly_roots import count_roots, orbit_min, phi_set, rootless, transform_beta
 
 
 def full_grid_verify(w, f, g):
@@ -297,6 +299,50 @@ def test_witness_composition_and_inversion_round_trip():
     # composing a witness with its inverse gives a self-witness of f_p
     w_id = compose_witness(w, w_inv)
     assert verify_witness(w_id, p, p)
+
+
+def dense_chain(p):
+    """canonical_witness(p) composed densely: its elementary witnesses as
+    PairMap.monomial maps, folded by compose_witness."""
+    steps, target = equivalence._canonical_steps(p)
+    return reduce(compose_witness, [s.witness() for s in steps], identity_witness(p.m)), target
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_canonical_chain_matches_dense_composition(m):
+    ctx = default_ctx(m)
+    checked = 0
+    for p in apn_params(m, alphas=range(1, ctx.order), ctx=ctx):
+        assert canonical_witness(p) == dense_chain(p), p
+        checked += 1
+    assert checked == {3: 42, 4: 150, 5: 1364}[m]
+
+
+def class_member(rng, ctx, k, gamma):
+    """A random member with this k of the class of f_{min(k, m-k),1,gamma}: a
+    Frobenius twist of gamma, then a random alpha, beta = gamma' alpha^(2^(m-k)+1)."""
+    m = ctx.m
+    alpha = rng.randrange(1, ctx.order)
+    beta = ctx.mul(ctx.pow2k(gamma, rng.randrange(m)), ctx.pow(alpha, (1 << (m - k)) + 1))
+    return TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta, ctx=ctx)
+
+
+@pytest.mark.parametrize("m, pairs", [(6, 4), (7, 4), (8, 4), (9, 4), (10, 4), (17, 2), (24, 1)])
+def test_pair_chain_matches_dense_composition(m, pairs):
+    # 2m > 32 at m = 17 and 24 packs into uint64; a fresh context drops
+    # the m = 24 log table with the test
+    ctx = FieldCtx(m)
+    rng = random.Random(m)
+    for _ in range(pairs):
+        k_star = rng.choice([k for k in coprime_residues(m) if k < m / 2])
+        gammas = np.array([rng.randrange(1, ctx.order) for _ in range(64)], dtype=np.uint32)
+        gamma = int(gammas[rootless(k_star, gammas, ctx)][0])
+        # p2 has k > m/2, so the inverted chain holds the swapped maps
+        p1 = class_member(rng, ctx, rng.choice([k_star, m - k_star]), gamma)
+        p2 = class_member(rng, ctx, m - k_star, gamma)
+        (w1, c1), (w2, c2) = dense_chain(p1), dense_chain(p2)
+        assert c1 == c2
+        assert equivalence_witness(p1, p2) == compose_witness(w1, invert_witness(w2))
 
 
 def test_witness_verify_guard():

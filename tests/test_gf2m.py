@@ -1,5 +1,7 @@
 """Field arithmetic: examples, axioms, and the scalar/vector path agreement."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,35 @@ def test_inverse_examples():
         assert ctx.mul(int(a), ctx.inverse(int(a))) == 1
     with pytest.raises(ZeroInverse):
         GF8.inverse(0)
+
+
+def assert_inverses(ctx, elements):
+    for a in elements:
+        inv = ctx.inverse(a)
+        assert inv == ctx.pow(a, ctx.order - 2) and ctx.mul(a, inv) == 1, (ctx, a)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_inverse_matches_pow_on_every_element(m):
+    assert_inverses(default_ctx(m), range(1, 1 << m))
+
+
+@pytest.mark.parametrize("m", range(13, 33))
+def test_inverse_matches_pow_on_samples(m):
+    rng = random.Random(m)
+    assert_inverses(default_ctx(m), [rng.randrange(1, 1 << m) for _ in range(2000)])
+
+
+@pytest.mark.parametrize("m, modulus", [(6, 0x49), (9, 0x211)])
+def test_inverse_matches_pow_under_other_moduli(m, modulus):
+    assert_inverses(FieldCtx(m, modulus), range(1, 1 << m))
+
+
+def test_inverse_refuses_non_elements():
+    ctx = default_ctx(5)
+    for a in (ctx.order, ctx.modulus, -1):
+        with pytest.raises(InvalidParams):
+            ctx.inverse(a)
 
 
 def test_is_cube():
