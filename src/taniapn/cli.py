@@ -52,7 +52,7 @@ from . import counting, diffanalysis, equivalence, poly_roots
 from .counting import CSV_HEADER, ORACLE_DEGREE_LIMIT, count_report
 from .errors import InvalidParams, TaniapnError, TooLarge
 from .families import PottZhouParams, TaniguchiParams, gold, load_function, save_function
-from .gf2m import BLOCK, MAX_DEGREE, FieldCtx, coprime_residues, default_ctx
+from .gf2m import BLOCK, MAX_DEGREE, MODULUS_TABLE, FieldCtx, coprime_residues, default_ctx
 
 EXIT_OK = 0
 EXIT_AUDIT_FAIL = 1
@@ -73,14 +73,14 @@ class RunConfig:
         if m not in self.modulus_overrides:
             return default_ctx(m)
         ctx = self.modulus_overrides[m]
-        if m not in self._served:
+        if m not in self._served and ctx.modulus != MODULUS_TABLE[m]:
             print(
                 f"warning: non-default modulus 0x{ctx.modulus:X} "
                 f"for m={m}; element values are comparable only across runs "
                 f"with the same modulus",
                 file=sys.stderr,
             )
-            self._served.add(m)
+        self._served.add(m)
         return ctx
 
     def warn_unused(self) -> None:

@@ -9,7 +9,10 @@ CCZ-equivalent exactly when their canonical triples
     ( k* = min(k, m-k),  alpha* in {0, 1},  beta* = orbit minimum )
 
 coincide; all alpha = 0 members with the same k* form a single class,
-marked (k*, 0, 0).
+marked (k*, 0, 0).  Each member is walked to that form once (_canonical):
+the walk gives its triple, the elementary witnesses that lead there and
+the length of beta*'s Frobenius orbit, which the equivalence decision,
+the witness chain and the automorphism order all read.
 
 The classification functions take members (families.TaniguchiParams)
 and no separate context: a member holds the field its alpha and beta are
@@ -24,12 +27,12 @@ f(L(x, y)) = N(g(x, y)) + M(x, y), composed from the elementary maps
 bridge to the pott-zhou family).  Each of those has M = 0 and L, N with
 two monomial blocks c X^(2^d), on the diagonal or swapped, a shape that
 composition and inversion keep: (c1, d1) o (c2, d2) = (c1 c2^(2^d1),
-d1 + d2) and (c, d)^-1 = ((c^-1)^(2^(m-d)), m - d).  So the chain is
-composed as scalar blocks and its PairMaps are built once at the end;
-compose_witness and invert_witness, on dense PairMaps, are its oracle
-in the tests.  A witness is only ever trusted after
-verify_witness checks the bijectivity of L and N and the identity on the
-points of Hamming weight <= 2.  That is exact for quadratic f and g:
+d1 + d2) and (c, d)^-1 = ((c^-1)^(2^(m-d)), m - d).  The chain is the
+canonical walk's steps, f_p1 <- canonical <- f_p2 for a pair, composed
+as scalar blocks with its PairMaps built once at the end; compose_witness
+and invert_witness, on dense PairMaps, are its oracle in the tests.  A
+witness is only ever trusted after verify_witness checks the bijectivity
+of L and N and the identity on the points of Hamming weight <= 2.  That is exact for quadratic f and g:
 h = f o L + N o g + M then has algebraic degree <= 2, and its ANF
 coefficient at a monomial of weight <= 2 is the XOR of h over the points
 below it, so h vanishing on those 1 + n + n(n-1)/2 points (n = 2m) makes
@@ -85,8 +88,6 @@ from .linmaps import (
 )
 from .poly_roots import (
     frobenius_orbit,
-    orbit_length,
-    orbit_min,
     transform_beta,
 )
 
@@ -170,20 +171,18 @@ def _require_apn(p: TaniguchiParams) -> None:
 
 def canonicalize(p: TaniguchiParams) -> CanonicalTriple:
     """Canonical triple of an APN member; defined for m >= 3."""
-    if p.m < 3:
-        raise InvalidParams("canonical form is defined for m >= 3")
-    _require_apn(p)
-    k_star = min(p.k, p.m - p.k)
-    if p.alpha == 0:
-        return CanonicalTriple(k_star, 0, 0)
-    beta1 = transform_beta(p.k, p.alpha, p.beta, p.ctx)
-    return CanonicalTriple(k_star, 1, orbit_min(beta1, p.ctx))
+    return _canonical(p).triple
 
 
-def are_ccz_equivalent(p1: TaniguchiParams, p2: TaniguchiParams) -> bool:
+def _same_field(p1: TaniguchiParams, p2: TaniguchiParams) -> FieldCtx:
     if p1.ctx != p2.ctx:
         raise DegreeMismatch(f"m={p1.m} vs m={p2.m}" if p1.m != p2.m else
                              f"modulus 0x{p1.ctx.modulus:X} vs 0x{p2.ctx.modulus:X}")
+    return p1.ctx
+
+
+def are_ccz_equivalent(p1: TaniguchiParams, p2: TaniguchiParams) -> bool:
+    _same_field(p1, p2)
     return canonicalize(p1) == canonicalize(p2)
 
 
@@ -294,62 +293,66 @@ def _w_swap(d: int, beta: int, ctx: FieldCtx) -> _Chain:
 
 
 # ---------------------------------------------------------------------------
-# Constructive canonicalization
+# The canonical walk
 # ---------------------------------------------------------------------------
 
-def _canonical_steps(p: TaniguchiParams) -> tuple[list[_Chain], TaniguchiParams]:
-    """The elementary witnesses of canonical_witness, in composition order,
-    and the canonical target."""
-    if p.alpha == 0:
-        raise InvalidParams("constructive canonicalization needs alpha != 0")
+class _Walk(NamedTuple):
+    """A member's walk to its canonical form."""
+
+    triple: CanonicalTriple
+    steps: list[_Chain]   # f_p <- f_canonical in composition order; none for alpha = 0
+    orbit_length: int     # of beta*; 0 for alpha = 0
+
+
+def _canonical(p: TaniguchiParams) -> _Walk:
+    """The one walk of an APN member (m >= 3) to its canonical form.
+
+    alpha -> 1, then k -> m-k when k > m/2 (via the 3k-Frobenius swap,
+    which reintroduces an alpha to normalize), then a Frobenius twist down
+    to the orbit minimum beta*.  An alpha = 0 member stays where it is.
+    """
     if p.m < 3:
         raise InvalidParams("canonical form is defined for m >= 3")
     _require_apn(p)
-
-    ctx, m = p.ctx, p.m
+    ctx, m, k, beta = p.ctx, p.m, p.k, p.beta
+    if p.alpha == 0:
+        return _Walk(CanonicalTriple(min(k, m - k), 0, 0), [], 0)
     steps = []
-    k, beta = p.k, p.beta
-
     if p.alpha != 1:
         steps.append(_w_alpha(k, p.alpha, ctx))
         beta = transform_beta(k, p.alpha, beta, ctx)
-
     if k > m // 2:
-        k_star = m - k
-        steps.append(_w_swap(3 * k_star % m, beta, ctx))
+        k = m - k
+        steps.append(_w_swap(3 * k % m, beta, ctx))
         inv_b = ctx.inverse(beta)
         # now at f_{k*, 1/beta, 1/beta}; normalize its alpha away
-        steps.append(_w_alpha(k_star, inv_b, ctx))
-        beta = transform_beta(k_star, inv_b, inv_b, ctx)
-        k = k_star
-
+        steps.append(_w_alpha(k, inv_b, ctx))
+        beta = transform_beta(k, inv_b, inv_b, ctx)
     orbit = frobenius_orbit(beta, ctx)
     beta_star = min(orbit)
     i = -orbit.index(beta_star) % len(orbit)  # beta = beta_star^(2^i)
     if i:
         steps.append(_w_frob(i, ctx))
-
-    target = TaniguchiParams(m=m, k=k, alpha=1, beta=beta_star, ctx=ctx)
-    return steps, target
+    return _Walk(CanonicalTriple(k, 1, beta_star), steps, len(orbit))
 
 
-def _canonical_chain(p: TaniguchiParams) -> tuple[_Chain, TaniguchiParams]:
-    """canonical_witness's chain, before its maps are built."""
-    steps, target = _canonical_steps(p)
-    return reduce(_Chain.compose, steps, _Chain(p.ctx, _IDENTITY_BLOCKS, _IDENTITY_BLOCKS)), target
+def _chain(ctx: FieldCtx, steps: list[_Chain]) -> _Chain:
+    """The steps composed, as one chain."""
+    return reduce(_Chain.compose, steps, _Chain(ctx, _IDENTITY_BLOCKS, _IDENTITY_BLOCKS))
 
 
 def canonical_witness(p: TaniguchiParams) -> tuple[LinearWitness, TaniguchiParams]:
     """Composed witness f_p <- f_canonical for alpha != 0 members.
 
-    Chains the elementary reductions: alpha -> 1, then k -> m-k when
-    k > m/2 (via the 3k-Frobenius swap, which reintroduces an alpha to
-    normalize), then a Frobenius twist down to the orbit minimum.  The
-    chain is composed as monomial blocks (_Chain) and its maps built once.
-    The canonical target lives in p's field.
+    The steps of the member's canonical walk (_canonical), composed as
+    monomial blocks (_Chain) with the maps built once.  The canonical
+    target lives in p's field.
     """
-    w, target = _canonical_chain(p)
-    return w.witness(), target
+    if p.alpha == 0:
+        raise InvalidParams("constructive canonicalization needs alpha != 0")
+    triple, steps, _ = _canonical(p)
+    target = TaniguchiParams(m=p.m, k=triple.k_star, alpha=1, beta=triple.beta_star, ctx=p.ctx)
+    return _chain(p.ctx, steps).witness(), target
 
 
 def equivalence_witness(p1: TaniguchiParams, p2: TaniguchiParams) -> LinearWitness | None:
@@ -359,23 +362,20 @@ def equivalence_witness(p1: TaniguchiParams, p2: TaniguchiParams) -> LinearWitne
     both have alpha = 0 with betas in different Frobenius orbits (their
     equivalence routes through pott-zhou maps not restated here).
     """
-    if not are_ccz_equivalent(p1, p2):
+    ctx = _same_field(p1, p2)
+    p2.is_apn_criterion()  # scan p2 (it keeps the verdict) before p1's walk is held
+    (t1, s1, _), (t2, s2, _) = _canonical(p1), _canonical(p2)
+    if t1 != t2:
         return None
-    ctx = p1.ctx
-    if p1 == p2:
-        return identity_witness(ctx.m)
     if p1.alpha == 0:
         if p1.k != p2.k:
             return None
         orbit = frobenius_orbit(p2.beta, ctx)
         if p1.beta not in orbit:
             return None  # same class but different orbit: no direct map here
-        i = orbit.index(p1.beta)  # p1.beta = p2.beta^(2^i)
-        return _w_frob(i, ctx).witness() if i else identity_witness(ctx.m)
-    w1, c1 = _canonical_chain(p1)
-    w2, c2 = _canonical_chain(p2)
-    assert c1 == c2
-    return w1.compose(w2.inverse()).witness()
+        # p1.beta = p2.beta^(2^i) at index i of p2.beta's orbit
+        return _w_frob(orbit.index(p1.beta), ctx).witness()
+    return _chain(ctx, s1).compose(_chain(ctx, s2).inverse()).witness()
 
 
 def pott_zhou_bridge_witness(p: TaniguchiParams) -> tuple[LinearWitness, PottZhouParams]:
@@ -442,8 +442,7 @@ def aut_orders(p: TaniguchiParams) -> AutOrders:
         else:
             el = 3 * m * (ctx.order - 1) // 2
     else:
-        beta1 = transform_beta(p.k, p.alpha, p.beta, ctx)
-        el = m * (ctx.order - 1) // orbit_length(beta1, ctx)
+        el = m * (ctx.order - 1) // _canonical(p).orbit_length
     aut = el << (2 * m)
     return AutOrders(el, aut, aut)
 

@@ -350,6 +350,17 @@ def test_witness_above_the_cap_names_the_cap(capsys):
         (EXIT_USAGE, "", "error: witness verification capped at 2m=32\n")
 
 
+@pytest.mark.parametrize("src, dst, want", [
+    # above the verification cap the verdict still comes from the canonical
+    # triples, so an inequivalent pair prints it
+    ("17,1,1,1", "17,1,1,7", (EXIT_NEGATIVE, "no witness: members are CCZ-inequivalent\n", "")),
+    # above m = 28 the members' APN check refuses first
+    ("29,1,1,1", "29,1,1,2", (EXIT_USAGE, "", "error: exhaustive root scan capped at m=28\n")),
+])
+def test_witness_above_the_cap_without_a_witness(capsys, src, dst, want):
+    assert run(capsys, "witness", "--from", src, "--to", dst) == want
+
+
 def test_witness_at_m8_builds_no_log_table(capsys, monkeypatch):
     # up to m = 8 products and powers gather from the product table, so a
     # witness and the automorphism count run without the log/antilog pair
@@ -465,6 +476,29 @@ def test_witness_scans_each_member_once(capsys, monkeypatch, src, dst):
     assert code == EXIT_OK
     assert sorted(calls) == sorted((int(k), int(a, 16), int(b, 16)) for _, k, a, b in
                                    (spec.split(",") for spec in (src, dst)))
+
+
+def test_witness_walks_each_member_once(capsys, monkeypatch):
+    # the decision, the chain and the canonical target read one walk per
+    # member: one Frobenius orbit each, no orbit_min or orbit_length, and
+    # transform_beta once for 10,3,.. and twice for 10,7,.. (its alpha,
+    # then the swap's)
+    import sys
+
+    from taniapn import poly_roots
+    argv = ["--format", "json", "witness", "--from", "10,3,0x5,0xAD", "--to", "10,7,0x1F3,0x308"]
+    assert run(capsys, *argv)[0] == EXIT_OK  # warm: fields and tables built
+    calls = Counter()
+    for fn in (poly_roots.frobenius_orbit, poly_roots.transform_beta,
+               poly_roots.orbit_min, poly_roots.orbit_length):
+        def counted(*a, fn=fn):
+            calls[fn.__name__] += 1
+            return fn(*a)
+        for name, module in list(sys.modules.items()):  # wherever taniapn binds it
+            if name.startswith("taniapn") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    assert run(capsys, *argv)[0] == EXIT_OK
+    assert calls == {"frobenius_orbit": 2, "transform_beta": 3}
 
 
 def test_save_table_rejects_gold(capsys, tmp_path):
@@ -607,9 +641,17 @@ def test_used_modulus_override_has_no_unused_warning(capsys):
     ]
 
 
+def test_default_modulus_override_is_silent(capsys):
+    # 0x25 is the default modulus for m = 5: no warning, and the same output
+    argv = ["check-apn", "taniguchi", "--m", "5", "--k", "1", "--alpha", "1", "--beta", "1"]
+    code, out, err = run(capsys, *argv)
+    assert err == ""
+    assert run(capsys, "--modulus", "5=0x25", *argv) == (code, out, "")
+
+
 def test_modulus_override_context_built_once(capsys):
     from taniapn.cli import RunConfig, _parse_modulus_override
-    cfg = RunConfig(modulus_overrides=_parse_modulus_override(["5=0x25", "3=0xD"]))
+    cfg = RunConfig(modulus_overrides=_parse_modulus_override(["5=0x2F", "3=0xD"]))
     first = cfg.ctx(3)
     assert cfg.ctx(3) is first and first.modulus == 0xD
     assert cfg.ctx(5) is cfg.ctx(5)

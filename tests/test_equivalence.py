@@ -37,7 +37,14 @@ from taniapn.families import (
 )
 from taniapn.gf2m import FieldCtx, coprime_residues, default_ctx
 from taniapn.linmaps import PairMap, gf2_apply, gf2_rank, pack, unpack
-from taniapn.poly_roots import count_roots, orbit_min, phi_set, rootless, transform_beta
+from taniapn.poly_roots import (
+    count_roots,
+    orbit_length,
+    orbit_min,
+    phi_set,
+    rootless,
+    transform_beta,
+)
 
 
 def full_grid_verify(w, f, g):
@@ -83,6 +90,19 @@ def test_canonicalize_alpha_reduction_consistency():
             q = TaniguchiParams(m=m, k=p.k, alpha=1,
                                 beta=transform_beta(p.k, p.alpha, p.beta, ctx))
             assert canonicalize(p) == canonicalize(q)
+
+
+@pytest.mark.parametrize("ctx", [default_ctx(m) for m in (3, 4, 5, 6)] + [FieldCtx(6, 0x49)],
+                         ids=lambda ctx: f"{ctx.m}-0x{ctx.modulus:X}")
+def test_canonicalize_matches_its_definition(ctx):
+    # the literal triple: (k*, 1, orbit minimum of the alpha-normalised beta),
+    # or the marker (k*, 0, 0) for alpha = 0
+    m = ctx.m
+    for p in apn_params(m, alphas=range(ctx.order), ctx=ctx):
+        k_star = min(p.k, m - p.k)
+        want = (k_star, 0, 0) if p.alpha == 0 else \
+            (k_star, 1, orbit_min(transform_beta(p.k, p.alpha, p.beta, ctx), ctx))
+        assert canonicalize(p) == CanonicalTriple(*want), p
 
 
 def test_canonicalize_requires_apn():
@@ -304,7 +324,8 @@ def test_witness_composition_and_inversion_round_trip():
 def dense_chain(p):
     """canonical_witness(p) composed densely: its elementary witnesses as
     PairMap.monomial maps, folded by compose_witness."""
-    steps, target = equivalence._canonical_steps(p)
+    trip, steps, _ = equivalence._canonical(p)
+    target = TaniguchiParams(m=p.m, k=trip.k_star, alpha=1, beta=trip.beta_star, ctx=p.ctx)
     return reduce(compose_witness, [s.witness() for s in steps], identity_witness(p.m)), target
 
 
@@ -482,8 +503,11 @@ def test_class_accounting_small(m):
     assert len(triples) == n_taniguchi(m)
 
 
-def test_self_witness_is_identity():
-    p = TaniguchiParams(m=4, k=1, alpha=1, beta=9)
+@pytest.mark.parametrize("k, alpha, beta", [(1, 1, 9), (1, 0, 2), (3, 5, 11)])
+def test_self_witness_is_identity(k, alpha, beta):
+    # an alpha = 0 member takes the zero twist, and alpha = 5 with k > m/2
+    # composes its alpha, swap and twist steps with their inverses
+    p = TaniguchiParams(m=4, k=k, alpha=alpha, beta=beta)
     w = equivalence_witness(p, p)
     assert w == identity_witness(4)
     assert verify_witness(w, p, p)
@@ -529,6 +553,15 @@ def test_aut_alpha_one_m5():
     unit = aut_orders(TaniguchiParams(m=5, k=1, alpha=1, beta=1))
     assert unit.aut_el == 155         # beta'=1 has orbit length 1
     assert unit.aut == 155 << 10
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_aut_el_matches_its_definition(m):
+    # m(2^m - 1) over the orbit length of the alpha-normalised beta
+    ctx = default_ctx(m)
+    for p in apn_params(m, alphas=range(1, ctx.order), ctx=ctx):
+        beta1 = transform_beta(p.k, p.alpha, p.beta, ctx)
+        assert aut_orders(p).aut_el == m * (ctx.order - 1) // orbit_length(beta1, ctx), p
 
 
 def test_aut_invariant_on_classes():

@@ -174,6 +174,10 @@ MUTANTS = [
            T_EQUIV),
     Mutant("aut-sieve-drops-a-candidate", EQUIV,
            "cand = cand[keep]", "cand = cand[keep][1:]", T_EQUIV),
+    Mutant("canonical-orbit-max", EQUIV,
+           "beta_star = min(orbit)", "beta_star = max(orbit)", T_EQUIV),
+    Mutant("canonical-swap-twist", EQUIV,
+           "3 * k % m", "k % m", T_EQUIV),
     Mutant("monomial-compose-frobenius", EQUIV,
            "ctx.mul(c1, ctx.pow2k(c2, d1))", "ctx.mul(c1, ctx.pow2k(c2, d2))", T_EQUIV),
     Mutant("euclid-no-swap", GF2M,
