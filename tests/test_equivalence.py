@@ -503,8 +503,15 @@ def test_class_accounting_small(m):
     assert len(triples) == n_taniguchi(m)
 
 
-@pytest.mark.parametrize("k, alpha, beta", [(1, 1, 9), (1, 0, 2), (3, 5, 11)])
-def test_self_witness_is_identity(k, alpha, beta):
+def test_self_witness_is_identity():
+    p = TaniguchiParams(m=4, k=1, alpha=1, beta=9)
+    w = equivalence_witness(p, p)
+    assert w == identity_witness(4)
+    assert verify_witness(w, p, p)
+
+
+@pytest.mark.parametrize("k, alpha, beta", [(1, 0, 2), (3, 5, 11)])
+def test_self_witness_is_identity_through_steps(k, alpha, beta):
     # an alpha = 0 member takes the zero twist, and alpha = 5 with k > m/2
     # composes its alpha, swap and twist steps with their inverses
     p = TaniguchiParams(m=4, k=k, alpha=alpha, beta=beta)
