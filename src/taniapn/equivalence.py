@@ -18,8 +18,9 @@ The classification functions take members (families.TaniguchiParams)
 and no separate context: a member holds the field its alpha and beta are
 read in.  Two operands must share one field (DegreeMismatch otherwise),
 and the members a witness leads to are built in the source's field.  An
-APN check reads the member's own verdict, so a member is scanned once
-however many of these functions it passes through.
+APN check reads the member's own verdict, and the walk its normalized
+beta, so each is decided once however many of these functions a member
+passes through.
 
 Witnesses.  Equivalences are produced constructively as (L, N, M) with
 f(L(x, y)) = N(g(x, y)) + M(x, y), composed from the elementary maps
@@ -314,13 +315,11 @@ def _canonical(p: TaniguchiParams) -> _Walk:
     if p.m < 3:
         raise InvalidParams("canonical form is defined for m >= 3")
     _require_apn(p)
-    ctx, m, k, beta = p.ctx, p.m, p.k, p.beta
+    ctx, m, k = p.ctx, p.m, p.k
     if p.alpha == 0:
         return _Walk(CanonicalTriple(min(k, m - k), 0, 0), [], 0)
-    steps = []
-    if p.alpha != 1:
-        steps.append(_w_alpha(k, p.alpha, ctx))
-        beta = transform_beta(k, p.alpha, beta, ctx)
+    steps = [] if p.alpha == 1 else [_w_alpha(k, p.alpha, ctx)]
+    beta = p.normalized_beta
     if k > m // 2:
         k = m - k
         steps.append(_w_swap(3 * k % m, beta, ctx))
@@ -363,7 +362,6 @@ def equivalence_witness(p1: TaniguchiParams, p2: TaniguchiParams) -> LinearWitne
     equivalence routes through pott-zhou maps not restated here).
     """
     ctx = _same_field(p1, p2)
-    p2.is_apn_criterion()  # scan p2 (it keeps the verdict) before p1's walk is held
     (t1, s1, _), (t2, s2, _) = _canonical(p1), _canonical(p2)
     if t1 != t2:
         return None

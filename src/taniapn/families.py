@@ -18,8 +18,10 @@ a known-APN fixture for the differential checker.
 A family member is one frozen object, TaniguchiParams(m, k, alpha, beta,
 ctx) or PottZhouParams(m, k, s, alpha, ctx): its parameters, the field
 ctx they are bit patterns in (None means default_ctx(m)), its evaluation
-and its APN criterion.  A Taniguchi member decides its criterion by one
-root scan and keeps the verdict.
+and its APN criterion.  A Taniguchi member decides its criterion once and
+keeps the verdict: for alpha = 0 by the cube rule, otherwise by the rank
+test poly_roots.is_rootless on its normalized beta, which it also keeps
+for the equivalence walk.
 
 Every function object answers is_quadratic (each coordinate of degree
 <= 2), which the differential scan and the witness check read: family
@@ -50,7 +52,7 @@ import numpy as np
 from .errors import InvalidParams, TooLarge
 from .gf2m import BLOCK, FieldCtx, default_ctx, resolve_ctx
 from .linmaps import pack, unpack
-from .poly_roots import count_roots
+from .poly_roots import is_rootless, transform_beta
 
 _MATERIALIZE_LIMIT = 28  # bits of packed index (= 2m)
 _FILE_MAGIC = b"APNT"
@@ -166,14 +168,25 @@ class TaniguchiParams(BivariateFunction):
         return pack(f1, ctx.mul_vec(x, y), ctx.m)
 
     @cached_property
+    def normalized_beta(self) -> int:
+        """beta' = poly_roots.transform_beta of the member (alpha != 0): the
+        trinomial X^(2^k+1) + X + beta' is rootless iff this member's is."""
+        return transform_beta(self.k, self.alpha, self.beta, self.ctx)
+
+    @cached_property
     def _rootless(self) -> bool:
-        return count_roots(self.k, self.alpha, self.beta, self.ctx) == 0
+        if self.alpha == 0:
+            return self.m % 2 == 0 and not self.ctx.is_cube(self.beta)
+        return is_rootless(self.k, self.normalized_beta, self.ctx)
 
     def is_apn_criterion(self) -> bool:
         """APN criterion: the trinomial X^(2^k+1)+alpha*X+beta is rootless.
 
-        For alpha = 0 this is equivalent to (m even and beta a non-cube).
-        The root scan runs once per member; later calls read its verdict.
+        For alpha = 0 that holds iff m is even and beta a non-cube, since
+        x -> x^(2^k+1) is 3-to-1 on the nonzero elements for even m and
+        bijective for odd m.  Otherwise it is the rank test on
+        normalized_beta.  The verdict is decided once per member; later
+        calls read it.
         """
         return self._rootless
 

@@ -32,18 +32,22 @@ representatives and lengths as arrays; the orbit of each element
 each conjugate in the bitmap, only when it is first read.
 
 rootless() decides membership in Phi(m) for any batch of betas without
-a pass over the field.  For beta != 0 and gcd(k, m) = 1 the trinomial
-has 2^(dim ker L) - 1 roots, where L(y) = y^(q^2) + y^q + beta*y is
-GF(2)-linear (Bluher, FFA 10, 2004), so beta is in Phi(m) iff L has full
-rank.  At beta = 0, which has the root 0, L has the kernel GF(2), so
-the rank test holds there too.  The rows L(X^i) of a whole batch come
-from the k-th Frobenius table, applied twice, and m xtime steps of
-beta, and one batched elimination (linmaps.kernel_dims) gives every
-rank.
+a pass over the field, and is_rootless() for one beta, which is how a
+member decides its APN criterion (families.TaniguchiParams).  For
+beta != 0 and gcd(k, m) = 1 the trinomial has 2^(dim ker L) - 1 roots,
+where L(y) = y^(q^2) + y^q + beta*y is GF(2)-linear (Bluher, FFA 10,
+2004), so beta is in Phi(m) iff L has full rank.  At beta = 0, which has
+the root 0, L has the kernel GF(2), so the rank test holds there too.
+Row i of L is (X^i)^(q^2) + (X^i)^q, which does not depend on beta
+(_frobenius_rows), plus beta*X^i, the i-th shift-and-reduce step of
+beta.  rootless ranks a whole batch by one batched elimination
+(linmaps.kernel_dims); is_rootless ranks its m rows as Python ints
+(linmaps.gf2_rank), since a batched elimination of one column costs
+about 5m numpy calls.
 
-count_roots() stays a literal exhaustive scan on purpose: it decides a
-single member's APN criterion (families.TaniguchiParams), and it is the
-independent oracle the tests check phi_set and rootless against.
+count_roots() stays a literal exhaustive scan on purpose: it is the
+independent oracle the tests check phi_set, rootless and is_rootless
+against, and no command calls it.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from .errors import (
     ZeroAlpha,
 )
 from .gf2m import BLOCK, FieldCtx, xor_span
-from .linmaps import kernel_dims
+from .linmaps import gf2_rank, kernel_dims
 
 _SCAN_DEGREE_LIMIT = 28  # 2^m-element scans stay feasible up to here
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -185,7 +189,8 @@ def _check_k(k: int, ctx: FieldCtx) -> int:
 
 
 def count_roots(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:
-    """Exact number of x with x^(2^k+1) + alpha*x + beta = 0, by full scan."""
+    """Exact number of x with x^(2^k+1) + alpha*x + beta = 0, by full scan:
+    the oracle of phi_set, rootless and is_rootless."""
     k = _check_k(k, ctx)
     if not (ctx.contains(alpha) and ctx.contains(beta)):
         raise InvalidParams("alpha/beta out of field range")
@@ -198,22 +203,46 @@ def count_roots(k: int, alpha: int, beta: int, ctx: FieldCtx) -> int:
     return roots
 
 
+def _frobenius_rows(k: int, ctx: FieldCtx) -> np.ndarray:
+    """(X^i)^(q^2) + (X^i)^q for i < m, q = 2^k, as uint32: the part of
+    row i of L(y) = y^(q^2) + y^q + beta*y that does not depend on beta,
+    from the k-th Frobenius table applied twice."""
+    q = ctx.pow2k_vec(np.left_shift(np.uint32(1), np.arange(ctx.m, dtype=np.uint32)), k)
+    return ctx.pow2k_vec(q, k) ^ q
+
+
+def is_rootless(k: int, beta: int, ctx: FieldCtx) -> bool:
+    """Whether X^(q+1) + X + beta, q = 2^k, has no root in GF(2^m): whether
+    L(y) = y^(q^2) + y^q + beta*y has full rank, as rootless() for one beta.
+
+    Row i is _frobenius_rows' entry i plus beta*X^i, each row a Python
+    int from one shift-and-reduce step of the one before.
+    """
+    k = _check_k(k, ctx)
+    if not ctx.contains(beta):
+        raise InvalidParams("beta out of field range")
+    rows = []
+    for frob in _frobenius_rows(k, ctx).tolist():
+        rows.append(frob ^ beta)
+        beta <<= 1
+        if beta >> ctx.m:
+            beta ^= ctx.modulus
+    return gf2_rank(rows) == ctx.m
+
+
 def rootless(k: int, betas: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Per beta of a uint32 element array, whether X^(q+1) + X + beta,
     q = 2^k, has no root in GF(2^m): whether L(y) = y^(q^2) + y^q + beta*y
     has full rank.  beta = 0 needs no exception: L(y) = (y^q + y)^q then
     has the kernel GF(2).
 
-    Row i of L is (X^i)^(q^2) + (X^i)^q, one constant per i from the k-th
-    Frobenius table applied twice, plus beta*X^i, the i-th xtime step of
-    beta.  The betas go in batches of BLOCK // m, so the m rows of a batch
-    hold at most BLOCK entries.
+    Row i of L is _frobenius_rows' entry i plus beta*X^i, the i-th xtime
+    step of beta.  The betas go in batches of BLOCK // m, so the m rows of
+    a batch hold at most BLOCK entries.
     """
     k = _check_k(k, ctx)
     m = ctx.m
-    basis = np.left_shift(np.uint32(1), np.arange(m, dtype=np.uint32))
-    q = ctx.pow2k_vec(basis, k)
-    frob = ctx.pow2k_vec(q, k) ^ q
+    frob = _frobenius_rows(k, ctx)
     out = np.empty(betas.size, dtype=bool)
     width = BLOCK // m
     rows = np.empty((m, min(width, betas.size)), dtype=np.uint32)

@@ -354,8 +354,12 @@ def test_witness_above_the_cap_names_the_cap(capsys):
     # above the verification cap the verdict still comes from the canonical
     # triples, so an inequivalent pair prints it
     ("17,1,1,1", "17,1,1,7", (EXIT_NEGATIVE, "no witness: members are CCZ-inequivalent\n", "")),
-    # above m = 28 the members' APN check refuses first
-    ("29,1,1,1", "29,1,1,2", (EXIT_USAGE, "", "error: exhaustive root scan capped at m=28\n")),
+    # above m = 28 too the members' APN check is the rank test: a member
+    # that is not APN is refused by name, and an APN pair is decided by the
+    # canonical triples (beta = 3 is a non-cube at m = 32)
+    ("29,1,1,1", "29,1,1,2", (EXIT_USAGE, "", "error: f_(k=1, alpha=0x1, beta=0x2) is not APN\n")),
+    ("29,1,1,1", "29,1,1,3", (EXIT_NEGATIVE, "no witness: members are CCZ-inequivalent\n", "")),
+    ("32,1,1,1", "32,1,0,3", (EXIT_NEGATIVE, "no witness: members are CCZ-inequivalent\n", "")),
 ])
 def test_witness_above_the_cap_without_a_witness(capsys, src, dst, want):
     assert run(capsys, "witness", "--from", src, "--to", dst) == want
@@ -459,23 +463,32 @@ def test_witness_degree_mismatch(capsys):
 @pytest.mark.parametrize("src, dst", [("5,4,13,1F", "5,4,9,C"), ("4,1,0,2", "4,3,0,2")])
 def test_witness_scans_each_member_once(capsys, monkeypatch, src, dst):
     # the canonical-witness path and the no-witness path both pass each
-    # member through the APN check more than once; the member keeps its verdict
+    # member through the APN check more than once; the member keeps its
+    # verdict, decided by one rank test of its normalized beta (alpha != 0)
+    # or one cube test of its beta (alpha = 0)
     import sys
 
     from taniapn import poly_roots
-    orig, calls = poly_roots.count_roots, []
+    from taniapn.gf2m import FieldCtx, default_ctx
+    orig, is_cube, calls = poly_roots.is_rootless, FieldCtx.is_cube, []
 
-    def counted(k, alpha, beta, ctx):
-        calls.append((k, alpha, beta))
-        return orig(k, alpha, beta, ctx)
+    def counted(k, beta, ctx):
+        calls.append(("rank", k, beta))
+        return orig(k, beta, ctx)
 
     for name, module in list(sys.modules.items()):  # wherever taniapn binds it
-        if name.startswith("taniapn") and getattr(module, "count_roots", None) is orig:
-            monkeypatch.setattr(module, "count_roots", counted)
+        if name.startswith("taniapn") and getattr(module, "is_rootless", None) is orig:
+            monkeypatch.setattr(module, "is_rootless", counted)
+    monkeypatch.setattr(FieldCtx, "is_cube",
+                        lambda ctx, a: calls.append(("cube", a)) or is_cube(ctx, a))
     code, _, _ = run(capsys, "--format", "json", "witness", "--from", src, "--to", dst)
     assert code == EXIT_OK
-    assert sorted(calls) == sorted((int(k), int(a, 16), int(b, 16)) for _, k, a, b in
-                                   (spec.split(",") for spec in (src, dst)))
+    want = []
+    for m, k, alpha, beta in (spec.split(",") for spec in (src, dst)):
+        m, k, alpha, beta = int(m), int(k), int(alpha, 16), int(beta, 16)
+        want.append(("cube", beta) if alpha == 0 else
+                    ("rank", k, poly_roots.transform_beta(k, alpha, beta, default_ctx(m))))
+    assert sorted(calls) == sorted(want)
 
 
 def test_witness_walks_each_member_once(capsys, monkeypatch):
@@ -499,6 +512,40 @@ def test_witness_walks_each_member_once(capsys, monkeypatch):
                 monkeypatch.setattr(module, fn.__name__, counted)
     assert run(capsys, *argv)[0] == EXIT_OK
     assert calls == {"frobenius_orbit": 2, "transform_beta": 3}
+
+
+@pytest.mark.parametrize("m", [29, 32])
+def test_member_commands_above_the_scan_degree(capsys, monkeypatch, forbid_generator_walk, m):
+    # check-apn and aut decide a member by the rank test alone: no root scan,
+    # no log table and no bulk product at m = 29..32.  X^3 + X + 1 is
+    # irreducible over GF(2), so it has no root when 3 does not divide m;
+    # x = 2 is a root of X^3 + X + 0xA; (m-1, 3, 3^3 = 0xF) normalizes to
+    # beta' = 1 and walks to the class of (1, 1, 1), whose beta* = 1 has
+    # an orbit of length 1, so |Aut_EL| = m(2^m - 1)
+    import sys
+
+    from taniapn import poly_roots
+
+    def refuse(*_):
+        raise AssertionError("the root scan was used")
+
+    for name, module in list(sys.modules.items()):  # wherever taniapn binds it
+        if name.startswith("taniapn") and getattr(module, "count_roots", None) is not None:
+            monkeypatch.setattr(module, "count_roots", refuse)
+    forbid_generator_walk()
+    el = m * ((1 << m) - 1)
+    aut = f"aut_el {el}\naut_ea {el << 2 * m}\naut    {el << 2 * m}\n"
+    for (k, alpha, beta), verdict, code in [((1, 1, 1), "APN", EXIT_OK),
+                                            ((1, 1, 0xA), "NOT APN", EXIT_NEGATIVE),
+                                            ((m - 1, 3, 0xF), "APN", EXIT_OK)]:
+        flags = ("--m", str(m), "--k", str(k), "--alpha", f"{alpha:X}", "--beta", f"{beta:X}")
+        assert run(capsys, "check-apn", "taniguchi", *flags) == (code, (
+            "family     taniguchi\n"
+            f"params     m={m} k={k} alpha=0x{alpha:X} beta=0x{beta:X}\n"
+            f"criterion  {verdict}\n"), "")
+        assert run(capsys, "aut", *flags) == ((EXIT_OK, aut, "") if code == EXIT_OK else (
+            EXIT_USAGE, "", f"error: f_(k={k}, alpha=0x{alpha:X}, beta=0x{beta:X}) is not APN\n"))
+    assert poly_roots.count_roots is refuse
 
 
 def test_save_table_rejects_gold(capsys, tmp_path):

@@ -15,8 +15,8 @@ from taniapn.families import (
     materialize,
     save_function,
 )
-from taniapn.gf2m import default_ctx
-from taniapn.poly_roots import phi_set
+from taniapn.gf2m import FieldCtx, coprime_residues, default_ctx
+from taniapn.poly_roots import count_roots, phi_set
 
 
 def test_taniguchi_params_validation():
@@ -109,6 +109,41 @@ def test_taniguchi_alpha_zero_criterion():
     for beta in range(1, 32):
         f = TaniguchiParams(m=5, k=1, alpha=0, beta=beta)
         assert not f.is_apn_criterion()
+
+
+@pytest.mark.parametrize("ctx", [default_ctx(m) for m in range(2, 7)] + [FieldCtx(6, 0x49)],
+                         ids=repr)
+def test_taniguchi_criterion_against_root_scan(ctx):
+    # every member (k, alpha, beta), alpha = 0 included: the cube rule and
+    # the rank test against the literal root scan
+    for k in coprime_residues(ctx.m):
+        for alpha in range(ctx.order):
+            for beta in range(1, ctx.order):
+                f = TaniguchiParams(m=ctx.m, k=k, alpha=alpha, beta=beta, ctx=ctx)
+                assert f.is_apn_criterion() == (count_roots(k, alpha, beta, ctx) == 0), \
+                    (ctx, k, alpha, beta)
+
+
+@pytest.mark.parametrize("m", [pytest.param(m, marks=pytest.mark.slow) if m >= 17 else m
+                               for m in range(13, 25)])
+def test_taniguchi_criterion_against_root_scan_sampled(m):
+    # random members, drawn until each kind is seen: alpha != 0 with and
+    # without a root, and alpha = 0 with a root and (even m) without
+    ctx = default_ctx(m)
+    rng = np.random.default_rng(200 + m)
+    ks = coprime_residues(m)
+    want = {(False, True): 3, (False, False): 3, (True, False): 1, (True, True): m % 2 == 0}
+    for _ in range(200):
+        if not any(want.values()):
+            break
+        k = ks[rng.integers(len(ks))]
+        alpha = 0 if rng.random() < 0.25 else int(rng.integers(1, ctx.order))
+        beta = int(rng.integers(1, ctx.order))
+        apn = count_roots(k, alpha, beta, ctx) == 0
+        assert TaniguchiParams(m=m, k=k, alpha=alpha, beta=beta).is_apn_criterion() == apn, \
+            (m, k, alpha, beta)
+        want[alpha == 0, apn] = max(0, want[alpha == 0, apn] - 1)
+    assert not any(want.values()), want
 
 
 def test_materialize_round_trip():

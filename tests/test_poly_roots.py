@@ -18,6 +18,7 @@ from taniapn.poly_roots import (
     count_roots,
     frobenius_orbit,
     frobenius_orbits,
+    is_rootless,
     orbit_length,
     orbit_min,
     phi_set,
@@ -462,11 +463,13 @@ def test_phi_membership_against_root_count_sampled(m, k):
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_rootless_is_phi_membership(m):
-    # every beta, every coprime k; modulus 0x49 checks a non-default field
+    # every beta, every coprime k, batched and one beta at a time; modulus
+    # 0x49 checks a non-default field
     for ctx in (default_ctx(m), FieldCtx(6, 0x49)) if m == 6 else (default_ctx(m),):
         for k in coprime_residues(m):
             mask = rootless(k, ctx.elements(), ctx)
             assert np.array_equal(np.flatnonzero(mask), phi_set(k, ctx).elements), (m, k)
+            assert [is_rootless(k, b, ctx) for b in range(ctx.order)] == mask.tolist(), (m, k)
 
 
 @pytest.mark.parametrize("m", range(13, 17))
@@ -493,8 +496,13 @@ def test_rootless_batches_match_one_batch(monkeypatch):
 def test_rootless_at_m_32_rejects_k_not_coprime():
     ctx = default_ctx(32)
     assert rootless(1, np.array([0, 1], dtype=np.uint32), ctx).tolist() == [False, True]
+    assert [is_rootless(1, b, ctx) for b in (0, 1)] == [False, True]
     with pytest.raises(InvalidK):
         rootless(2, np.array([1], dtype=np.uint32), ctx)
+    with pytest.raises(InvalidK):
+        is_rootless(2, 1, ctx)
+    with pytest.raises(InvalidParams):
+        is_rootless(1, ctx.order, ctx)
 
 
 def _count_orbit_minima_squarings(monkeypatch):

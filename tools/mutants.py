@@ -127,8 +127,15 @@ MUTANTS = [
            "has = pivot >= 1 << bit", "has = pivot > 1 << bit",
            ("tests/test_linmaps.py", "tests/test_diffanalysis.py")),
     Mutant("rootless-rank-identity", ROOTS,
-           "frob = ctx.pow2k_vec(q, k) ^ q", "frob = q ^ q",
+           "return ctx.pow2k_vec(q, k) ^ q", "return q ^ q",
            ("tests/test_poly_roots.py",)),
+    Mutant("is-rootless-shift-unreduced", ROOTS,
+           "        if beta >> ctx.m:\n            beta ^= ctx.modulus\n", "",
+           ("tests/test_poly_roots.py", "tests/test_families.py")),
+    Mutant("alpha-zero-rule-parity", FAMILIES,
+           "self.m % 2 == 0 and not self.ctx.is_cube(self.beta)",
+           "self.m % 2 == 1 and not self.ctx.is_cube(self.beta)",
+           ("tests/test_families.py",)),
     Mutant("subfield-basis", COUNTING,
            "gf2_kernel((frob ^ basis).tolist())",
            "gf2_kernel((ctx.square_vec(frob) ^ basis).tolist())",
